@@ -329,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        # a constructed system that fails its own invariant checks
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except UnsupportedDimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

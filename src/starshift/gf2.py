@@ -237,18 +237,24 @@ def reduced_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     column; zero rows are dropped.  Pivot choice is the lowest column
     index with a nonzero entry, which makes the output the canonical
     reduced basis of the row space.
+
+    Back-substitution walks the pivots from the highest column down.
+    Each echelon row XORs in the already reduced row of every other
+    pivot column it has set, found as ``row & pivot_mask``; those rows
+    carry no other pivot bit, so the XORs commute and the cost is the
+    number of pivot bits actually set rather than rank squared.
     """
     pivots = echelon_pivots(rows)
-    cols_desc = sorted(pivots, reverse=True)
-    for c in cols_desc:
-        row = pivots[c]
-        for b in cols_desc:
-            if b <= c:
-                break
-            if (row >> b) & 1:
-                row ^= pivots[b]
-        pivots[c] = row
     cols = sorted(pivots)
+    pivot_mask = sum(1 << c for c in cols)
+    for c in reversed(cols):
+        row = pivots[c]
+        hits = (row & pivot_mask) ^ (1 << c)
+        while hits:
+            low = hits & -hits
+            row ^= pivots[low.bit_length() - 1]
+            hits ^= low
+        pivots[c] = row
     return [pivots[c] for c in cols], cols
 
 
@@ -275,19 +281,22 @@ def kernel_basis(m: F2Matrix) -> F2Matrix:
 
     One basis row per free column, in increasing free-column order; a
     full-rank matrix yields a matrix with no rows.
+
+    The basis row of free column ``f`` is ``f`` itself plus the pivot
+    column of every reduced row with bit ``f`` set, so the rows are read
+    off the free bits of the reduced rows in one pass over them.
     """
     rref, pivot_cols = reduced_rows(m.rows)
     pivot_set = set(pivot_cols)
-    basis: list[int] = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        bits = 1 << f
-        for prow, pcol in zip(rref, pivot_cols):
-            if (prow >> f) & 1:
-                bits |= 1 << pcol
-        basis.append(bits)
-    return F2Matrix(tuple(basis), m.cols)
+    basis = {f: 1 << f for f in range(m.cols) if f not in pivot_set}
+    free_mask = sum(basis.values())
+    for prow, pcol in zip(rref, pivot_cols):
+        scan = prow & free_mask
+        while scan:
+            low = scan & -scan
+            basis[low.bit_length() - 1] |= 1 << pcol
+            scan ^= low
+    return F2Matrix(tuple(basis.values()), m.cols)
 
 
 def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -147,6 +147,7 @@ def construct_system(d: int) -> TripleSystem:
     Raises:
         UnsupportedDimensionError: for d < 8, where no such pair is
             provided by this construction.
+        RuntimeError: when the constructed pair violates its invariants.
     """
     if d < 8:
         raise UnsupportedDimensionError(

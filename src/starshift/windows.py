@@ -297,25 +297,26 @@ def star(x: WindowConfig, y: WindowConfig) -> WindowConfig:
 def _gather_bits(x: WindowConfig, target: Box, m: IntVector) -> int:
     """Bits of the map i -> x(i + m) over the sites of ``target``.
 
-    Source indices are generated axis by axis as stride offsets, so the
-    cost is one integer addition per target site.
+    The configuration is written as a string with one character per
+    site, in site order.  The target's source region ``target + m`` is
+    then cut out of it axis by axis, first axis first: on every axis
+    where the target is narrower than the box, each block of that axis
+    keeps one slice.  The characters left are the target's sites in its
+    own site order, read back as an int.
     """
-    shape = x.box.shape
-    d = x.box.dimension
-    strides = [1] * d
-    for a in range(d - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
-    base = x.box.index(tuple(l + v for l, v in zip(target.lower, m)))
-    idxs = [base]
-    for a in range(d):
-        step = strides[a]
-        idxs = [i + c * step for i in idxs for c in range(target.shape[a])]
-    xb = x.bits
-    bits = 0
-    for k, src in enumerate(idxs):
-        if (xb >> src) & 1:
-            bits |= 1 << k
-    return bits
+    n = x.box.site_count
+    s = format(x.bits, f"0{n}b")[::-1]
+    block = n
+    for lo, width, src_lo, side, v in zip(
+        target.lower, target.shape, x.box.lower, x.box.shape, m
+    ):
+        stride = block // side
+        if width < side:
+            start = (lo + v - src_lo) * stride
+            stop = start + width * stride
+            s = "".join([s[k + start : k + stop] for k in range(0, len(s), block)])
+        block = stride
+    return int(s[::-1], 2)
 
 
 def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from starshift import codes
+from starshift import codes, rigidity
 from starshift.cli import main
 
 
@@ -149,6 +149,14 @@ class TestConstruct:
     def test_unsupported_dimension(self, capsys):
         assert main(["construct", "-d", "7"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["construct", "-d", "8"], ["verify", "-d", "8"]])
+    def test_invariant_failure_is_a_verification_failure(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(rigidity, "_invariant_failures", lambda system: ["planted"])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "planted" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

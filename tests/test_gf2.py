@@ -164,6 +164,24 @@ class TestKernel:
         # independence: the kernel rows alone have full rank
         assert gf2.row_reduce(kb).rank == kb.num_rows
 
+    @given(matrices())
+    def test_kernel_basis_is_canonical(self, m):
+        # sampling indexes these rows by position, so their order and
+        # shape are part of every seeded sample stream
+        rows = SpanSolver()
+        for r in m.rows:
+            rows.add(r)
+        free = [f for f in range(m.cols) if f not in rows.pivots]
+        free_mask = sum(1 << f for f in free)
+        kb = gf2.kernel_basis(m)
+        assert [k & free_mask for k in kb.rows] == [1 << f for f in free]
+        kernel = SpanSolver()
+        for x in range(1 << m.cols):
+            if all((r & x).bit_count() % 2 == 0 for r in m.rows):
+                kernel.add(x)
+        assert all(kernel.member(k) for k in kb.rows)
+        assert len(kernel.pivots) == kb.num_rows
+
     def test_known_kernels(self):
         assert gf2.kernel_basis(F2Matrix.identity(3)).num_rows == 0
         kb = gf2.kernel_basis(F2Matrix((0b11,), 2))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -219,6 +220,33 @@ class TestSampling:
             s = sample(space, seed) + sample(space, seed + 1)
             assert contains(space, s)
 
+    @pytest.mark.parametrize(
+        "code, box, expected",
+        [
+            (
+                E2,
+                cube(2, 6),
+                [0xDAC630801, 0x211884253, 0xF7AD294A5, 0x3DEF39CE7, 0x3DEF38C63],
+            ),
+            (
+                codes.repetition_code(4),
+                cube(4, 3),
+                [
+                    0xC760580010080E12020B,
+                    0x12088CAEE2AB2FFAEBEFF,
+                    0x1BBD2792880000B80030B,
+                    0x12CF2D3CCB0BAFFBEBEFF,
+                    0x98F0DAE830B2FEAEBFFF,
+                ],
+            ),
+        ],
+    )
+    def test_seeded_streams_are_pinned(self, code, box, expected):
+        # seeded reports replay these draws; a change to the kernel basis
+        # or to how it is combined shows up here first
+        space = build_window_space(box, code)
+        assert [sample(space, seed).bits for seed in range(5)] == expected
+
     def test_marginals_near_half(self):
         space = build_window_space(cube(2, 2), E2)
         basis = space.solution_basis.rows
@@ -399,6 +427,93 @@ class TestApplyPoly:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             windows.apply_poly(LaurentPoly.one(3), WindowConfig.zero(cube(2, 2)))
+
+
+def _random_config(rng, d):
+    lower = tuple(rng.randint(-3, 3) for _ in range(d))
+    box = Box(lower, tuple(l + rng.randint(1, 4) for l in lower))
+    return WindowConfig(box, rng.getrandbits(box.site_count))
+
+
+def _sites(lower, upper):
+    return itertools.product(*(range(l, u) for l, u in zip(lower, upper)))
+
+
+class TestGatherOracle:
+    """shift_restrict, restrict and apply_poly against x.value, site by site."""
+
+    def test_shift_restrict(self):
+        rng = random.Random(11)
+        overlaps = 0
+        for _ in range(2000):
+            d = rng.randint(1, 5)
+            x = _random_config(rng, d)
+            m = tuple(rng.randint(-3, 3) for _ in range(d))
+            lower = tuple(max(l, l - v) for l, v in zip(x.box.lower, m))
+            upper = tuple(min(u, u - v) for u, v in zip(x.box.upper, m))
+            if any(u <= l for l, u in zip(lower, upper)):
+                with pytest.raises(ValueError, match="empty overlap"):
+                    windows.shift_restrict(x, m)
+                continue
+            overlaps += 1
+            y = windows.shift_restrict(x, m)
+            assert y.box == Box(lower, upper)
+            for site in _sites(lower, upper):
+                assert y.value(site) == x.value(tuple(i + v for i, v in zip(site, m)))
+        assert overlaps > 200
+
+    def test_one_site_overlaps(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            x = _random_config(rng, d)
+            m = tuple(rng.choice((1, -1)) * (s - 1) for s in x.box.shape)
+            y = windows.shift_restrict(x, m)
+            assert y.box.site_count == 1
+            (site,) = y.box.sites()
+            assert y.bits == x.value(tuple(i + v for i, v in zip(site, m)))
+
+    def test_restrict(self):
+        rng = random.Random(13)
+        for _ in range(1000):
+            d = rng.randint(1, 5)
+            x = _random_config(rng, d)
+            assert windows.restrict(x, x.box) == x
+            lower = tuple(rng.randint(l, u - 1) for l, u in zip(x.box.lower, x.box.upper))
+            upper = tuple(rng.randint(l + 1, u) for l, u in zip(lower, x.box.upper))
+            y = windows.restrict(x, Box(lower, upper))
+            assert y.box == Box(lower, upper)
+            for site in _sites(lower, upper):
+                assert y.value(site) == x.value(site)
+
+    def test_apply_poly(self):
+        rng = random.Random(14)
+        acted = 0
+        for _ in range(1000):
+            d = rng.randint(1, 5)
+            x = _random_config(rng, d)
+            offsets = list(itertools.product(range(-1, 2), repeat=d))
+            p = LaurentPoly.from_terms(d, rng.sample(offsets, rng.randint(1, min(3, len(offsets)))))
+            # like shift_restrict, the domain never leaves the box itself
+            lower = tuple(
+                l - min(0, *(t[a] for t in p.terms)) for a, l in enumerate(x.box.lower)
+            )
+            upper = tuple(
+                u - max(0, *(t[a] for t in p.terms)) for a, u in enumerate(x.box.upper)
+            )
+            if any(u <= l for l, u in zip(lower, upper)):
+                with pytest.raises(ValueError, match="empty domain"):
+                    windows.apply_poly(p, x)
+                continue
+            acted += 1
+            y = windows.apply_poly(p, x)
+            assert y.box == Box(lower, upper)
+            for site in _sites(lower, upper):
+                expected = 0
+                for t in p.terms:
+                    expected ^= x.value(tuple(i + e for i, e in zip(site, t)))
+                assert y.value(site) == expected
+        assert acted > 200
 
 
 class TestEntropyProfile:
