@@ -4,7 +4,9 @@ A code is stored through the canonical reduced-echelon generator basis,
 so equal subspaces compare equal structurally.  The module covers duals,
 weight classification, coordinatewise-product closure between a pair of
 codes, the integer support-sum pairing, and the integral non-degeneracy
-certificate with explicit rational kernel witnesses.
+certificate, decided by a column rule on the generator matrix with an
+explicit integer kernel witness on failure.  Only witness search and
+weight classification enumerate codewords.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class NondegeneracyCertificate:
 
     ``kernel_witness`` is populated exactly when ``verdict`` is False: a
     nonzero integer vector n with support_sum(n, v) = 0 for every
-    codeword v.
+    codeword v, either a unit vector e_j or a difference e_i - e_j with
+    i < j.
     """
 
     verdict: bool
@@ -142,7 +145,7 @@ def is_self_orthogonal(c: BinaryCode) -> bool:
     return all(gf2.dot(v, w) == 0 for i, v in enumerate(rows) for w in rows[i:])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _pivot_map(c: BinaryCode) -> dict[int, int]:
     return {(r & -r).bit_length() - 1: r for r in c.basis.rows}
 
@@ -181,7 +184,8 @@ def codewords(c: BinaryCode) -> Iterable[F2Vector]:
         yield F2Vector(c.length, cur)
 
 
-@functools.lru_cache(maxsize=None)
+# one entry can hold 2^ENUMERATION_GUARD_DIM words, so keep only a few
+@functools.lru_cache(maxsize=8)
 def codewords_by_weight(c: BinaryCode) -> tuple[F2Vector, ...]:
     """All codewords sorted by (weight, numeric bit pattern)."""
     return tuple(sorted(codewords(c), key=lambda v: (gf2.weight(v), v.bits)))
@@ -220,28 +224,37 @@ def support_sum(n: Sequence[int], v: F2Vector) -> int:
     return sum(n[j] for j in v.support())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def is_integrally_nondegenerate(c: BinaryCode) -> NondegeneracyCertificate:
     """Exact non-degeneracy certificate for the support-sum pairing.
 
     The code is integrally non-degenerate when for every nonzero integer
     vector n some codeword v has support_sum(n, v) != 0; equivalently the
-    codeword supports span all of Q^length.  Codewords are swept in
-    increasing weight with early exit once the rational rank fills up.
+    codeword supports span all of Q^length.  Over Q the 0/1 vector of
+    v + w is v + w - 2 v*w, so the supports span exactly the vectors that
+    are constant on each class of equal generator-matrix columns and zero
+    on zero columns.  The code is therefore non-degenerate exactly when
+    its generator columns are nonzero and pairwise distinct, which one
+    pass over the columns decides without enumerating codewords.
 
     Returns:
-        A certificate whose ``kernel_witness`` on failure is annihilated
-        by every codeword support.
+        A certificate.  Columns are scanned in increasing order, and at
+        the first column j that is zero or repeats an earlier column the
+        ``kernel_witness`` is e_j, or e_i - e_j with i the first column
+        equal to column j.  That is the normalized kernel vector at the
+        lowest free column of the span's reduced row echelon form.
     """
-    ech = gf2.RationalEchelon(c.length)
-    for v in codewords_by_weight(c):
-        if v.is_zero:
-            continue
-        if ech.add_row(v.coords()) and ech.rank == c.length:
-            return NondegeneracyCertificate(True, None)
-    witness = ech.kernel_vector()
-    assert witness is not None
-    return NondegeneracyCertificate(False, witness)
+    rows = c.basis.rows
+    first: dict[tuple[int, ...], int] = {}
+    for j in range(c.length):
+        column = tuple((r >> j) & 1 for r in rows)
+        if not any(column):
+            return NondegeneracyCertificate(False, tuple(int(k == j) for k in range(c.length)))
+        i = first.setdefault(column, j)
+        if i != j:
+            witness = tuple((k == i) - (k == j) for k in range(c.length))
+            return NondegeneracyCertificate(False, witness)
+    return NondegeneracyCertificate(True, None)
 
 
 def nondegeneracy_witness(c: BinaryCode, n: Sequence[int]) -> F2Vector:
@@ -250,7 +263,7 @@ def nondegeneracy_witness(c: BinaryCode, n: Sequence[int]) -> F2Vector:
     Raises:
         ValueError: if ``n`` is zero or has the wrong length.
         DegenerateCodeError: if no codeword separates ``n``; the error
-            carries the rational kernel witness of the code.
+            carries the integer kernel witness of the code.
     """
     n = tuple(int(x) for x in n)
     if len(n) != c.length:

@@ -1,33 +1,26 @@
-"""Exact linear algebra over GF(2) and over the rationals.
+"""Exact linear algebra over GF(2).
 
 Vectors and matrix rows are bit-packed into Python ints (bit ``j`` holds
 column ``j``), so XOR-based elimination runs at word speed even for
-window systems with thousands of variables.  Rational ranks use
-fraction-free integer elimination with unbounded precision; nothing in
-this module touches floating point.
+window systems with thousands of variables.  Nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "IntVector",
     "F2Vector",
     "F2Matrix",
     "RowReduction",
-    "RationalEchelon",
     "weight",
     "dot",
     "cw_product",
     "row_reduce",
     "kernel_basis",
-    "rational_rank",
-    "rational_kernel_vector",
     "echelon_pivots",
     "reduced_rows",
     "reduce_bits",
@@ -297,127 +290,3 @@ def kernel_basis(m: F2Matrix) -> F2Matrix:
             basis[low.bit_length() - 1] |= 1 << pcol
             scan ^= low
     return F2Matrix(tuple(basis.values()), m.cols)
-
-
-def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    mat = [list(map(int, r)) for r in rows]
-    if mat:
-        width = len(mat[0])
-        if width == 0 or any(len(r) != width for r in mat):
-            raise ValueError("rows must be nonempty and of equal length")
-    return mat
-
-
-def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix.
-
-    Uses fraction-free (Bareiss) elimination: every intermediate entry is
-    an exact integer minor, and each division is exact.
-    """
-    mat = _int_rows(rows)
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    prev = 1
-    pr = 0
-    for col in range(ncols):
-        piv = next((r for r in range(pr, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        p = mat[pr][col]
-        prow = mat[pr]
-        for r in range(pr + 1, len(mat)):
-            row = mat[r]
-            factor = row[col]
-            for c in range(col, ncols):
-                num = p * row[c] - factor * prow[c]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row[c] = q
-        prev = p
-        rank += 1
-        pr += 1
-        if pr == len(mat):
-            break
-    return rank
-
-
-class RationalEchelon:
-    """Incremental reduced row echelon over the rationals.
-
-    Rows are added one at a time; ``add_row`` reports whether the rank
-    grew, which supports early exit in enumeration sweeps.  All
-    arithmetic is exact ``Fraction`` arithmetic.
-    """
-
-    def __init__(self, cols: int):
-        if cols < 1:
-            raise ValueError("need at least one column")
-        self.cols = cols
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add_row(self, row: Sequence[int | Fraction]) -> bool:
-        if len(row) != self.cols:
-            raise ValueError("row width mismatch")
-        vec = [Fraction(x) for x in row]
-        for prow, p in zip(self._rows, self._pivots):
-            if vec[p]:
-                coef = vec[p]
-                vec = [a - coef * b for a, b in zip(vec, prow)]
-        piv = next((j for j, a in enumerate(vec) if a), None)
-        if piv is None:
-            return False
-        inv = vec[piv]
-        vec = [a / inv for a in vec]
-        for i, prow in enumerate(self._rows):
-            if prow[piv]:
-                coef = prow[piv]
-                self._rows[i] = [a - coef * b for a, b in zip(prow, vec)]
-        pos = bisect_left(self._pivots, piv)
-        self._pivots.insert(pos, piv)
-        self._rows.insert(pos, vec)
-        return True
-
-    def kernel_vector(self) -> IntVector | None:
-        """A normalized nonzero integer kernel vector, or None at full rank.
-
-        Uses the lowest free column; entries are coprime integers with
-        the first nonzero entry positive.
-        """
-        pivot_set = set(self._pivots)
-        free = next((j for j in range(self.cols) if j not in pivot_set), None)
-        if free is None:
-            return None
-        vec = [Fraction(0)] * self.cols
-        vec[free] = Fraction(1)
-        for prow, p in zip(self._rows, self._pivots):
-            vec[p] = -prow[free]
-        denom = 1
-        for a in vec:
-            denom = lcm(denom, a.denominator)
-        ints = [int(a * denom) for a in vec]
-        g = 0
-        for a in ints:
-            g = gcd(g, a)
-        if g > 1:
-            ints = [a // g for a in ints]
-        first = next(a for a in ints if a)
-        if first < 0:
-            ints = [-a for a in ints]
-        return tuple(ints)
-
-
-def rational_kernel_vector(rows: Sequence[Sequence[int]], cols: int) -> IntVector | None:
-    """Normalized integer vector in the rational right kernel, or None."""
-    ech = RationalEchelon(cols)
-    for r in rows:
-        ech.add_row(r)
-    return ech.kernel_vector()

@@ -242,7 +242,7 @@ def annihilator_ideal(c: BinaryCode) -> LinearFormIdeal:
     return LinearFormIdeal(c.length, codes_mod.dual(c))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _substitution_table(code: BinaryCode) -> tuple[LaurentPoly, ...] | None:
     """Quotient substitution modulo the linear forms of ``code``.
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the behavior under test.
 
 Everything here recomputes answers from first principles: exhaustive
-enumeration and a self-contained GF(2) span solver.  Nothing calls the
+enumeration, a self-contained GF(2) span solver, and plain ``Fraction``
+elimination for ranks over the rationals.  Nothing calls the
 elimination, substitution, or window pipelines these oracles exist to
 check.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from starshift.codes import BinaryCode, code_from_generators
 from starshift.gf2 import F2Vector
@@ -23,6 +25,26 @@ def span_words(rows: tuple[int, ...]) -> set[int]:
     for r in rows:
         words |= {w ^ r for w in words}
     return words
+
+
+def rational_support_rank(code: BinaryCode) -> int:
+    """Rank over Q of the 0/1 support vectors of every codeword.
+
+    The definition of integral non-degeneracy, checked directly: every
+    codeword of the span is a row, eliminated in exact fractions.
+    """
+    n = code.length
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for word in span_words(code.basis.rows):
+        row = [Fraction((word >> j) & 1) for j in range(n)]
+        for col, prow in pivots:
+            if row[col]:
+                factor = row[col]
+                row = [a - factor * b for a, b in zip(row, prow)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is not None:
+            pivots.append((col, [a / row[col] for a in row]))
+    return len(pivots)
 
 
 class SpanSolver:

@@ -59,6 +59,18 @@ class TestInspect:
         assert data["integrally_nondegenerate"] is False
         assert data["kernel_witness"] == [1, -1]
 
+    def test_nondegeneracy_above_the_enumeration_guard(self, capsys, tmp_path):
+        c = codes.hamming8_code()
+        for _ in range(6):
+            c = codes.direct_sum(c, codes.hamming8_code())
+        assert (c.length, c.dim) == (56, 28)
+        path = tmp_path / "c8x7.code"
+        path.write_text(codes.render_generator_file(c))
+        rc, data = run_json(capsys, ["inspect", str(path), "--json"])
+        assert rc == 0
+        assert data["integrally_nondegenerate"] is True
+        assert data["kernel_witness"] is None
+
     def test_missing_file(self, capsys):
         assert main(["inspect", "/no/such/file"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -5,13 +5,68 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_code, span_words
+from oracles import random_code, rational_support_rank, span_words
 from starshift import codes, gf2
 from starshift.codes import BinaryCode, code_from_generators
 from starshift.errors import CodeFileError, DegenerateCodeError, GuardExceededError
 from starshift.gf2 import F2Matrix, F2Vector
 
 C8 = codes.hamming8_code()
+
+# (length, canonical basis rows, kernel witness) for seeded random
+# generator matrices with planted zero and duplicated columns, plus the
+# zero code.  The witness has one character per coordinate, '+' for 1
+# and '-' for -1, and is None when the verdict is True.  Recorded from
+# the earlier implementation, which eliminated every codeword support in
+# exact fractions.
+PINNED_NONDEGENERACY = [
+    (7, "1000010 0100010 0010010 0001000 0000100 0000001", None),
+    (3, "100 001", "0+0"),
+    (1, "1", None),
+    (4, "0101 0010", "+000"),
+    (4, "1000 0100 0010 0001", None),
+    (10, "1000000001 0100010001 0010010010 0001010010 0000110011 0000001011", "0000000+00"),
+    (10, "1000000000 0100000000 0010000000 0001000000 0000100000 0000010001 0000001000"
+         " 0000000100 0000000010", "00000+000-"),
+    (6, "100110 010100 000001", "00+000"),
+    (4, "1010 0110 0001", None),
+    (8, "10000000 01000000 00100000 00010000 00001000 00000100 00000010", "0000000+"),
+    (10, "1000111110 0100110101 0010101101 0001110000", "+0000000-0"),
+    (8, "10000001 01000000 00100011 00001000 00000101", "000+0000"),
+    (8, "10000000 01001000 00101000 00011000 00000101 00000011", None),
+    (5, "10000 00101 00011", "0+000"),
+    (2, "11", "+-"),
+    (4, "1001 0010", "0+00"),
+    (6, "100000 010001 001000 000101 000011", None),
+    (9, "100000000 010000000 001000000 000100010 000001010 000000110 000000001", "0000+0000"),
+    (3, "101 010", "+0-"),
+    (11, "10000010111 01001111101 00100011110 00010101101", "0+00-000000"),
+    (12, "100001101010 010001001001 001000100110 000100001101 000011001010 000000011100", None),
+    (3, "100 001", "0+0"),
+    (3, "101 010", "+0-"),
+    (5, "10000 01100 00010", "0+-00"),
+    (12, "100000001001 010000001001 001000001000 000100001001 000010001001 000001001001"
+         " 000000100001 000000011001 000000000100 000000000010", None),
+    (7, "1001011 0101010 0010011", "0000+00"),
+    (12, "100001000111 010001000000 001000010011 000100010100 000011000000 000000110011"
+         " 000000001111", "0000000000+-"),
+    (11, "10000000000 01000000000 00100000000 00010000000 00000110000 00000001000 00000000100"
+         " 00000000010 00000000001", "0000+000000"),
+    (2, "10 01", None),
+    (9, "010000101 001001001 000101110 000011010", "+00000000"),
+    (9, "100101000 010101000 001001100 000011000 000000010 000000001", "00+000-00"),
+    (1, "", "+"),
+    (2, "10 01", None),
+    (10, "1001001000 0101001010 0010001100 0000101110 0000011010", "000000000+"),
+    (9, "100000011 010000110 001000010 000100010 000010010 000001011", "0+0000-00"),
+    (9, "010000000 001000000 000100010 000010001 000001010 000000100", "+00000000"),
+    (6, "100110 010101 001111", None),
+    (11, "10000010000 01000011011 00100101000 00010110001 00001100010", "00000000+00"),
+    (11, "10000000100 01000000100 00100000001 00010000110 00001000110 00000100000 00000010100"
+         " 00000001100", "00+0000000-"),
+    (4, "1010 0100", "+0-0"),
+    (5, "", "+0000"),
+]
 
 
 def small_codes(max_len=10, max_gens=4):
@@ -244,6 +299,40 @@ class TestNondegeneracy:
             assert any(cert.kernel_witness)
             for v in codes.codewords(c):
                 assert codes.support_sum(cert.kernel_witness, v) == 0
+
+    @given(small_codes(max_len=8))
+    def test_verdict_is_full_rational_support_rank(self, c):
+        full = rational_support_rank(c) == c.length
+        assert codes.is_integrally_nondegenerate(c).verdict == full
+
+    def test_pinned_verdicts_and_witnesses(self):
+        signs = {"+": 1, "-": -1, "0": 0}
+        for length, rows, witness in PINNED_NONDEGENERACY:
+            vectors = [F2Vector.from_string(r) for r in rows.split()]
+            c = code_from_generators(F2Matrix.from_vectors(vectors, cols=length))
+            assert [str(v) for v in c.basis.row_vectors()] == rows.split()
+            cert = codes.is_integrally_nondegenerate(c)
+            expected = None if witness is None else tuple(signs[ch] for ch in witness)
+            assert (cert.verdict, cert.kernel_witness) == (witness is None, expected), rows
+
+    def test_verdict_enumerates_no_codewords(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError("codeword enumeration")
+
+        monkeypatch.setattr(codes, "codewords", refuse)
+        monkeypatch.setattr(codes, "codewords_by_weight", refuse)
+        check = codes.is_integrally_nondegenerate.__wrapped__
+        assert check(C8).verdict
+        c = codes.direct_sum(C8, codes.even_weight_code(2))
+        assert check(c).kernel_witness == (0,) * 8 + (1, -1)
+
+    def test_verdict_above_the_enumeration_guard(self):
+        assert codes.full_code(30).dim > codes.ENUMERATION_GUARD_DIM
+        assert codes.is_integrally_nondegenerate(codes.full_code(30)).verdict
+        c = codes.direct_sum(codes.full_code(26), codes.even_weight_code(2))
+        cert = codes.is_integrally_nondegenerate(c)
+        assert not cert.verdict
+        assert cert.kernel_witness == (0,) * 26 + (1, -1)
 
     def test_witness_for_unit_vector(self):
         w = codes.nondegeneracy_witness(C8, (1, 0, 0, 0, 0, 0, 0, 0))

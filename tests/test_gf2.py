@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -5,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import SpanSolver, span_words
+import starshift
 from starshift import gf2
-from starshift.gf2 import F2Matrix, F2Vector, RationalEchelon
+from starshift.gf2 import F2Matrix, F2Vector
 
 
 def vectors(min_len=1, max_len=16):
@@ -188,99 +191,6 @@ class TestKernel:
         assert kb.rows == (0b11,)
 
 
-class TestRationalRank:
-    def test_identity_and_scaled_identity(self):
-        eye = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-        assert gf2.rational_rank(eye) == 5
-        two = [[2 if i == j else 0 for j in range(5)] for i in range(5)]
-        assert gf2.rational_rank(two) == 5
-        # over GF(2) the scaled identity would have rank 0
-        assert gf2.row_reduce(F2Matrix((0,) * 5, 5)).rank == 0
-
-    def test_exceeds_f2_rank(self):
-        rows = [[1, 1], [1, -1]]
-        assert gf2.rational_rank(rows) == 2
-
-    def test_degenerate_cases(self):
-        assert gf2.rational_rank([]) == 0
-        assert gf2.rational_rank([[0, 0, 0]]) == 0
-        assert gf2.rational_rank([[1, 1]]) == 1
-        with pytest.raises(ValueError):
-            gf2.rational_rank([[1, 0], [1]])
-
-    @given(
-        st.integers(1, 5).flatmap(
-            lambda c: st.lists(
-                st.lists(st.integers(-9, 9), min_size=c, max_size=c),
-                min_size=1,
-                max_size=6,
-            )
-        )
-    )
-    def test_agrees_with_fraction_echelon(self, rows):
-        ech = RationalEchelon(len(rows[0]))
-        for r in rows:
-            ech.add_row(r)
-        assert gf2.rational_rank(rows) == ech.rank
-
-    def test_bareiss_handles_pivot_cancellation(self):
-        rows = [[2, 3, 5], [7, 11, 13], [17, 19, 23]]
-        assert gf2.rational_rank(rows) == 3
-        rows = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-        assert gf2.rational_rank(rows) == 2
-
-
-class TestRationalEchelon:
-    def test_add_row_reports_rank_growth(self):
-        ech = RationalEchelon(3)
-        assert ech.add_row([1, 1, 0]) is True
-        assert ech.add_row([2, 2, 0]) is False
-        assert ech.add_row([0, 0, 1]) is True
-        assert ech.rank == 2
-
-    def test_kernel_vector_normalization(self):
-        ech = RationalEchelon(2)
-        ech.add_row([1, 1])
-        assert ech.kernel_vector() == (1, -1)
-
-    def test_kernel_vector_none_at_full_rank(self):
-        ech = RationalEchelon(2)
-        ech.add_row([1, 0])
-        ech.add_row([0, 1])
-        assert ech.kernel_vector() is None
-
-    def test_kernel_vector_properties(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            cols = rng.randint(2, 6)
-            rows = [
-                [rng.randint(-4, 4) for _ in range(cols)]
-                for _ in range(rng.randint(1, cols - 1))
-            ]
-            ech = RationalEchelon(cols)
-            for r in rows:
-                ech.add_row(r)
-            vec = ech.kernel_vector()
-            if vec is None:
-                assert ech.rank == cols
-                continue
-            assert any(vec)
-            assert all(isinstance(x, int) for x in vec)
-            for r in rows:
-                assert sum(a * b for a, b in zip(r, vec)) == 0
-            from math import gcd
-
-            g = 0
-            for x in vec:
-                g = gcd(g, x)
-            assert g == 1
-            assert next(x for x in vec if x) > 0
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            RationalEchelon(3).add_row([1, 2])
-
-
 class TestMatrixConstruction:
     def test_from_vectors_and_strings(self):
         m = F2Matrix.from_strings(["101", "010"])
@@ -311,3 +221,12 @@ class TestMatrixConstruction:
             words = span_words(rows)
             probe = rng.getrandbits(cols)
             assert solver.member(probe) == (probe in words)
+
+
+def test_every_exported_name_resolves():
+    # a function removed from a module must leave its __all__ too
+    names = [m.name for m in pkgutil.iter_modules(starshift.__path__) if m.name != "__main__"]
+    for name in names:
+        module = importlib.import_module(f"starshift.{name}")
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"starshift.{name}.__all__ names missing {attr!r}"
