@@ -5,8 +5,8 @@ so equal subspaces compare equal structurally.  The module covers duals,
 weight classification, coordinatewise-product closure between a pair of
 codes, the integer support-sum pairing, and the integral non-degeneracy
 certificate, decided by a column rule on the generator matrix with an
-explicit integer kernel witness on failure.  Only witness search and
-weight classification enumerate codewords.
+explicit integer kernel witness on failure.  Weight classification is
+read off the basis rows; only witness search enumerates codewords.
 """
 
 from __future__ import annotations
@@ -194,27 +194,19 @@ def codewords_by_weight(c: BinaryCode) -> tuple[F2Vector, ...]:
 def weight_class(c: BinaryCode) -> str:
     """Classify all codeword weights: 'doubly-even', 'even', or 'neither'.
 
-    A doubly even pairwise-orthogonal basis settles 'doubly-even' without
-    enumeration; otherwise every codeword is inspected, subject to the
-    enumeration guard.
+    Decided from the basis alone, by wt(a + b) = wt(a) + wt(b) - 2|a & b|:
+    every codeword is even exactly when every basis row is even, and
+    doubly even exactly when the rows are doubly even and pairwise
+    orthogonal.  No codeword is enumerated.
     """
     rows = c.basis.row_vectors()
+    if any(gf2.weight(v) % 2 for v in rows):
+        return "neither"
     if all(gf2.weight(v) % 4 == 0 for v in rows) and all(
         gf2.dot(rows[i], rows[j]) == 0 for i in range(len(rows)) for j in range(i + 1, len(rows))
     ):
         return "doubly-even"
-    all_doubly = True
-    all_even = True
-    for v in codewords(c):
-        w = gf2.weight(v)
-        if w % 4:
-            all_doubly = False
-        if w % 2:
-            all_even = False
-            break
-    if all_doubly:
-        return "doubly-even"
-    return "even" if all_even else "neither"
+    return "even"
 
 
 def support_sum(n: Sequence[int], v: F2Vector) -> int:

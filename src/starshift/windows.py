@@ -1,16 +1,28 @@
 """Exact finite-window engines for code-defined group shifts.
 
 A window space is the solution set of the local membership rule on a
-finite box: one site per GF(2) variable, and one constraint row per
-(anchor, dual-basis-vector) pair, where an anchor is a site whose whole
-forward stencil ``i + e_1 .. i + e_d`` lies inside the box.  Solution
-counting is exact rank arithmetic; sampling is a seeded random
+finite box: one site per GF(2) variable, and one constraint per
+(anchor, dual-basis word) pair, where an anchor is a site whose whole
+forward stencil ``i + e_1 .. i + e_d`` lies inside the box.  The rule at
+anchor i for dual word w is that x(i + e_j) summed over j in supp(w)
+vanishes.
+
+Every space carries one stencil plan, built once with the space.  Sites
+are numbered in row-major order with strides s_j, so site i + e_j has
+index idx(i) + 1 + o_j with offset o_j = s_j - 1.  The plan holds the
+anchor mask, with bit idx(i) + 1 set for every anchor i, and for each
+dual word the offsets o_j over its support.  Membership shifts a whole
+configuration once per offset and masks the XOR with the anchor mask;
+the constraint rows are the word patterns shifted to every anchor bit.
+Solution counting is exact rank arithmetic; sampling is a seeded random
 combination of a kernel basis.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +32,7 @@ from . import codes as codes_mod
 from . import gf2
 from .codes import BinaryCode
 from .errors import GuardExceededError
-from .gf2 import F2Matrix, IntVector
+from .gf2 import F2Matrix, F2Vector, IntVector
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -28,6 +40,7 @@ __all__ = [
     "MAX_CONSTRAINT_ROWS",
     "Box",
     "WindowConfig",
+    "StencilPlan",
     "WindowSpace",
     "cube",
     "build_window_space",
@@ -122,6 +135,16 @@ def cube(d: int, n: int) -> Box:
     return Box((0,) * d, (n,) * d)
 
 
+_BIT_CHARS = {0: "0", 1: "1"}
+
+
+def _bits_from_string(chars: str) -> int:
+    """Bits of a site-order string of '0'/'1', character k at bit k."""
+    if chars.strip("01"):
+        raise ValueError("values must be 0 or 1")
+    return int(chars[::-1], 2) if chars else 0
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """A GF(2) configuration on a box, bit-packed in site order."""
@@ -139,12 +162,12 @@ class WindowConfig:
 
     @classmethod
     def from_values(cls, box: Box, values: Iterable[int]) -> WindowConfig:
-        bits = 0
-        for k, v in enumerate(values):
-            if v not in (0, 1):
-                raise ValueError("values must be 0 or 1")
-            bits |= v << k
-        return cls(box, bits)
+        """Configuration from per-site values 0/1 in site order."""
+        try:
+            chars = "".join([_BIT_CHARS[v] for v in values])
+        except (KeyError, TypeError):
+            raise ValueError("values must be 0 or 1") from None
+        return cls(box, _bits_from_string(chars))
 
     def value(self, site: Sequence[int]) -> int:
         return (self.bits >> self.box.index(site)) & 1
@@ -159,8 +182,8 @@ class WindowConfig:
         return WindowConfig(self.box, self.bits ^ other.bits)
 
     def to_bit_string(self) -> str:
-        n = self.box.site_count
-        return "".join("1" if (self.bits >> k) & 1 else "0" for k in range(n))
+        """One character per site, in site order: site k is character k."""
+        return format(self.bits, f"0{self.box.site_count}b")[::-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,34 +195,75 @@ class WindowConfig:
     def from_json_dict(cls, data: dict) -> WindowConfig:
         box = Box(tuple(data["box"]["lower"]), tuple(data["box"]["upper"]))
         values = data["values"]
+        if not isinstance(values, str):
+            raise ValueError("values must be a string of 0 and 1")
         if len(values) != box.site_count:
             raise ValueError("value string length disagrees with the box")
-        return cls.from_values(box, (int(ch) for ch in values))
+        return cls(box, _bits_from_string(values))
 
 
-def _anchor_ranges(box: Box) -> list[range]:
+@dataclass(frozen=True)
+class StencilPlan:
+    """The local rule of a code on a box, as bit positions in site order.
+
+    ``anchor_mask`` has bit idx(i) + 1 set for every anchor i; that is
+    the index of site i + e_d, which lies in the box even when a
+    one-dimensional anchor sits one step below it.  ``taps`` has, for
+    each dual basis word w in canonical order, the offsets o_j = s_j - 1
+    over j in supp(w): the word's stencil site i + e_j is bit
+    idx(i) + 1 + o_j.
+    """
+
+    anchor_mask: int
+    taps: tuple[tuple[int, ...], ...]
+
+    def rows(self) -> list[int]:
+        """Constraint rows: anchors in site order, dual words within each."""
+        patterns = [functools.reduce(operator.xor, (1 << o for o in t), 0) for t in self.taps]
+        s = format(self.anchor_mask, "b")[::-1]
+        bases = [k for k, ch in enumerate(s) if ch == "1"]
+        return [p << base for base in bases for p in patterns]
+
+
+def _stencil_plan(box: Box, dual_rows: Sequence[F2Vector]) -> StencilPlan:
     # anchor i needs i + e_j inside the box for every axis j; with a
     # single axis the anchor itself may sit one step below the box
     d = box.dimension
-    ranges = []
-    for a in range(d):
-        lo = box.lower[a] if d > 1 else box.lower[a] - 1
-        hi = box.upper[a] - 2
-        ranges.append(range(lo, hi + 1))
-    return ranges
+    strides = [1] * d
+    for a in range(d - 1, 0, -1):
+        strides[a - 1] = strides[a] * box.shape[a]
+    low = -1 if d == 1 else 0
+    # the first anchor (all relative coordinates `low`), then one copy
+    # per anchor coordinate, axis by axis
+    mask = 1 << (1 + low * sum(strides))
+    for s, width in zip(strides, box.shape):
+        copies, mask = mask, 0
+        for k in range(width - 1 - low):
+            mask |= copies << (k * s)
+    taps = tuple(tuple(strides[j] - 1 for j in w.support()) for w in dual_rows)
+    return StencilPlan(mask, taps)
 
 
 class WindowSpace:
     """The exact solution space of a code's local rule on a box.
 
-    ``constraint_matrix`` has one bit-packed row per (anchor, dual-basis
-    vector); ``solution_basis`` (materialized on first use) spans its
-    kernel.  ``rank`` is available immediately after construction.
+    ``plan`` is the stencil plan of the rule; ``constraint_matrix`` has
+    one bit-packed row per (anchor, dual-basis word), assembled from it;
+    ``solution_basis`` (materialized on first use) spans its kernel.
+    ``rank`` is available immediately after construction.
     """
 
-    def __init__(self, box: Box, code: BinaryCode, constraint_matrix: F2Matrix, rank: int):
+    def __init__(
+        self,
+        box: Box,
+        code: BinaryCode,
+        plan: StencilPlan,
+        constraint_matrix: F2Matrix,
+        rank: int,
+    ):
         self.box = box
         self.code = code
+        self.plan = plan
         self.constraint_matrix = constraint_matrix
         self.rank = rank
         self._solution_basis: F2Matrix | None = None
@@ -224,8 +288,12 @@ def build_window_space(
 ) -> WindowSpace:
     """Assemble the constraint system of a code's local rule on a box.
 
-    Anchors and sites are enumerated in lexicographic order and the dual
-    basis in canonical order, so the matrix is deterministic.
+    The stencil plan is built first: the anchor mask axis by axis, by
+    shifting and OR-ing one copy per anchor coordinate, and the offsets
+    of each dual basis word.  Row (i, w) is the pattern of w, the XOR of
+    ``1 << o_j`` over its offsets, shifted to the anchor bit idx(i) + 1.
+    Anchors run in site order and the dual basis in canonical order
+    within each anchor, so the matrix is deterministic.
 
     Raises:
         GuardExceededError: when the box or the constraint count exceeds
@@ -236,26 +304,14 @@ def build_window_space(
     n_sites = box.site_count
     if n_sites > max_sites:
         raise GuardExceededError(f"box has {n_sites} sites, guard is {max_sites}")
-    d = code.length
-    dual_rows = codes_mod.dual(code).basis.row_vectors()
-    anchors = list(itertools.product(*_anchor_ranges(box)))
-    n_rows = len(anchors) * len(dual_rows)
+    plan = _stencil_plan(box, codes_mod.dual(code).basis.row_vectors())
+    n_rows = plan.anchor_mask.bit_count() * len(plan.taps)
     if n_rows > max_rows:
         raise GuardExceededError(f"system has {n_rows} constraint rows, guard is {max_rows}")
-    rows: list[int] = []
-    for anchor in anchors:
-        stencil = [
-            box.index(tuple(x + (1 if a == j else 0) for a, x in enumerate(anchor)))
-            for j in range(d)
-        ]
-        for w in dual_rows:
-            bits = 0
-            for j in w.support():
-                bits ^= 1 << stencil[j]
-            rows.append(bits)
+    rows = plan.rows()
     matrix = F2Matrix(tuple(rows), n_sites)
     rank = len(gf2.echelon_pivots(rows))
-    return WindowSpace(box, code, matrix, rank)
+    return WindowSpace(box, code, plan, matrix, rank)
 
 
 def log2_count(space: WindowSpace) -> int:
@@ -264,10 +320,24 @@ def log2_count(space: WindowSpace) -> int:
 
 
 def contains(space: WindowSpace, x: WindowConfig) -> bool:
-    """Whether a configuration satisfies every window constraint."""
+    """Whether a configuration satisfies every window constraint.
+
+    For each dual word, the configuration shifted right by each of the
+    word's offsets is XOR-ed together: bit idx(i) + 1 of the result is
+    the rule's sum at anchor i.  The configuration is rejected when that
+    XOR meets the plan's anchor mask.
+    """
     if x.box != space.box:
         raise ValueError("box mismatch")
-    return all((row & x.bits).bit_count() % 2 == 0 for row in space.constraint_matrix.rows)
+    plan = space.plan
+    bits = x.bits
+    for taps in plan.taps:
+        acc = 0
+        for o in taps:
+            acc ^= bits >> o
+        if acc & plan.anchor_mask:
+            return False
+    return True
 
 
 def sample_with(space: WindowSpace, rng: random.Random) -> WindowConfig:

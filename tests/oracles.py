@@ -13,10 +13,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from starshift.codes import BinaryCode, code_from_generators
+from starshift.codes import BinaryCode, code_from_generators, dual
 from starshift.gf2 import F2Vector
 from starshift.laurent import LaurentPoly
-from starshift.windows import Box
+from starshift.windows import Box, WindowConfig
 
 
 def span_words(rows: tuple[int, ...]) -> set[int]:
@@ -71,19 +71,16 @@ class SpanSolver:
         return self._reduce(v) == 0
 
 
-def window_solution_count(box: Box, code: BinaryCode) -> int:
-    """Exhaustive count of window configurations obeying the local rule.
+def _anchor_stencils(box: Box) -> list[list[int]]:
+    """Site indices of i + e_1 .. i + e_d for every anchor i.
 
     Anchors are derived directly from the defining property (every
     forward-stencil site i + e_j lies in the box), scanning one step
     below each lower corner so one-dimensional anchors outside the box
-    are found too.  Patch membership is tested against the explicit
-    codeword set.
+    are found too.
     """
     d = box.dimension
-    sites = list(box.sites())
-    index = {s: k for k, s in enumerate(sites)}
-    words = span_words(code.basis.rows)
+    index = {s: k for k, s in enumerate(box.sites())}
     stencils: list[list[int]] = []
     for anchor in itertools.product(
         *(range(l - 1, u) for l, u in zip(box.lower, box.upper))
@@ -96,8 +93,19 @@ def window_solution_count(box: Box, code: BinaryCode) -> int:
             stencil.append(index[site])
         else:
             stencils.append(stencil)
+    return stencils
+
+
+def window_solution_count(box: Box, code: BinaryCode) -> int:
+    """Exhaustive count of window configurations obeying the local rule.
+
+    Patch membership at every anchor stencil is tested against the
+    explicit codeword set.
+    """
+    words = span_words(code.basis.rows)
+    stencils = _anchor_stencils(box)
     count = 0
-    for bits in range(1 << len(sites)):
+    for bits in range(1 << box.site_count):
         for stencil in stencils:
             word = 0
             for j, k in enumerate(stencil):
@@ -107,6 +115,51 @@ def window_solution_count(box: Box, code: BinaryCode) -> int:
         else:
             count += 1
     return count
+
+
+def window_rule_holds(box: Box, code: BinaryCode, x: WindowConfig) -> bool:
+    """Whether one configuration obeys the local rule, site by site.
+
+    At every anchor stencil the values of x must form a codeword of the
+    explicit codeword set, as in :func:`window_solution_count`.
+    """
+    words = span_words(code.basis.rows)
+    for stencil in _anchor_stencils(box):
+        word = 0
+        for j, k in enumerate(stencil):
+            word |= ((x.bits >> k) & 1) << j
+        if word not in words:
+            return False
+    return True
+
+
+def window_constraint_rows(box: Box, code: BinaryCode) -> list[int]:
+    """Constraint rows assembled one anchor at a time through ``box.index``.
+
+    Anchor ranges are written out per axis (with a single axis the
+    anchor may sit one step below the box); anchors run in lexicographic
+    order and the dual basis, read from ``codes.dual``, in canonical
+    order within each anchor.  This is the assembly the stencil plan
+    replaced, kept as the reference for the rows and their order.
+    """
+    d = box.dimension
+    ranges = []
+    for a in range(d):
+        lo = box.lower[a] if d > 1 else box.lower[a] - 1
+        ranges.append(range(lo, box.upper[a] - 1))
+    dual_rows = dual(code).basis.row_vectors()
+    rows = []
+    for anchor in itertools.product(*ranges):
+        stencil = [
+            box.index(tuple(x + (1 if a == j else 0) for a, x in enumerate(anchor)))
+            for j in range(d)
+        ]
+        for w in dual_rows:
+            bits = 0
+            for j in w.support():
+                bits ^= 1 << stencil[j]
+            rows.append(bits)
+    return rows
 
 
 def window_log2_count(box: Box, code: BinaryCode) -> int:

@@ -71,6 +71,14 @@ class TestInspect:
         assert data["integrally_nondegenerate"] is True
         assert data["kernel_witness"] is None
 
+    def test_weight_class_above_the_enumeration_guard(self, capsys, tmp_path):
+        path = tmp_path / "even26.code"
+        path.write_text(codes.render_generator_file(codes.even_weight_code(26)))
+        rc, data = run_json(capsys, ["inspect", str(path), "--json"])
+        assert rc == 0
+        assert data["dim"] == 25
+        assert data["weight_class"] == "even"
+
     def test_missing_file(self, capsys):
         assert main(["inspect", "/no/such/file"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -132,6 +140,23 @@ class TestCheckPipeline:
         assert rc == 0
         assert data["valid"] is True
         assert data["constraint_rank"] == 4
+
+    def test_planar_round_trip(self, capsys, e2_file, tmp_path):
+        # 150^2 = 22500 sites, above the default site guard
+        path = tmp_path / "planar.json"
+        guard = ["--max-sites", "22500"]
+        argv = ["sample", e2_file, "--box", "150", "--seed", "7", "--json", "-o", str(path)]
+        assert main(argv + guard) == 0
+        assert main(["check", e2_file, str(path)] + guard) == 0
+        assert capsys.readouterr().out.strip() == "VALID"
+        data = json.loads(path.read_text())
+        values = list(data["values"])
+        k = 75 * 150 + 75
+        values[k] = "0" if values[k] == "1" else "1"
+        data["values"] = "".join(values)
+        path.write_text(json.dumps(data))
+        assert main(["check", e2_file, str(path)] + guard) == 1
+        assert capsys.readouterr().out.strip() == "INVALID"
 
     def test_malformed_json(self, capsys, c8_file, tmp_path):
         path = tmp_path / "broken.json"

@@ -240,6 +240,17 @@ class TestWeightClass:
             assert codes.is_self_orthogonal(c)
             assert codes.weight_class(c) == "doubly-even"
 
+    def test_enumerates_no_codewords(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError("codeword enumeration")
+
+        monkeypatch.setattr(codes, "codewords", refuse)
+        assert codes.weight_class(C8) == "doubly-even"
+        assert codes.weight_class(codes.even_weight_code(26)) == "even"
+        assert codes.weight_class(codes.direct_sum(C8, code_from_generators(["1100"]))) == "even"
+        assert codes.weight_class(codes.full_code(30)) == "neither"
+        assert codes.weight_class(codes.dual(codes.full_code(3))) == "doubly-even"
+
     def test_self_orthogonality_examples(self):
         assert codes.is_self_orthogonal(codes.even_weight_code(2))
         assert not codes.is_self_orthogonal(codes.full_code(2))

@@ -1,13 +1,20 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import window_log2_count
+from oracles import (
+    SpanSolver,
+    random_code,
+    window_constraint_rows,
+    window_log2_count,
+    window_rule_holds,
+)
 from starshift import codes, windows
 from starshift.codes import code_from_generators
 from starshift.errors import GuardExceededError
@@ -95,6 +102,22 @@ class TestWindowConfig:
             WindowConfig.from_json_dict(
                 {"box": {"lower": [0], "upper": [2]}, "values": "101"}
             )
+
+    def test_planar_bit_string_round_trip(self):
+        box = cube(2, 150)
+        x = WindowConfig(box, random.Random(23).getrandbits(box.site_count))
+        s = x.to_bit_string()
+        assert s == "".join(str((x.bits >> k) & 1) for k in range(box.site_count))
+        assert WindowConfig.from_json_dict(json.loads(json.dumps(x.to_json_dict()))) == x
+        assert WindowConfig.from_values(box, [int(ch) for ch in s]) == x
+
+    @pytest.mark.parametrize("values", ["01 1", " 101", "0121", "1_01", "+101", "01o1", "010\n"])
+    def test_bad_characters_rejected(self, values):
+        data = {"box": {"lower": [0], "upper": [4]}, "values": values}
+        with pytest.raises(ValueError):
+            WindowConfig.from_json_dict(data)
+        with pytest.raises(ValueError):
+            WindowConfig.from_json_dict({**data, "values": list(values)})
 
 
 class TestCountingOracle:
@@ -194,6 +217,70 @@ class TestWindowSpace:
         assert basis.num_rows == log2_count(space)
         for r in basis.rows:
             assert contains(space, WindowConfig(space.box, r))
+
+
+def _random_space_case(rng, d):
+    """A seeded random box and code: negative lowers, width-1 axes, zero and full codes."""
+    lower = tuple(rng.randint(-3, 3) for _ in range(d))
+    widths = [1 if rng.random() < 0.1 else rng.randint(2, 4 if d <= 3 else 3) for _ in lower]
+    box = Box(lower, tuple(l + w for l, w in zip(lower, widths)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        code = codes.dual(codes.full_code(d))
+    elif kind == 1:
+        code = codes.full_code(d)
+    else:
+        code = random_code(rng, d)
+    return box, code
+
+
+class TestStencilPlan:
+    """Membership and constraint rows from the stencil plan, against oracles."""
+
+    def test_contains_matches_site_by_site_rule(self):
+        rng = random.Random(21)
+        verdicts = Counter()
+        for _ in range(300):
+            box, code = _random_space_case(rng, rng.randint(1, 5))
+            space = build_window_space(box, code)
+            n = box.site_count
+            configs = []
+            for _ in range(2):
+                x = sample(space, rng.getrandbits(32))
+                configs += [x, WindowConfig(box, x.bits ^ (1 << rng.randrange(n)))]
+            configs.append(WindowConfig(box, rng.getrandbits(n)))
+            for k, x in enumerate(configs):
+                expected = window_rule_holds(box, code, x)
+                assert contains(space, x) == expected, (box, code, x)
+                if k in (0, 2):
+                    assert expected
+                verdicts[expected] += 1
+        assert verdicts[True] > 600 and verdicts[False] > 200
+
+    def test_rows_and_rank_match_per_anchor_assembly(self):
+        rng = random.Random(22)
+        shapes = Counter()
+        for _ in range(300):
+            box, code = _random_space_case(rng, rng.randint(1, 5))
+            space = build_window_space(box, code)
+            rows = window_constraint_rows(box, code)
+            assert list(space.constraint_matrix.rows) == rows, (box, code)
+            solver = SpanSolver()
+            for r in rows:
+                solver.add(r)
+            assert space.rank == len(solver.pivots)
+            shapes["rows"] += bool(rows)
+            shapes["width 1"] += 1 in box.shape
+            shapes["negative"] += min(box.lower) < 0
+        assert shapes["rows"] > 120 and shapes["width 1"] > 50 and shapes["negative"] > 150
+
+    def test_planar_rows_match_per_anchor_assembly(self):
+        box = cube(2, 150)
+        space = build_window_space(box, E2, max_sites=box.site_count)
+        rows = window_constraint_rows(box, E2)
+        assert list(space.constraint_matrix.rows) == rows
+        # each row has a site no earlier row touches, so all are independent
+        assert space.rank == len(rows) == 149 * 149
 
 
 class TestSampling:
