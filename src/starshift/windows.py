@@ -145,6 +145,13 @@ def _bits_from_string(chars: str) -> int:
     return int(chars[::-1], 2) if chars else 0
 
 
+def _int_field(box_data: dict, key: str) -> IntVector:
+    v = box_data.get(key)
+    if not isinstance(v, list) or not all(type(a) is int for a in v):
+        raise ValueError(f"box {key} must be a list of integers")
+    return tuple(v)
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """A GF(2) configuration on a box, bit-packed in site order."""
@@ -193,8 +200,18 @@ class WindowConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> WindowConfig:
-        box = Box(tuple(data["box"]["lower"]), tuple(data["box"]["upper"]))
-        values = data["values"]
+        """Inverse of ``to_json_dict``.
+
+        Raises:
+            ValueError: naming the field that is missing or malformed.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("configuration must be a JSON object")
+        box_data = data.get("box")
+        if not isinstance(box_data, dict):
+            raise ValueError("box must be an object with lower and upper")
+        box = Box(_int_field(box_data, "lower"), _int_field(box_data, "upper"))
+        values = data.get("values")
         if not isinstance(values, str):
             raise ValueError("values must be a string of 0 and 1")
         if len(values) != box.site_count:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,17 @@ def e2_file(tmp_path):
     path = tmp_path / "e2.code"
     path.write_text("11\n")
     return str(path)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _strip_millis(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_millis(v) for k, v in obj.items() if k != "millis"}
+    if isinstance(obj, list):
+        return [_strip_millis(v) for v in obj]
+    return obj
 
 
 def run_json(capsys, argv):
@@ -158,11 +170,25 @@ class TestCheckPipeline:
         assert main(["check", e2_file, str(path)] + guard) == 1
         assert capsys.readouterr().out.strip() == "INVALID"
 
-    def test_malformed_json(self, capsys, c8_file, tmp_path):
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ("{not json", None),
+            ('{"box": {"lower": [0, 0]}, "values": "0000"}', "upper"),
+            ('{"box": {"lower": [0, 0], "upper": [2, 2]}}', "values"),
+            ('[{"box": {"lower": [0, 0], "upper": [2, 2]}, "values": "0000"}]', "object"),
+            ('{"box": {"lower": [0, 0], "upper": [2, "a"]}, "values": "0000"}', "upper"),
+            ('{"box": {"lower": 5, "upper": [2, 2]}, "values": "0000"}', "lower"),
+        ],
+        ids=["not-json", "no-upper", "no-values", "top-level-list", "upper-not-int", "lower-not-list"],
+    )
+    def test_malformed_json(self, capsys, e2_file, tmp_path, body, field):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["check", c8_file, str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        path.write_text(body)
+        assert main(["check", e2_file, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field is None or field in err
 
 
 class TestConstruct:
@@ -218,6 +244,14 @@ class TestVerify:
         assert main(["verify", "-d", "6"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_matches_the_golden_report(self, capsys):
+        # a pinned report catches a change to any verdict or witness,
+        # which two runs of the same code cannot
+        argv = ["verify", "-d", "8", "--box", "2", "--samples", "100", "--seed", "3", "--json"]
+        assert main(argv) == 0
+        text = json.dumps(_strip_millis(json.loads(capsys.readouterr().out)), indent=2) + "\n"
+        assert text.encode() == (DATA / "verify_d8_box2_seed3.json").read_bytes()
+
     def test_seeded_json_reports_identical_modulo_timing(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -226,17 +260,9 @@ class TestVerify:
             )
             assert rc == 0
         capsys.readouterr()
-
-        def strip(obj):
-            if isinstance(obj, dict):
-                return {k: strip(v) for k, v in obj.items() if k != "millis"}
-            if isinstance(obj, list):
-                return [strip(v) for v in obj]
-            return obj
-
-        a, b = (json.loads(p.read_text()) for p in paths)
-        assert strip(a) == strip(b)
-        assert json.dumps(strip(a), sort_keys=True) == json.dumps(strip(b), sort_keys=True)
+        a, b = (_strip_millis(json.loads(p.read_text())) for p in paths)
+        assert a == b
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 class TestEntropy:

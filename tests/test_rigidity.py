@@ -251,6 +251,53 @@ class TestExhaustiveToy:
         assert w.witness["star_square_equals_x"] is True
 
 
+@pytest.fixture
+def toy_mutant(monkeypatch):
+    """Patch one library primitive, then report which toy checks fail."""
+    rigidity.exhaustive_toy_report.cache_clear()
+
+    def run(module, name, replacement):
+        monkeypatch.setattr(module, name, replacement)
+        report = rigidity.exhaustive_toy_report()
+        return {c.name for c in report.checks if not c.passed}
+
+    yield run
+    rigidity.exhaustive_toy_report.cache_clear()
+
+
+class TestExhaustiveToyMutants:
+    def test_non_involutive_shear(self, toy_mutant):
+        def mutant(t):
+            return TripleConfig(t.x, t.x + t.y, windows.star(t.x, t.y) + t.z)
+
+        assert toy_mutant(rigidity, "shear", mutant) == {"toy_exhaustive_involution"}
+
+    def test_affine_shear(self, toy_mutant):
+        # an involution that commutes with shifts but has no second difference
+        def mutant(t):
+            return TripleConfig(t.x, t.y, t.x + t.z)
+
+        assert toy_mutant(rigidity, "shear", mutant) == {"toy_nonaffine_witness"}
+
+    def test_shift_restrict_flipping_bit_zero(self, toy_mutant):
+        original = windows.shift_restrict
+
+        def mutant(x, m):
+            y = original(x, m)
+            return WindowConfig(y.box, y.bits ^ 1)
+
+        failed = toy_mutant(windows, "shift_restrict", mutant)
+        assert failed == {"toy_exhaustive_equivariance"}
+
+    def test_contains_rejecting_all_ones(self, toy_mutant):
+        original = windows.contains
+
+        def mutant(space, x):
+            return x.bits != (1 << x.box.site_count) - 1 and original(space, x)
+
+        assert toy_mutant(windows, "contains", mutant) == {"toy_exhaustive_closure"}
+
+
 class TestNonAffineWitness:
     def test_reference_witness(self):
         system = construct_system(8)
