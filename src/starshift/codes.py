@@ -7,13 +7,24 @@ codes, the integer support-sum pairing, and the integral non-degeneracy
 certificate, decided by a column rule on the generator matrix with an
 explicit integer kernel witness on failure.  Weight classification is
 read off the basis rows; only witness search enumerates codewords.
+
+Witness search reads codewords in (weight, bits) order from a stream
+that is memoised per code inside the ``codewords_by_weight`` cache
+entry.  The stream tests the vectors of each weight in increasing
+numeric order for membership and falls back to sorting the whole
+enumeration only once those tests would outnumber the codewords.  A
+query that the memoised prefix cannot answer first asks the classes of
+equal nonzero generator columns whether any codeword separates ``n`` at
+all, and raises without enumerating when none does.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .errors import CodeFileError, DegenerateCodeError, GuardExceededError
@@ -24,6 +35,7 @@ __all__ = [
     "HAMMING8_GENERATORS",
     "BinaryCode",
     "NondegeneracyCertificate",
+    "WeightOrderedCodewords",
     "code_from_generators",
     "dual",
     "is_self_orthogonal",
@@ -184,11 +196,104 @@ def codewords(c: BinaryCode) -> Iterable[F2Vector]:
         yield F2Vector(c.length, cur)
 
 
-# one entry can hold 2^ENUMERATION_GUARD_DIM words, so keep only a few
+def _weight_order(c: BinaryCode) -> Iterator[F2Vector]:
+    """Codewords in (weight, bits) order, found by testing each weight in turn.
+
+    The vectors of weight k are walked in increasing numeric order by
+    Gosper's hack and kept when they lie in the code.  At the first weight
+    whose vectors would take the candidates tested past 2^dim (capped at
+    the enumeration guard), the words of that weight and above come from
+    the sorted enumeration instead, so at most as many candidates are
+    tested as the enumeration would visit.
+    """
+    length = c.length
+    pivots = _pivot_map(c)
+    budget = 1 << min(c.dim, ENUMERATION_GUARD_DIM)
+    tested = 0
+    for k in range(length + 1):
+        tested += math.comb(length, k)
+        if tested > budget:
+            rest = (v for v in codewords(c) if gf2.weight(v) >= k)
+            yield from sorted(rest, key=lambda v: (gf2.weight(v), v.bits))
+            return
+        v = (1 << k) - 1
+        while not v >> length:
+            if gf2.reduce_bits(v, pivots) == 0:
+                yield F2Vector(length, v)
+            if v == 0:
+                break
+            # Gosper's hack: the next larger integer with the same popcount
+            t = v | (v - 1)
+            v = (t + 1) | (((~t & -~t) - 1) >> (v & -v).bit_length())
+
+
+class WeightOrderedCodewords:
+    """The codewords of one code, in (weight, bits) order, produced on demand.
+
+    ``prefix`` holds the words streamed so far; iterating yields the whole
+    sequence, extending ``prefix`` as it goes, so ``tuple(...)`` equals
+    the sorted enumeration.  Instances come from :func:`codewords_by_weight`,
+    whose cache keeps the stream and its prefix alive between queries.
+    """
+
+    def __init__(self, c: BinaryCode):
+        self.code = c
+        self.prefix: list[F2Vector] = []
+        self._stream = _weight_order(c)
+        self._classes: list[list[int]] | None = None
+
+    def __iter__(self) -> Iterator[F2Vector]:
+        i = 0
+        while i < len(self.prefix) or self.next_word() is not None:
+            yield self.prefix[i]
+            i += 1
+
+    def next_word(self) -> F2Vector | None:
+        """Stream one more word onto ``prefix`` and return it; None after the last."""
+        try:
+            v = next(self._stream, None)
+        except BaseException:
+            # a generator that raised is finished; resume a fresh one after
+            # the prefix so that a later query meets the same error again
+            self._stream = itertools.islice(_weight_order(self.code), len(self.prefix), None)
+            raise
+        if v is not None:
+            self.prefix.append(v)
+        return v
+
+    def separable(self, n: Sequence[int]) -> bool:
+        """Whether some codeword has a nonzero support sum against ``n``.
+
+        The codeword supports span exactly the vectors constant on each
+        class of equal nonzero generator columns and zero on zero columns,
+        so some codeword separates ``n`` exactly when ``n`` has a nonzero
+        sum on some class.  With one class per coordinate the code is
+        non-degenerate and every nonzero ``n`` is separable.
+        """
+        if self._classes is None:
+            by_column: dict[tuple[int, ...], list[int]] = {}
+            for j in range(self.code.length):
+                column = tuple((r >> j) & 1 for r in self.code.basis.rows)
+                if any(column):
+                    by_column.setdefault(column, []).append(j)
+            self._classes = list(by_column.values())
+        if len(self._classes) == self.code.length:
+            return True
+        return any(sum(n[j] for j in cls) != 0 for cls in self._classes)
+
+
+# an entry grows to 2^dim words when its stream falls back to the sort
 @functools.lru_cache(maxsize=8)
-def codewords_by_weight(c: BinaryCode) -> tuple[F2Vector, ...]:
-    """All codewords sorted by (weight, numeric bit pattern)."""
-    return tuple(sorted(codewords(c), key=lambda v: (gf2.weight(v), v.bits)))
+def codewords_by_weight(c: BinaryCode) -> WeightOrderedCodewords:
+    """All codewords sorted by (weight, numeric bit pattern), streamed lazily.
+
+    The returned object is memoised per code: words are produced the first
+    time any caller needs them and kept for later iterations.  Low weights
+    are found by testing candidate vectors; the full enumeration and sort
+    (and its guard above ``ENUMERATION_GUARD_DIM``) are reached only when
+    the candidates would outnumber the codewords.
+    """
+    return WeightOrderedCodewords(c)
 
 
 def weight_class(c: BinaryCode) -> str:
@@ -252,19 +357,31 @@ def is_integrally_nondegenerate(c: BinaryCode) -> NondegeneracyCertificate:
 def nondegeneracy_witness(c: BinaryCode, n: Sequence[int]) -> F2Vector:
     """First codeword (by increasing weight, then bit pattern) separating ``n``.
 
+    The memoised prefix of :func:`codewords_by_weight` is scanned first.
+    Only when it holds no witness are the column classes asked whether
+    any codeword separates ``n``; if none does the error is raised at
+    once, otherwise the stream is extended until the witness appears.
+
     Raises:
         ValueError: if ``n`` is zero or has the wrong length.
         DegenerateCodeError: if no codeword separates ``n``; the error
             carries the integer kernel witness of the code.
+        GuardExceededError: if the witness lies beyond the candidates the
+            enumeration guard allows.
     """
-    n = tuple(int(x) for x in n)
+    n = tuple(map(int, n))
     if len(n) != c.length:
         raise ValueError("length mismatch")
-    if all(x == 0 for x in n):
+    if not any(n):
         raise ValueError("the zero vector has no separating codeword")
-    for v in codewords_by_weight(c):
+    words = codewords_by_weight(c)
+    for v in words.prefix:
         if support_sum(n, v) != 0:
             return v
+    if words.separable(n):
+        while (v := words.next_word()) is not None:
+            if support_sum(n, v) != 0:
+                return v
     cert = is_integrally_nondegenerate(c)
     raise DegenerateCodeError(
         f"no codeword separates n={n}; the code is integrally degenerate",

@@ -207,20 +207,18 @@ def reduce_bits(bits: int, pivots: dict[int, int]) -> int:
     The residue is zero exactly when ``bits`` lies in the row space of the
     pivot rows.
     """
-    cur = bits
-    while True:
-        scan = cur
-        hit = -1
-        while scan:
-            c = _lowest_set_bit(scan)
-            if c in pivots:
-                hit = c
-                break
-            scan &= scan - 1
-        if hit < 0:
-            return cur
-        # clears the hit bit; only columns above it can toggle
-        cur ^= pivots[hit]
+    cur = scan = bits
+    while scan:
+        low = scan & -scan
+        row = pivots.get(low.bit_length() - 1)
+        if row is None:
+            scan ^= low
+        else:
+            # clears this bit and toggles only columns above it, so the
+            # scan resumes there instead of at the lowest bit
+            cur ^= row
+            scan = cur & -(low << 1)
+    return cur
 
 
 def reduced_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:

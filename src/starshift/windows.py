@@ -76,11 +76,13 @@ class Box:
     def dimension(self) -> int:
         return len(self.lower)
 
-    @property
+    # computed once per box; cached_property writes to the instance
+    # __dict__, outside the fields that equality, hashing and repr read
+    @functools.cached_property
     def shape(self) -> IntVector:
         return tuple(u - l for l, u in zip(self.lower, self.upper))
 
-    @property
+    @functools.cached_property
     def site_count(self) -> int:
         n = 1
         for s in self.shape:

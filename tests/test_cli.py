@@ -296,6 +296,15 @@ class TestMixingWitness:
         w = codes.parse_generator_file(data["witness"])
         assert codes.is_subcode(w, codes.hamming8_code())
 
+    def test_witness_above_the_enumeration_guard(self, capsys, tmp_path):
+        path = tmp_path / "full26.code"
+        path.write_text(codes.render_generator_file(codes.full_code(26)))
+        n = ",".join(["0"] * 25 + ["4"])
+        rc, data = run_json(capsys, ["mixing-witness", str(path), "--n", n, "--json"])
+        assert rc == 0
+        assert data["witness"] == "0" * 25 + "1"
+        assert data["support_sum"] == 4
+
     def test_degenerate_code(self, capsys, e2_file):
         assert main(["mixing-witness", e2_file, "--n", "3,5"]) == 1
         out = capsys.readouterr().out

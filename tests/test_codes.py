@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -385,6 +386,105 @@ class TestNondegeneracy:
         with pytest.raises(DegenerateCodeError) as exc:
             codes.nondegeneracy_witness(codes.even_weight_code(2), (1, -1))
         assert exc.value.kernel_witness == (1, -1)
+
+
+def _oracle_order(c):
+    return sorted(span_words(c.basis.rows), key=lambda w: (bin(w).count("1"), w))
+
+
+def _bits_support_sum(n, w):
+    return sum(x for j, x in enumerate(n) if (w >> j) & 1)
+
+
+def long_thin_codes():
+    """Length 16..24 and dimension at most 3, so the stream falls back at weight 1."""
+    random_rows = st.integers(16, 24).flatmap(
+        lambda d: st.lists(st.integers(1, (1 << d) - 1), min_size=1, max_size=3).map(
+            lambda rows: code_from_generators([F2Vector(d, r) for r in rows])
+        )
+    )
+    repetitions = st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+        lambda parts: sum(parts) >= 16
+    ).map(lambda parts: functools.reduce(codes.direct_sum, map(codes.repetition_code, parts)))
+    return st.one_of(random_rows, repetitions)
+
+
+def _refuse(c):
+    raise AssertionError("codeword enumeration")
+
+
+class TestWitnessStream:
+    @given(
+        st.one_of(small_codes(max_len=12, max_gens=10), long_thin_codes()).flatmap(
+            lambda c: st.tuples(st.just(c), st.lists(st.integers(-2, 2), min_size=c.length, max_size=c.length))
+        )
+    )
+    def test_order_and_witness_match_the_sorted_enumeration(self, case):
+        c, n = case
+        order = _oracle_order(c)
+        expected = next((w for w in order if _bits_support_sum(n, w) != 0), None)
+        codes.codewords_by_weight.cache_clear()
+        for _ in range(2):  # the first query streams, the second reads the memo
+            if not any(n):
+                with pytest.raises(ValueError):
+                    codes.nondegeneracy_witness(c, n)
+            elif expected is None:
+                with pytest.raises(DegenerateCodeError) as exc:
+                    codes.nondegeneracy_witness(c, n)
+                assert exc.value.kernel_witness == codes.is_integrally_nondegenerate(c).kernel_witness
+            else:
+                assert codes.nondegeneracy_witness(c, n).bits == expected
+            assert [v.bits for v in codes.codewords_by_weight(c)] == order
+
+    def test_iterations_share_one_stream(self):
+        codes.codewords_by_weight.cache_clear()
+        words = codes.codewords_by_weight(C8)
+        first = iter(words)
+        assert [next(first).bits for _ in range(3)] == _oracle_order(C8)[:3]
+        assert [v.bits for v in words] == _oracle_order(C8)
+        assert [v.bits for v in first] == _oracle_order(C8)[3:]
+        assert codes.codewords_by_weight(C8) is words
+
+    def test_benchmark_shaped_code_enumerates_nothing(self, monkeypatch):
+        rng = random.Random(20)
+        c = code_from_generators(F2Matrix(tuple(rng.getrandbits(24) for _ in range(20)), 24))
+        assert (c.length, c.dim) == (24, 20)
+        monkeypatch.setattr(codes, "codewords", _refuse)
+        codes.codewords_by_weight.cache_clear()
+        for _ in range(50):
+            n = tuple(rng.randint(-(10**6), 10**6) for _ in range(24))
+            w = codes.nondegeneracy_witness(c, n)
+            assert codes.contains_vector(c, w) and codes.support_sum(n, w) != 0
+
+    def test_witness_above_the_enumeration_guard(self, monkeypatch):
+        monkeypatch.setattr(codes, "codewords", _refuse)
+        c = codes.full_code(26)
+        assert c.dim > codes.ENUMERATION_GUARD_DIM
+        n = (0,) * 7 + (-3,) + (0,) * 17 + (1,)
+        assert codes.nondegeneracy_witness(c, n).support() == (7,)
+
+    def test_inseparable_n_raises_without_enumerating(self, monkeypatch):
+        monkeypatch.setattr(codes, "codewords", _refuse)
+        for head in (C8, codes.full_code(26)):
+            c = codes.direct_sum(head, codes.even_weight_code(2))
+            k = head.length
+            with pytest.raises(DegenerateCodeError) as exc:
+                codes.nondegeneracy_witness(c, (0,) * k + (1, -1))
+            assert exc.value.kernel_witness == (0,) * k + (1, -1)
+
+    def test_stream_stops_at_the_guard(self, monkeypatch):
+        # dim 6 over a guard of 4: the 16 candidates allowed cover weights 0
+        # and 1 only, and the first witness for e_0 has weight 2
+        guard = codes.ENUMERATION_GUARD_DIM
+        monkeypatch.setattr(codes, "ENUMERATION_GUARD_DIM", 4)
+        codes.codewords_by_weight.cache_clear()
+        c, n = codes.even_weight_code(7), (1,) + (0,) * 6
+        for _ in range(2):  # the refusal does not end the memoised stream
+            with pytest.raises(GuardExceededError):
+                codes.nondegeneracy_witness(c, n)
+        monkeypatch.setattr(codes, "ENUMERATION_GUARD_DIM", guard)
+        assert codes.nondegeneracy_witness(c, n).support() == (0, 1)
+        assert [v.bits for v in codes.codewords_by_weight(c)] == _oracle_order(c)
 
 
 class TestStarClosure:
