@@ -261,6 +261,11 @@ class WeightOrderedCodewords:
             self.prefix.append(v)
         return v
 
+    @functools.cached_property
+    def has_all_ones(self) -> bool:
+        """Whether the all-ones vector is a codeword, decided once per code."""
+        return contains_all_ones(self.code)
+
     def separable(self, n: Sequence[int]) -> bool:
         """Whether some codeword has a nonzero support sum against ``n``.
 

@@ -9,17 +9,15 @@ touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "IntVector",
     "F2Vector",
     "F2Matrix",
-    "RowReduction",
     "weight",
     "dot",
     "cw_product",
-    "row_reduce",
     "kernel_basis",
     "echelon_pivots",
     "reduced_rows",
@@ -247,24 +245,6 @@ def reduced_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
             hits ^= low
         pivots[c] = row
     return [pivots[c] for c in cols], cols
-
-
-class RowReduction(NamedTuple):
-    reduced: "F2Matrix"
-    rank: int
-    pivot_columns: tuple[int, ...]
-
-
-def row_reduce(m: F2Matrix) -> RowReduction:
-    """Reduced row-echelon form over GF(2).
-
-    The reduced matrix keeps the input row count, with zero rows at the
-    bottom; ``rank`` is the number of nonzero rows.  Deterministic and
-    idempotent.
-    """
-    rref, pivot_cols = reduced_rows(m.rows)
-    padded = tuple(rref) + (0,) * (m.num_rows - len(rref))
-    return RowReduction(F2Matrix(padded, m.cols), len(rref), tuple(pivot_cols))
 
 
 def kernel_basis(m: F2Matrix) -> F2Matrix:

@@ -425,7 +425,7 @@ def mixing_certificate(c: BinaryCode, n: Sequence[int]) -> F2Vector:
         ValueError: when the code misses the all-ones vector or n is zero.
         DegenerateCodeError: when the code is integrally degenerate.
     """
-    if not codes_mod.contains_all_ones(c):
+    if not codes_mod.codewords_by_weight(c).has_all_ones:
         raise ValueError("the code does not contain the all-ones vector")
     cert = codes_mod.is_integrally_nondegenerate(c)
     if not cert.verdict:

@@ -14,12 +14,24 @@ anchor mask, with bit idx(i) + 1 set for every anchor i, and for each
 dual word the offsets o_j over its support.  Membership shifts a whole
 configuration once per offset and masks the XOR with the anchor mask;
 the constraint rows are the word patterns shifted to every anchor bit.
-Solution counting is exact rank arithmetic; sampling is a seeded random
-combination of a kernel basis.
+Solution counting is exact rank arithmetic.
+
+Sampling draws one mask of free_dim = sites - rank random bits and
+forms the combination of the kernel basis rows it selects.  Kernel row f
+is e_f plus every pivot column whose reduced row has bit f set, so the
+same combination is also the mask scattered onto the free columns in
+increasing order, with each pivot column set to the parity of its
+reduced row on the free columns AND the mask.  That parity form costs
+about rank x free_dim bits per draw and the XOR of kernel rows about
+free_dim / 2 x sites, so a space with 0 < rank < free_dim draws by
+parities and any other space by combining kernel rows.  Both give the
+same bits from the same random call, so seeded streams do not depend
+on the choice.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -263,13 +275,65 @@ def _stencil_plan(box: Box, dual_rows: Sequence[F2Vector]) -> StencilPlan:
     return StencilPlan(mask, taps)
 
 
+class _PivotParities:
+    """Kernel combinations read off the reduced pivot rows of a matrix.
+
+    The combination of kernel rows selected by a mask over the free
+    columns has the mask's bits on the free columns, in increasing
+    order, and on pivot column p the parity of (reduced row p on the
+    free columns) & mask.  ``rows`` holds each reduced row compressed to
+    its free columns, highest pivot first.  In a string of the sites,
+    highest site first, free columns come in runs between blocks of
+    consecutive pivots; ``cuts`` has (free start, free stop, pivot
+    start, pivot stop) per block, as positions in the mask string and
+    in the string of pivot parities, and ``tail`` starts the last run.
+    """
+
+    def __init__(self, m: F2Matrix):
+        rref, pivot_cols = gf2.reduced_rows(m.rows)
+        self.free_dim = m.cols - len(pivot_cols)
+        rows = []
+        for prow, p in zip(rref, pivot_cols):
+            # free column f is bit f - (pivots below f) of the mask; a
+            # reduced row holds no pivot bit but its own
+            scan = prow ^ (1 << p)
+            row = 0
+            while scan:
+                low = scan & -scan
+                f = low.bit_length() - 1
+                row |= 1 << (f - bisect.bisect(pivot_cols, f))
+                scan ^= low
+            rows.append(row)
+        self.rows = rows[::-1]
+        cuts: list[tuple[int, int, int, int]] = []
+        free_at = 0
+        for j, p in enumerate(reversed(pivot_cols)):
+            above = m.cols - 1 - p - j  # free columns above pivot p
+            if cuts and cuts[-1][1] == above:
+                a, b, c, _ = cuts[-1]
+                cuts[-1] = (a, b, c, j + 1)
+            else:
+                cuts.append((free_at, above, j, j + 1))
+            free_at = above
+        self.cuts = cuts
+        self.tail = free_at
+
+    def combine(self, mask: int) -> int:
+        s = format(mask, f"0{self.free_dim}b")
+        par = "".join(["01"[(r & mask).bit_count() & 1] for r in self.rows])
+        return int("".join([s[a:b] + par[c:e] for a, b, c, e in self.cuts]) + s[self.tail :], 2)
+
+
 class WindowSpace:
     """The exact solution space of a code's local rule on a box.
 
     ``plan`` is the stencil plan of the rule; ``constraint_matrix`` has
     one bit-packed row per (anchor, dual-basis word), assembled from it;
     ``solution_basis`` (materialized on first use) spans its kernel.
-    ``rank`` is available immediately after construction.
+    ``rank`` is available immediately after construction.  A space with
+    0 < rank < free_dim draws samples from its pivot parities, built on
+    the first draw from one reduction of the constraint rows; any other
+    space draws by combining ``solution_basis`` rows.
     """
 
     def __init__(
@@ -286,6 +350,7 @@ class WindowSpace:
         self.constraint_matrix = constraint_matrix
         self.rank = rank
         self._solution_basis: F2Matrix | None = None
+        self._pivot_parities: _PivotParities | None = None
 
     @property
     def solution_basis(self) -> F2Matrix:
@@ -296,6 +361,25 @@ class WindowSpace:
     @property
     def site_count(self) -> int:
         return self.box.site_count
+
+    @property
+    def free_dim(self) -> int:
+        """Dimension of the solution space: sites minus constraint rank."""
+        return self.box.site_count - self.rank
+
+    def _combine(self, mask: int) -> int:
+        """The combination of ``solution_basis`` rows selected by ``mask``."""
+        # parities cost about rank x free_dim bits a draw, the XOR of
+        # kernel rows about free_dim / 2 x sites
+        if 0 < self.rank < self.free_dim:
+            if self._pivot_parities is None:
+                self._pivot_parities = _PivotParities(self.constraint_matrix)
+            return self._pivot_parities.combine(mask)
+        bits = 0
+        for k, row in enumerate(self.solution_basis.rows):
+            if (mask >> k) & 1:
+                bits ^= row
+        return bits
 
 
 def build_window_space(
@@ -335,7 +419,7 @@ def build_window_space(
 
 def log2_count(space: WindowSpace) -> int:
     """log2 of the number of window solutions: sites minus constraint rank."""
-    return space.site_count - space.rank
+    return space.free_dim
 
 
 def contains(space: WindowSpace, x: WindowConfig) -> bool:
@@ -360,19 +444,25 @@ def contains(space: WindowSpace, x: WindowConfig) -> bool:
 
 
 def sample_with(space: WindowSpace, rng: random.Random) -> WindowConfig:
-    """Uniform solution drawn from an existing random stream."""
-    basis = space.solution_basis.rows
-    bits = 0
-    if basis:
-        mask = rng.getrandbits(len(basis))
-        for k, row in enumerate(basis):
-            if (mask >> k) & 1:
-                bits ^= row
-    return WindowConfig(space.box, bits)
+    """Uniform solution drawn from an existing random stream.
+
+    One ``rng.getrandbits(free_dim)`` call selects the ``solution_basis``
+    rows to combine, bit k for row k.  A space with 0 < rank < free_dim
+    forms that combination from its pivot parities instead of XOR-ing
+    the rows: the mask scattered onto the free columns in increasing
+    order, and each pivot column set to the parity of its reduced row
+    on the free columns AND the mask.  The bits are identical either
+    way, so a seeded stream does not depend on the choice.  A space
+    with free_dim 0 draws nothing and returns the zero configuration.
+    """
+    free_dim = space.free_dim
+    if not free_dim:
+        return WindowConfig(space.box, 0)
+    return WindowConfig(space.box, space._combine(rng.getrandbits(free_dim)))
 
 
 def sample(space: WindowSpace, seed: int) -> WindowConfig:
-    """Uniform solution: a seeded random combination of the kernel basis."""
+    """Uniform solution: the draw of :func:`sample_with` on a stream seeded with ``seed``."""
     return sample_with(space, random.Random(seed))
 
 

@@ -375,6 +375,22 @@ class TestMixingCertificate:
         with pytest.raises(ValueError):
             laurent.mixing_certificate(c, (1, 0, 0, 0))
 
+    def test_all_ones_decided_once_per_code(self, monkeypatch):
+        calls = []
+        real = codes.contains_all_ones
+        monkeypatch.setattr(codes, "contains_all_ones", lambda c: calls.append(c) or real(c))
+        codes.codewords_by_weight.cache_clear()
+        missing = code_from_generators(["1100", "0110"])
+        try:
+            for n in [(1,) + (0,) * 7, (0, 1) + (0,) * 6, (1, 1) + (0,) * 5 + (-1,)]:
+                laurent.mixing_certificate(C8, n)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    laurent.mixing_certificate(missing, (1, 0, 0, 0))
+        finally:
+            codes.codewords_by_weight.cache_clear()
+        assert calls == [C8, missing]
+
     def test_certificate_collapses_to_nonzero_binomial(self):
         rng = random.Random(29)
         for _ in range(50):

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
 from starshift import codes, windows
 from starshift.codes import code_from_generators
 from starshift.errors import GuardExceededError
+from starshift.gf2 import F2Vector
 from starshift.laurent import LaurentPoly, annihilator_ideal, linear_form
 from starshift.windows import (
     Box,
@@ -234,6 +235,22 @@ def _random_space_case(rng, d):
     return box, code
 
 
+@st.composite
+def small_space_cases(draw):
+    """A small box (negative lowers and width-1 axes allowed) and a code on it."""
+    d = draw(st.integers(1, 4))
+    lower = tuple(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    widths = draw(st.lists(st.integers(1, 5 - (d + 1) // 2), min_size=d, max_size=d))
+    box = Box(lower, tuple(l + w for l, w in zip(lower, widths)))
+    kind = draw(st.sampled_from(["zero", "full", "random"]))
+    if kind == "zero":
+        return box, codes.dual(codes.full_code(d))
+    if kind == "full":
+        return box, codes.full_code(d)
+    rows = draw(st.lists(st.integers(1, (1 << d) - 1), min_size=1, max_size=d))
+    return box, code_from_generators([F2Vector(d, r) for r in rows])
+
+
 class TestStencilPlan:
     """Membership and constraint rows from the stencil plan, against oracles."""
 
@@ -326,6 +343,17 @@ class TestSampling:
                     0x98F0DAE830B2FEAEBFFF,
                 ],
             ),
+            # rank below free_dim: these spaces draw through pivot parities
+            (
+                codes.even_weight_code(3),
+                cube(3, 3),
+                [0x6C11612, 0x11342F7, 0x7A5D343, 0x1E73995, 0x1E33EC7],
+            ),
+            (
+                codes.repetition_code(4),
+                cube(4, 2),
+                [0xD821, 0x2260, 0xF4A9, 0x3CE1, 0x3C61],
+            ),
         ],
     )
     def test_seeded_streams_are_pinned(self, code, box, expected):
@@ -333,6 +361,28 @@ class TestSampling:
         # or to how it is combined shows up here first
         space = build_window_space(box, code)
         assert [sample(space, seed).bits for seed in range(5)] == expected
+
+    @given(small_space_cases(), st.integers(0, 2**32))
+    @example((cube(3, 3), codes.even_weight_code(3)), 0)  # parities: rank 8, free 19
+    @example((cube(2, 4), E2), 0)  # kernel rows: rank 9, free 7
+    @example((Box((0,), (4,)), codes.dual(codes.full_code(1))), 0)  # free_dim 0
+    @example((cube(2, 3), codes.full_code(2)), 0)  # rank 0
+    def test_draw_is_the_masked_kernel_combination(self, case, seed):
+        # whichever way a space draws, the bits are those of the kernel
+        # rows selected by one getrandbits(free_dim) call on the stream
+        box, code = case
+        space = build_window_space(box, code)
+        rng = random.Random(seed)
+        x = windows.sample_with(space, rng)
+        ref = random.Random(seed)
+        mask = ref.getrandbits(space.free_dim) if space.free_dim else 0
+        expected = 0
+        for k, row in enumerate(space.solution_basis.rows):
+            if (mask >> k) & 1:
+                expected ^= row
+        assert x.bits == expected
+        assert rng.getrandbits(32) == ref.getrandbits(32)
+        assert window_rule_holds(box, code, x)
 
     def test_marginals_near_half(self):
         space = build_window_space(cube(2, 2), E2)
