@@ -9,7 +9,9 @@ into it.  On the product of window spaces the shear map
 is then a constraint-preserving involution commuting with all shifts,
 yet fails the affine second-difference test.  This module builds the
 standard family of such pairs, checks the premises exactly, and runs the
-dynamical checks on sampled windows plus one exhaustive toy sweep.  The
+dynamical checks on sampled windows plus one exhaustive toy sweep.  A
+verification builds each window space of its box once and hands it to
+every stage that reads it.  The
 sweep calls the library's own ``shear``, ``contains`` and
 ``shift_restrict``; since the shear moves only z and the solutions form
 a linear space, sweeping the pairs (x, y, 0) decides every triple.
@@ -21,6 +23,7 @@ import functools
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import codes as codes_mod
@@ -291,34 +294,29 @@ def verify_premises(system: TripleSystem, *, n_samples: int = 50, seed: int = 0)
     return report
 
 
+# equivariance runs the first _EQUIVARIANCE_TRIPLES samples against the unit
+# shifts plus _EXTRA_SHIFTS random ones in [-_SHIFT_BOUND, _SHIFT_BOUND]^d
+_EXTRA_SHIFTS = 12
+_SHIFT_BOUND = 3
+_EQUIVARIANCE_TRIPLES = 25
+
+
 def verify_dynamics(
-    system: TripleSystem,
-    box: Box,
+    space_xy: WindowSpace,
+    space_z: WindowSpace,
     *,
     seed: int = 0,
     samples: int = 100,
-    shift_bound: int = 3,
-    extra_shifts: int = 12,
-    equivariance_triples: int = 25,
-    max_sites: int = windows_mod.MAX_SITES,
-    max_rows: int = windows_mod.MAX_CONSTRAINT_ROWS,
-    _map: Callable[[TripleConfig], TripleConfig] | None = None,
 ) -> VerificationReport:
     """Sampled dynamical checks plus the fixed exhaustive toy sweep.
 
-    The sampled checks draw (x, y) from the code's window space and z
-    from the product code's window space, then test that the shear map
-    is an involution, preserves the window constraints, and commutes
-    with shifts on overlap domains.  ``_map`` substitutes a deliberately
-    corrupted map for harness self-tests.
+    The system is the pair of the spaces' codes on their common box.
+    The sampled checks draw (x, y) from ``space_xy`` and z from
+    ``space_z``, then test that ``shear`` is an involution, preserves
+    the window constraints, and commutes with shifts on overlap domains.
     """
-    fmap = shear if _map is None else _map
-    space_xy = windows_mod.build_window_space(
-        box, system.code, max_sites=max_sites, max_rows=max_rows
-    )
-    space_z = windows_mod.build_window_space(
-        box, system.product_code, max_sites=max_sites, max_rows=max_rows
-    )
+    d = space_xy.box.dimension
+    system = TripleSystem(d, space_xy.code, space_z.code)
     rng = random.Random(seed)
     triples = [
         TripleConfig(
@@ -328,14 +326,12 @@ def verify_dynamics(
         )
         for _ in range(samples)
     ]
-    shifts: list[tuple[int, ...]] = [
-        tuple(1 if a == j else 0 for a in range(system.d)) for j in range(system.d)
-    ]
+    shifts: list[tuple[int, ...]] = [tuple(1 if a == j else 0 for a in range(d)) for j in range(d)]
     seen = set(shifts)
     attempts = 0
-    while len(shifts) < system.d + extra_shifts and attempts < 200:
+    while len(shifts) < d + _EXTRA_SHIFTS and attempts < 200:
         attempts += 1
-        m = tuple(rng.randint(-shift_bound, shift_bound) for _ in range(system.d))
+        m = tuple(rng.randint(-_SHIFT_BOUND, _SHIFT_BOUND) for _ in range(d))
         if any(m) and m not in seen:
             seen.add(m)
             shifts.append(m)
@@ -344,13 +340,13 @@ def verify_dynamics(
 
     def involution() -> tuple[bool, object]:
         for k, t in enumerate(triples):
-            if fmap(fmap(t)) != t:
+            if shear(shear(t)) != t:
                 return False, {"triple_index": k}
         return True, {"triples": len(triples)}
 
     def preservation() -> tuple[bool, object]:
         for k, t in enumerate(triples):
-            u = fmap(t)
+            u = shear(t)
             ok = (
                 windows_mod.contains(space_xy, u.x)
                 and windows_mod.contains(space_xy, u.y)
@@ -363,12 +359,12 @@ def verify_dynamics(
     def equivariance() -> tuple[bool, object]:
         tested = 0
         skipped = 0
-        subset = triples[: min(len(triples), equivariance_triples)]
+        subset = triples[:_EQUIVARIANCE_TRIPLES]
         for k, t in enumerate(subset):
             for m in shifts:
                 try:
-                    lhs = fmap(shift_triple(t, m))
-                    rhs = shift_triple(fmap(t), m)
+                    lhs = shear(shift_triple(t, m))
+                    rhs = shift_triple(shear(t), m)
                 except ValueError:
                     skipped += 1
                     continue
@@ -451,26 +447,20 @@ def exhaustive_toy_report() -> VerificationReport:
     return report
 
 
-def non_affine_witness(
-    system: TripleSystem,
-    box: Box,
-    *,
-    seed: int = 0,
-    max_sites: int = windows_mod.MAX_SITES,
-    max_rows: int = windows_mod.MAX_CONSTRAINT_ROWS,
-) -> dict:
+def non_affine_witness(space: WindowSpace, *, seed: int = 0) -> dict:
     """A nonzero window solution certifying the shear map is not affine.
 
-    The second difference of an affine map vanishes; for the shear it
-    equals (0, 0, x * x) = (0, 0, x) on an idempotent-friendly input, so
-    any nonzero solution x is a witness.
+    The solution x is drawn from ``space``, the window space of the
+    system's code.  The second difference of an affine map vanishes;
+    for the shear it equals (0, 0, x * x) = (0, 0, x), so any nonzero
+    solution x is a witness.
 
     Raises:
         ValueError: when the window solution space is trivial.
     """
-    space = windows_mod.build_window_space(box, system.code, max_sites=max_sites, max_rows=max_rows)
     if windows_mod.log2_count(space) == 0:
         raise ValueError("the window solution space is trivial; no nonzero witness exists")
+    box = space.box
     x = windows_mod.sample(space, seed)
     if x.is_zero:
         x = WindowConfig(box, space.solution_basis.rows[0])
@@ -491,31 +481,38 @@ def run_full_verification(
     *,
     box_size: int = 2,
     samples: int = 100,
-    premise_samples: int = 50,
     seed: int = 0,
     max_sites: int = windows_mod.MAX_SITES,
-    max_rows: int = windows_mod.MAX_CONSTRAINT_ROWS,
 ) -> VerificationReport:
-    """Construct the dimension-``d`` system and run every verification stage."""
+    """Construct the dimension-``d`` system and run every verification stage.
+
+    The window spaces of the code and the product code on [0, box_size)^d
+    are built once, before any check, and every stage reads them; the
+    entropy stage builds only the smaller boxes of its profile.
+
+    Raises:
+        GuardExceededError: when a window space of the box exceeds
+            ``max_sites`` or the constraint-row guard.
+    """
     system = construct_system(d)
     box = cube(d, box_size)
+    space_xy = windows_mod.build_window_space(box, system.code, max_sites=max_sites)
+    space_z = windows_mod.build_window_space(box, system.product_code, max_sites=max_sites)
     report = VerificationReport(describe_system(system))
 
-    premises = verify_premises(system, n_samples=premise_samples, seed=seed)
+    premises = verify_premises(system, seed=seed)
     for check in premises.checks:
         report.checks.append(
             CheckResult("premises:" + check.name, check.passed, check.witness, check.millis)
         )
-    dynamics = verify_dynamics(
-        system, box, seed=seed, samples=samples, max_sites=max_sites, max_rows=max_rows
-    )
+    dynamics = verify_dynamics(space_xy, space_z, seed=seed, samples=samples)
     for check in dynamics.checks:
         report.checks.append(
             CheckResult("dynamics:" + check.name, check.passed, check.witness, check.millis)
         )
 
     def witness_check() -> tuple[bool, object]:
-        record = non_affine_witness(system, box, seed=seed, max_sites=max_sites, max_rows=max_rows)
+        record = non_affine_witness(space_xy, seed=seed)
         ok = (
             record["second_difference_x_zero"]
             and record["second_difference_y_zero"]
@@ -526,24 +523,23 @@ def run_full_verification(
 
     report.checks.append(_timed_check("non_affine_witness", witness_check))
 
-    sizes = list(range(2, box_size + 1)) or [box_size]
+    smaller = list(range(2, box_size))
 
-    def entropy_check(c: BinaryCode) -> Callable[[], tuple[bool, object]]:
+    def entropy_check(space: WindowSpace) -> Callable[[], tuple[bool, object]]:
         def run():
-            profile = windows_mod.entropy_profile(c, sizes, max_sites=max_sites, max_rows=max_rows)
+            profile = windows_mod.entropy_profile(space.code, smaller, max_sites=max_sites)
+            profile.append(Fraction(space.free_dim, space.site_count))
             ok = all(v < 1 for v in profile) and all(
                 profile[i] > profile[i + 1] for i in range(len(profile) - 1)
             )
             return ok, {
-                "sizes": sizes,
+                "sizes": smaller + [box_size],
                 "ratios": [str(v) for v in profile],
-                "verdict": laurent_mod.entropy_verdict(c),
+                "verdict": laurent_mod.entropy_verdict(space.code),
             }
 
         return run
 
-    report.checks.append(_timed_check("entropy:code_profile", entropy_check(system.code)))
-    report.checks.append(
-        _timed_check("entropy:product_code_profile", entropy_check(system.product_code))
-    )
+    report.checks.append(_timed_check("entropy:code_profile", entropy_check(space_xy)))
+    report.checks.append(_timed_check("entropy:product_code_profile", entropy_check(space_z)))
     return report

@@ -23,10 +23,10 @@ same combination is also the mask scattered onto the free columns in
 increasing order, with each pivot column set to the parity of its
 reduced row on the free columns AND the mask.  That parity form costs
 about rank x free_dim bits per draw and the XOR of kernel rows about
-free_dim / 2 x sites, so a space with 0 < rank < free_dim draws by
-parities and any other space by combining kernel rows.  Both give the
-same bits from the same random call, so seeded streams do not depend
-on the choice.
+free_dim / 2 x sites, so a space with rank < free_dim draws by
+parities (with rank 0 the draw is the mask itself) and any other space
+by combining kernel rows.  Both give the same bits from the same random
+call, so seeded streams do not depend on the choice.
 """
 
 from __future__ import annotations
@@ -331,8 +331,8 @@ class WindowSpace:
     one bit-packed row per (anchor, dual-basis word), assembled from it;
     ``solution_basis`` (materialized on first use) spans its kernel.
     ``rank`` is available immediately after construction.  A space with
-    0 < rank < free_dim draws samples from its pivot parities, built on
-    the first draw from one reduction of the constraint rows; any other
+    rank < free_dim draws samples from its pivot parities, built on the
+    first draw from one reduction of the constraint rows; any other
     space draws by combining ``solution_basis`` rows.
     """
 
@@ -371,7 +371,7 @@ class WindowSpace:
         """The combination of ``solution_basis`` rows selected by ``mask``."""
         # parities cost about rank x free_dim bits a draw, the XOR of
         # kernel rows about free_dim / 2 x sites
-        if 0 < self.rank < self.free_dim:
+        if self.rank < self.free_dim:
             if self._pivot_parities is None:
                 self._pivot_parities = _PivotParities(self.constraint_matrix)
             return self._pivot_parities.combine(mask)
@@ -382,13 +382,7 @@ class WindowSpace:
         return bits
 
 
-def build_window_space(
-    box: Box,
-    code: BinaryCode,
-    *,
-    max_sites: int = MAX_SITES,
-    max_rows: int = MAX_CONSTRAINT_ROWS,
-) -> WindowSpace:
+def build_window_space(box: Box, code: BinaryCode, *, max_sites: int = MAX_SITES) -> WindowSpace:
     """Assemble the constraint system of a code's local rule on a box.
 
     The stencil plan is built first: the anchor mask axis by axis, by
@@ -399,8 +393,8 @@ def build_window_space(
     within each anchor, so the matrix is deterministic.
 
     Raises:
-        GuardExceededError: when the box or the constraint count exceeds
-            the (overridable) resource guards.
+        GuardExceededError: when the box exceeds ``max_sites`` or the
+            constraint count exceeds ``MAX_CONSTRAINT_ROWS``.
     """
     if box.dimension != code.length:
         raise ValueError("box dimension disagrees with the code length")
@@ -409,8 +403,10 @@ def build_window_space(
         raise GuardExceededError(f"box has {n_sites} sites, guard is {max_sites}")
     plan = _stencil_plan(box, codes_mod.dual(code).basis.row_vectors())
     n_rows = plan.anchor_mask.bit_count() * len(plan.taps)
-    if n_rows > max_rows:
-        raise GuardExceededError(f"system has {n_rows} constraint rows, guard is {max_rows}")
+    if n_rows > MAX_CONSTRAINT_ROWS:
+        raise GuardExceededError(
+            f"system has {n_rows} constraint rows, guard is {MAX_CONSTRAINT_ROWS}"
+        )
     rows = plan.rows()
     matrix = F2Matrix(tuple(rows), n_sites)
     rank = len(gf2.echelon_pivots(rows))
@@ -447,7 +443,7 @@ def sample_with(space: WindowSpace, rng: random.Random) -> WindowConfig:
     """Uniform solution drawn from an existing random stream.
 
     One ``rng.getrandbits(free_dim)`` call selects the ``solution_basis``
-    rows to combine, bit k for row k.  A space with 0 < rank < free_dim
+    rows to combine, bit k for row k.  A space with rank < free_dim
     forms that combination from its pivot parities instead of XOR-ing
     the rows: the mask scattered onto the free columns in increasing
     order, and each pivot column set to the parity of its reduced row
@@ -511,10 +507,12 @@ def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:
     mm = tuple(int(v) for v in m)
     if len(mm) != x.box.dimension:
         raise ValueError("shift arity mismatch")
-    moved = x.box.translate(tuple(-v for v in mm))
-    overlap = x.box.intersect(moved)
-    if overlap is None:
+    # box and box - m meet on [l + max(0, -m), u - max(0, m)) per axis
+    lo = tuple(l - v if v < 0 else l for l, v in zip(x.box.lower, mm))
+    hi = tuple(u - v if v > 0 else u for u, v in zip(x.box.upper, mm))
+    if any(h <= l for l, h in zip(lo, hi)):
         raise ValueError("empty overlap: the shift moves the box off itself")
+    overlap = Box(lo, hi)
     return WindowConfig(overlap, _gather_bits(x, overlap, mm))
 
 
@@ -550,19 +548,13 @@ def apply_poly(p: LaurentPoly, x: WindowConfig) -> WindowConfig:
 
 
 def entropy_profile(
-    code: BinaryCode,
-    sizes: Sequence[int],
-    *,
-    max_sites: int = MAX_SITES,
-    max_rows: int = MAX_CONSTRAINT_ROWS,
+    code: BinaryCode, sizes: Sequence[int], *, max_sites: int = MAX_SITES
 ) -> list[Fraction]:
     """Exact rationals log2_count / N^d for cubic boxes [0, N)^d."""
     out = []
     for n in sizes:
         if n < 1:
             raise ValueError("box size must be at least 1")
-        space = build_window_space(
-            cube(code.length, n), code, max_sites=max_sites, max_rows=max_rows
-        )
+        space = build_window_space(cube(code.length, n), code, max_sites=max_sites)
         out.append(Fraction(log2_count(space), space.site_count))
     return out

@@ -244,6 +244,16 @@ class TestVerify:
         assert main(["verify", "-d", "6"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_site_guard(self, capsys, tmp_path):
+        # [0, 3)^8 has 6,561 sites; the guard applies before any check runs
+        path = tmp_path / "report.json"
+        argv = ["verify", "-d", "8", "--box", "3", "--samples", "10", "-o", str(path)]
+        assert main(argv + ["--max-sites", "6560"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not path.exists()
+        assert main(argv + ["--max-sites", "6561"]) == 0
+        assert path.exists()
+
     def test_matches_the_golden_report(self, capsys):
         # a pinned report catches a change to any verdict or witness,
         # which two runs of the same code cannot

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 
@@ -177,10 +178,44 @@ class TestVerifyPremises:
         }
 
 
+def failed_checks(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+def affine_impostor(t: TripleConfig) -> TripleConfig:
+    # (x, y, z + x) is an involution and commutes with shifts, but its
+    # second difference vanishes
+    return TripleConfig(t.x, t.y, t.z + t.x)
+
+
+@pytest.fixture
+def mutant(monkeypatch):
+    """Patch one library primitive; toy reports computed under it are dropped."""
+    rigidity.exhaustive_toy_report.cache_clear()
+    yield lambda module, name, replacement: monkeypatch.setattr(module, name, replacement)
+    rigidity.exhaustive_toy_report.cache_clear()
+
+
+@pytest.fixture
+def toy_mutant(mutant):
+    """Patch one library primitive, then report which toy checks fail."""
+
+    def run(module, name, replacement):
+        mutant(module, name, replacement)
+        return failed_checks(rigidity.exhaustive_toy_report())
+
+    return run
+
+
+def reference_spaces(d, n):
+    system = construct_system(d)
+    box = cube(d, n)
+    return build_window_space(box, system.code), build_window_space(box, system.product_code)
+
+
 class TestVerifyDynamics:
     def test_reference_system_passes(self):
-        system = construct_system(8)
-        report = rigidity.verify_dynamics(system, cube(8, 2), seed=0, samples=30)
+        report = rigidity.verify_dynamics(*reference_spaces(8, 2), seed=0, samples=30)
         assert report.passed
         names = [c.name for c in report.checks]
         assert "involution_on_samples" in names
@@ -189,23 +224,22 @@ class TestVerifyDynamics:
         assert "toy_exhaustive_involution" in names
 
     def test_equivariance_skips_empty_overlaps_but_tests_some(self):
-        system = construct_system(8)
-        report = rigidity.verify_dynamics(system, cube(8, 2), seed=0, samples=10)
+        report = rigidity.verify_dynamics(*reference_spaces(8, 2), seed=0, samples=10)
         eq = next(c for c in report.checks if c.name == "equivariance_on_samples")
         assert eq.passed
         assert eq.witness["tested"] > 0
 
-    def test_corrupted_map_caught_on_a_noncontained_pair(self):
-        # f'(x, y, z) = (x, y, z + x) is an involution and commutes with
-        # shifts, but moves z off its window space whenever the code is
-        # not inside the product code; the harness must catch exactly
-        # the preservation failure
-        def corrupted(t: TripleConfig) -> TripleConfig:
-            return TripleConfig(t.x, t.y, t.z + t.x)
-
-        system = TripleSystem(2, codes.full_code(2), codes.even_weight_code(2))
+    def test_corrupted_map_caught_on_a_noncontained_pair(self, mutant):
+        # the affine impostor moves z off its window space whenever the
+        # code is not inside the product code; of the sampled checks the
+        # harness must catch exactly the preservation failure
+        mutant(rigidity, "shear", affine_impostor)
+        box = cube(2, 2)
         report = rigidity.verify_dynamics(
-            system, cube(2, 2), seed=0, samples=50, _map=corrupted
+            build_window_space(box, codes.full_code(2)),
+            build_window_space(box, codes.even_weight_code(2)),
+            seed=0,
+            samples=50,
         )
         by_name = {c.name: c for c in report.checks}
         assert by_name["involution_on_samples"].passed
@@ -213,17 +247,12 @@ class TestVerifyDynamics:
         assert not by_name["constraint_preservation_on_samples"].passed
         assert not report.passed
 
-    def test_corrupted_map_invisible_when_codes_nest(self):
-        # on a nested pair the corrupted map stays inside the window
+    def test_corrupted_map_invisible_when_codes_nest(self, mutant):
+        # on a nested pair the affine impostor stays inside the window
         # spaces; this documents why the mutation test needs C not
         # inside C'
-        def corrupted(t: TripleConfig) -> TripleConfig:
-            return TripleConfig(t.x, t.y, t.z + t.x)
-
-        system = construct_system(8)
-        report = rigidity.verify_dynamics(
-            system, cube(8, 2), seed=0, samples=20, _map=corrupted
-        )
+        mutant(rigidity, "shear", affine_impostor)
+        report = rigidity.verify_dynamics(*reference_spaces(8, 2), seed=0, samples=20)
         by_name = {c.name: c for c in report.checks}
         assert by_name["constraint_preservation_on_samples"].passed
 
@@ -249,20 +278,6 @@ class TestExhaustiveToy:
         w = by_name["toy_nonaffine_witness"]
         assert w.passed
         assert w.witness["star_square_equals_x"] is True
-
-
-@pytest.fixture
-def toy_mutant(monkeypatch):
-    """Patch one library primitive, then report which toy checks fail."""
-    rigidity.exhaustive_toy_report.cache_clear()
-
-    def run(module, name, replacement):
-        monkeypatch.setattr(module, name, replacement)
-        report = rigidity.exhaustive_toy_report()
-        return {c.name for c in report.checks if not c.passed}
-
-    yield run
-    rigidity.exhaustive_toy_report.cache_clear()
 
 
 class TestExhaustiveToyMutants:
@@ -300,8 +315,8 @@ class TestExhaustiveToyMutants:
 
 class TestNonAffineWitness:
     def test_reference_witness(self):
-        system = construct_system(8)
-        record = rigidity.non_affine_witness(system, cube(8, 2), seed=0)
+        space = build_window_space(cube(8, 2), construct_system(8).code)
+        record = rigidity.non_affine_witness(space, seed=0)
         assert record["second_difference_x_zero"]
         assert record["second_difference_y_zero"]
         assert record["z_equals_star_square"]
@@ -310,9 +325,8 @@ class TestNonAffineWitness:
 
     def test_trivial_space_rejected(self):
         zero = codes.dual(codes.full_code(1))
-        system = TripleSystem(1, zero, codes.full_code(1))
         with pytest.raises(ValueError):
-            rigidity.non_affine_witness(system, cube(1, 4), seed=0)
+            rigidity.non_affine_witness(build_window_space(cube(1, 4), zero), seed=0)
 
 
 class TestFullVerification:
@@ -348,6 +362,39 @@ class TestFullVerification:
         a = rigidity.run_full_verification(8, box_size=2, samples=15, seed=9).to_dict()
         b = rigidity.run_full_verification(8, box_size=2, samples=15, seed=9).to_dict()
         assert strip(a) == strip(b)
+
+    @pytest.mark.parametrize("box_size", [2, 3])
+    def test_each_window_space_is_built_once(self, monkeypatch, box_size):
+        built = collections.Counter()
+        original = windows.build_window_space
+
+        def counting(box, code, **kwargs):
+            built[box, code] += 1
+            return original(box, code, **kwargs)
+
+        monkeypatch.setattr(windows, "build_window_space", counting)
+        system = construct_system(8)
+        assert rigidity.run_full_verification(8, box_size=box_size, samples=10).passed
+        assert built[cube(8, box_size), system.code] == 1
+        assert built[cube(8, box_size), system.product_code] == 1
+        assert max(built.values()) == 1, built
+
+    def test_affine_impostor_fails_the_non_affine_checks(self, mutant):
+        mutant(rigidity, "shear", affine_impostor)
+        report = rigidity.run_full_verification(8, box_size=2)
+        assert failed_checks(report) == {"non_affine_witness", "dynamics:toy_nonaffine_witness"}
+
+    def test_position_dependent_map_fails_equivariance(self, mutant):
+        # flipping z at the box's first site when x is set there keeps the
+        # involution, the constraints (that site is in no stencil) and the
+        # second difference, but does not commute with shifts
+        def position_dependent(t: TripleConfig) -> TripleConfig:
+            z = windows.star(t.x, t.y) + t.z
+            return TripleConfig(t.x, t.y, WindowConfig(z.box, z.bits ^ (t.x.bits & 1)))
+
+        mutant(rigidity, "shear", position_dependent)
+        report = rigidity.run_full_verification(8, box_size=2)
+        assert failed_checks(report) == {"dynamics:equivariance_on_samples"}
 
     def test_describe_system_shape(self):
         info = rigidity.describe_system(construct_system(9))

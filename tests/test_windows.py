@@ -196,7 +196,8 @@ class TestWindowSpace:
 
     def test_row_guard(self):
         with pytest.raises(GuardExceededError):
-            build_window_space(cube(2, 10), E2, max_rows=10)
+            # 459^2 = 210,681 rows against the fixed 200,000-row guard
+            build_window_space(cube(2, 460), codes.repetition_code(2), max_sites=250_000)
 
     def test_contains_matches_constraints(self):
         space = build_window_space(cube(2, 3), E2)
@@ -317,6 +318,13 @@ class TestSampling:
         space = build_window_space(Box((0,), (4,)), zero)
         assert log2_count(space) == 0
         assert sample(space, 99).is_zero
+
+    def test_full_code_draws_the_mask_without_a_kernel(self):
+        # rank 0: no pivots, so the parity form of a draw is the mask itself
+        space = build_window_space(cube(2, 140), codes.full_code(2))
+        assert space.rank == 0
+        assert sample(space, 7).bits == random.Random(7).getrandbits(space.free_dim)
+        assert space._solution_basis is None
 
     def test_group_closure_of_samples(self):
         space = build_window_space(cube(2, 3), E2)
