@@ -18,12 +18,7 @@ from . import laurent as laurent_mod
 from . import rigidity as rigidity_mod
 from . import windows as windows_mod
 from .codes import BinaryCode
-from .errors import (
-    CodeFileError,
-    DegenerateCodeError,
-    GuardExceededError,
-    UnsupportedDimensionError,
-)
+from .errors import DegenerateCodeError, GuardExceededError
 from .windows import WindowConfig, cube
 
 __all__ = ["main", "build_parser"]
@@ -50,13 +45,6 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
     _emit(args, json.dumps(body, indent=2))
-
-
-def _guard_kwargs(args: argparse.Namespace) -> dict:
-    out = {}
-    if getattr(args, "max_sites", None) is not None:
-        out["max_sites"] = args.max_sites
-    return out
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
@@ -121,7 +109,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
     with open(args.configfile, "r", encoding="utf-8") as fh:
         config = WindowConfig.from_json_dict(json.load(fh))
-    space = windows_mod.build_window_space(config.box, code, **_guard_kwargs(args))
+    space = windows_mod.build_window_space(config.box, code, max_sites=args.max_sites)
     ok = windows_mod.contains(space, config)
     if args.json:
         _emit_json(
@@ -156,7 +144,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         box_size=args.box,
         samples=args.samples,
         seed=args.seed,
-        **_guard_kwargs(args),
+        max_sites=args.max_sites,
     )
     if args.json:
         _emit_json(args, report.to_dict())
@@ -176,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
     sizes = list(range(2, args.box + 1)) or [args.box]
-    profile = windows_mod.entropy_profile(code, sizes, **_guard_kwargs(args))
+    profile = windows_mod.entropy_profile(code, sizes, max_sites=args.max_sites)
     verdict = laurent_mod.entropy_verdict(code)
     if args.json:
         _emit_json(
@@ -242,7 +230,7 @@ def cmd_mixing_witness(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
     space = windows_mod.build_window_space(
-        cube(code.length, args.box), code, **_guard_kwargs(args)
+        cube(code.length, args.box), code, max_sites=args.max_sites
     )
     config = windows_mod.sample(space, args.seed)
     if args.json:
@@ -267,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", dest="output", metavar="PATH", help="write the report to a file")
         if guard:
             p.add_argument(
-                "--max-sites", type=int, default=None, help="override the site-count guard"
+                "--max-sites", type=int, default=windows_mod.MAX_SITES, help="site-count guard"
             )
 
     p = sub.add_parser("inspect", help="report the basic facts of a code file")
@@ -333,19 +321,10 @@ def main(argv: list[str] | None = None) -> int:
         # a constructed system that fails its own invariant checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except UnsupportedDimensionError as exc:
+    except (OSError, ValueError) as exc:
+        # includes unreadable code files, unsupported dimensions and bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CodeFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -59,6 +59,11 @@ class TestConstruction:
         assert codes.is_subcode(system.code, system.product_code)
         assert codes.star_closure_check(system.code, system.product_code)
 
+    def test_failed_premise_named_on_construction(self, monkeypatch):
+        monkeypatch.setattr(rigidity.codes_mod, "star_closure_check", lambda c, c_prime: False)
+        with pytest.raises(RuntimeError, match="star_closure"):
+            construct_system(8)
+
     def test_triple_system_validation(self):
         with pytest.raises(ValueError):
             TripleSystem(4, codes.hamming8_code(), codes.even_weight_code(8))
@@ -395,6 +400,22 @@ class TestFullVerification:
         mutant(rigidity, "shear", position_dependent)
         report = rigidity.run_full_verification(8, box_size=2)
         assert failed_checks(report) == {"dynamics:equivariance_on_samples"}
+
+    def test_map_raising_on_shifted_triples_fails_equivariance(self, mutant):
+        # an error raised by the map is a failure, not an empty overlap to
+        # skip; only shifted triples reach the raise, so no other check sees it
+        box = cube(8, 2)
+
+        def raising(t: TripleConfig) -> TripleConfig:
+            if t.box.dimension == 8 and t.box != box and t.x.bits & 1:
+                raise ValueError("planted error on a shifted triple")
+            return shear(t)
+
+        mutant(rigidity, "shear", raising)
+        report = rigidity.run_full_verification(8, box_size=2)
+        assert failed_checks(report) == {"dynamics:equivariance_on_samples"}
+        eq = next(c for c in report.checks if c.name == "dynamics:equivariance_on_samples")
+        assert eq.witness == {"error": "planted error on a shifted triple"}
 
     def test_describe_system_shape(self):
         info = rigidity.describe_system(construct_system(9))
