@@ -206,9 +206,12 @@ def second_difference(x: WindowConfig) -> TripleConfig:
     )
 
 
-def _random_nonzero_int_vector(rng: random.Random, d: int, bound: int = 10**6) -> tuple[int, ...]:
+_MIXING_BOUND = 10**6  # mixing samples draw n from [-_MIXING_BOUND, _MIXING_BOUND]^d
+
+
+def _random_nonzero_int_vector(rng: random.Random, d: int) -> tuple[int, ...]:
     while True:
-        n = tuple(rng.randint(-bound, bound) for _ in range(d))
+        n = tuple(rng.randint(-_MIXING_BOUND, _MIXING_BOUND) for _ in range(d))
         if any(n):
             return n
 
@@ -281,11 +284,15 @@ def verify_premises(system: TripleSystem, *, n_samples: int = 50, seed: int = 0)
     return report
 
 
-# equivariance runs the first _EQUIVARIANCE_TRIPLES samples against the unit
-# shifts plus _EXTRA_SHIFTS random ones in [-_SHIFT_BOUND, _SHIFT_BOUND]^d
-_EXTRA_SHIFTS = 12
-_SHIFT_BOUND = 3
 _EQUIVARIANCE_TRIPLES = 25
+
+
+def _shifts(d: int) -> list[tuple[int, ...]]:
+    """Both equivariance checks' shifts: the d unit shifts, then (1, ..., 1).
+
+    The diagonal fits every box of side >= 2 and narrows every axis at once.
+    """
+    return [tuple(int(a == j) for a in range(d)) for j in range(d)] + [(1,) * d]
 
 
 def verify_dynamics(
@@ -301,6 +308,7 @@ def verify_dynamics(
     The sampled checks draw (x, y) from ``space_xy`` and z from
     ``space_z``, then test that ``shear`` is an involution, preserves
     the window constraints, and commutes with shifts on overlap domains.
+    Equivariance tests 25 triples against the d unit shifts and (1, ..., 1).
     A shift whose overlap with the box is empty is skipped and counted;
     an error raised by the map fails the check, its message the witness.
     """
@@ -315,16 +323,7 @@ def verify_dynamics(
         )
         for _ in range(samples)
     ]
-    shifts: list[tuple[int, ...]] = [tuple(1 if a == j else 0 for a in range(d)) for j in range(d)]
-    seen = set(shifts)
-    attempts = 0
-    while len(shifts) < d + _EXTRA_SHIFTS and attempts < 200:
-        attempts += 1
-        m = tuple(rng.randint(-_SHIFT_BOUND, _SHIFT_BOUND) for _ in range(d))
-        if any(m) and m not in seen:
-            seen.add(m)
-            shifts.append(m)
-
+    shifts = _shifts(d)
     report = VerificationReport(describe_system(system))
 
     def involution() -> tuple[bool, object]:
@@ -387,7 +386,8 @@ def exhaustive_toy_report() -> VerificationReport:
     shift(x * y).  Each check thus sweeps the 64^2 pairs (x, y, 0), and
     its verdict covers the 64^3 triples its witness counts.  Closure
     reads ``contains`` and equivariance ``shift_restrict`` once per
-    configuration of the box (and shift), then looks up x * y.
+    configuration of the box (and shift), then looks up x * y.  The
+    shifts are the sampled check's at d = 3: the unit shifts and (1, 1, 1).
     """
     code = codes_mod.repetition_code(3)
     system = TripleSystem(3, code, code)
@@ -399,7 +399,7 @@ def exhaustive_toy_report() -> VerificationReport:
     sols.sort()
     pairs = [(x, y) for x in sols for y in sols]
     every = [WindowConfig(box, b) for b in range(1 << space.site_count)]
-    shifts = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    shifts = _shifts(3)
     witness = {"solutions": len(sols), "triples": len(sols) ** 3, "shifts": len(shifts)}
     zero = WindowConfig.zero(box)
 
@@ -479,9 +479,14 @@ def run_full_verification(
     entropy stage builds only the smaller boxes of its profile.
 
     Raises:
+        ValueError: when ``box_size`` < 2 or ``samples`` < 1.
         GuardExceededError: when a window space of the box exceeds
             ``max_sites`` or the constraint-row guard.
     """
+    if box_size < 2 or samples < 1:
+        raise ValueError(
+            f"need box size >= 2 and samples >= 1, got box size {box_size}, samples {samples}"
+        )
     system = construct_system(d)
     box = cube(d, box_size)
     space_xy = windows_mod.build_window_space(box, system.code, max_sites=max_sites)

@@ -121,23 +121,6 @@ class Box:
             l <= x < u for l, u, x in zip(self.lower, self.upper, site)
         )
 
-    def translate(self, m: Sequence[int]) -> Box:
-        if len(m) != self.dimension:
-            raise ValueError("translation arity mismatch")
-        return Box(
-            tuple(l + v for l, v in zip(self.lower, m)),
-            tuple(u + v for u, v in zip(self.upper, m)),
-        )
-
-    def intersect(self, other: Box) -> Box | None:
-        if other.dimension != self.dimension:
-            raise ValueError("arity mismatch")
-        lo = tuple(max(a, b) for a, b in zip(self.lower, other.lower))
-        hi = tuple(min(a, b) for a, b in zip(self.upper, other.upper))
-        if any(u <= l for l, u in zip(lo, hi)):
-            return None
-        return Box(lo, hi)
-
     def contains_box(self, other: Box) -> bool:
         return all(a <= b for a, b in zip(self.lower, other.lower)) and all(
             b <= a for a, b in zip(self.upper, other.upper)
@@ -494,12 +477,29 @@ def _gather_bits(x: WindowConfig, target: Box, m: IntVector) -> int:
     return int(s[::-1], 2)
 
 
+def _overlap(box: Box, offsets: Iterable[IntVector]) -> Box | None:
+    """The sites i of ``box`` with i + t in ``box`` for every offset t, or None.
+
+    Each offset t keeps [l + max(0, -t_a), u - max(0, t_a)) on axis a.
+    """
+    lo, hi = list(box.lower), list(box.upper)
+    for t in offsets:
+        for a, v in enumerate(t):
+            if v < 0:
+                lo[a] = max(lo[a], box.lower[a] - v)
+            elif v > 0:
+                hi[a] = min(hi[a], box.upper[a] - v)
+    if any(h <= l for l, h in zip(lo, hi)):
+        return None
+    return Box(tuple(lo), tuple(hi))
+
+
 def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:
     """Shifted configuration y(i) = x(i + m) on the overlap domain.
 
-    The result lives on the intersection of box and (box - m), where the shift is
-    defined and the original box keeps footing; the domain shrinks
-    rather than padding.
+    The result lives on the sites i of the box with i + m in the box,
+    the single-offset case of the overlap rule ``apply_poly`` uses; the
+    domain shrinks rather than padding.
 
     Raises:
         ValueError: when the overlap is empty.
@@ -507,12 +507,9 @@ def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:
     mm = tuple(int(v) for v in m)
     if len(mm) != x.box.dimension:
         raise ValueError("shift arity mismatch")
-    # box and box - m meet on [l + max(0, -m), u - max(0, m)) per axis
-    lo = tuple(l - v if v < 0 else l for l, v in zip(x.box.lower, mm))
-    hi = tuple(u - v if v > 0 else u for u, v in zip(x.box.upper, mm))
-    if any(h <= l for l, h in zip(lo, hi)):
+    overlap = _overlap(x.box, (mm,))
+    if overlap is None:
         raise ValueError("empty overlap: the shift moves the box off itself")
-    overlap = Box(lo, hi)
     return WindowConfig(overlap, _gather_bits(x, overlap, mm))
 
 
@@ -527,20 +524,17 @@ def restrict(x: WindowConfig, sub: Box) -> WindowConfig:
 def apply_poly(p: LaurentPoly, x: WindowConfig) -> WindowConfig:
     """Module action of a Laurent polynomial: (p.x)(i) = sum of x(i + m).
 
-    Defined on the sites where every translate stays inside the box.
+    Defined on the sites i of the box with i + m in the box for every
+    term m, the overlap rule of ``shift_restrict`` applied once per term.
 
     Raises:
         ValueError: when that common domain is empty.
     """
     if p.arity != x.box.dimension:
         raise ValueError("arity mismatch")
-    domain = x.box
-    for t in p.terms:
-        moved = x.box.translate(tuple(-e for e in t))
-        nxt = domain.intersect(moved)
-        if nxt is None:
-            raise ValueError("empty domain for the polynomial action")
-        domain = nxt
+    domain = _overlap(x.box, p.terms)
+    if domain is None:
+        raise ValueError("empty domain for the polynomial action")
     bits = 0
     for t in p.terms:
         bits ^= _gather_bits(x, domain, t)

@@ -244,6 +244,17 @@ class TestVerify:
         assert main(["verify", "-d", "6"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--box", "1"], ["--samples", "0"], ["--samples", "-2"]], ids=" ".join
+    )
+    def test_usage_error_exits_2(self, capsys, tmp_path, flags):
+        # a box side below 2 or a sample count below 1 is a usage error,
+        # not a verification that fails over no triples
+        path = tmp_path / "report.json"
+        assert main(["verify", "-d", "8", *flags, "-o", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_site_guard(self, capsys, tmp_path):
         # [0, 3)^8 has 6,561 sites; the guard applies before any check runs
         path = tmp_path / "report.json"

@@ -17,7 +17,7 @@ from starshift.rigidity import (
     shear,
     shift_triple,
 )
-from starshift.windows import WindowConfig, build_window_space, cube
+from starshift.windows import Box, WindowConfig, build_window_space, cube
 
 
 def random_triple(rng, box):
@@ -233,6 +233,25 @@ class TestVerifyDynamics:
         eq = next(c for c in report.checks if c.name == "equivariance_on_samples")
         assert eq.passed
         assert eq.witness["tested"] > 0
+        # the d unit shifts and the diagonal all fit a box of side 2
+        assert eq.witness["skipped_empty_overlap"] == 0
+        assert eq.witness["tested"] == 10 * 9
+
+    def test_equivariance_skips_the_shifts_off_a_width_one_axis(self):
+        # the last axis has width 1, so e_8 and the diagonal leave no
+        # overlap; 25 triples x 7 unit shifts are tested, 25 x 2 skipped
+        system = construct_system(8)
+        box = Box((0,) * 8, (2,) * 7 + (1,))
+        report = rigidity.verify_dynamics(
+            build_window_space(box, system.code),
+            build_window_space(box, system.product_code),
+            seed=0,
+            samples=30,
+        )
+        eq = next(c for c in report.checks if c.name == "equivariance_on_samples")
+        assert eq.passed
+        assert eq.witness["tested"] == 175
+        assert eq.witness["skipped_empty_overlap"] == 50
 
     def test_corrupted_map_caught_on_a_noncontained_pair(self, mutant):
         # the affine impostor moves z off its window space whenever the
@@ -399,6 +418,21 @@ class TestFullVerification:
 
         mutant(rigidity, "shear", position_dependent)
         report = rigidity.run_full_verification(8, box_size=2)
+        assert failed_checks(report) == {"dynamics:equivariance_on_samples"}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_map_changed_on_one_site_boxes_fails_equivariance(self, mutant, seed):
+        # flipping z's only bit on a one-site box keeps the map an
+        # involution and leaves every full-box check alone; at box 2 only
+        # the diagonal shift (1, ..., 1) leaves a one-site overlap
+        def one_site(t: TripleConfig) -> TripleConfig:
+            u = shear(t)
+            if t.box.site_count != 1:
+                return u
+            return TripleConfig(u.x, u.y, WindowConfig(u.z.box, u.z.bits ^ 1))
+
+        mutant(rigidity, "shear", one_site)
+        report = rigidity.run_full_verification(8, box_size=2, seed=seed)
         assert failed_checks(report) == {"dynamics:equivariance_on_samples"}
 
     def test_map_raising_on_shifted_triples_fails_equivariance(self, mutant):
