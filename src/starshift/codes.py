@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import gf2
@@ -72,11 +72,14 @@ class BinaryCode:
     """A linear code, held as its canonical reduced-echelon basis.
 
     Build instances through :func:`code_from_generators`; the constructor
-    only validates that the supplied basis really is canonical.
+    validates that the supplied basis really is canonical and derives
+    ``pivots``, the lowest set bit of each row, which equality, hashing
+    and repr ignore.
     """
 
     length: int
     basis: F2Matrix
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.length < 1:
@@ -84,19 +87,18 @@ class BinaryCode:
         if self.basis.cols != self.length:
             raise ValueError("basis width disagrees with code length")
         rows = self.basis.rows
-        prev_pivot = -1
+        pivots: list[int] = []
         for r in rows:
             if r == 0:
                 raise ValueError("canonical basis cannot contain zero rows")
             pivot = (r & -r).bit_length() - 1
-            if pivot <= prev_pivot:
+            if pivots and pivot <= pivots[-1]:
                 raise ValueError("basis rows must have strictly increasing pivots")
-            prev_pivot = pivot
-        for i, r in enumerate(rows):
-            pivot = (r & -r).bit_length() - 1
-            for j, other in enumerate(rows):
-                if i != j and (other >> pivot) & 1:
-                    raise ValueError("basis is not fully reduced")
+            pivots.append(pivot)
+        mask = sum(1 << p for p in pivots)
+        if any(r & mask != 1 << p for r, p in zip(rows, pivots)):
+            raise ValueError("basis is not fully reduced")
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def dim(self) -> int:
@@ -147,7 +149,7 @@ def code_from_generators(
 
 def dual(c: BinaryCode) -> BinaryCode:
     """The dual code, every vector orthogonal to all of ``c``."""
-    kernel = gf2.kernel_basis(F2Matrix(c.basis.rows, c.length))
+    kernel = gf2.kernel_basis(c.basis)
     return code_from_generators(kernel)
 
 
@@ -157,15 +159,11 @@ def is_self_orthogonal(c: BinaryCode) -> bool:
     return all(gf2.dot(v, w) == 0 for i, v in enumerate(rows) for w in rows[i:])
 
 
-@functools.lru_cache(maxsize=128)
-def _pivot_map(c: BinaryCode) -> dict[int, int]:
-    return {(r & -r).bit_length() - 1: r for r in c.basis.rows}
-
-
 def contains_vector(c: BinaryCode, v: F2Vector) -> bool:
+    """Whether ``v`` is a codeword: its residue against the basis rows, keyed by pivot, is zero."""
     if v.length != c.length:
         raise ValueError("length mismatch")
-    return gf2.reduce_bits(v.bits, _pivot_map(c)) == 0
+    return gf2.reduce_bits(v.bits, dict(zip(c.pivots, c.basis.rows))) == 0
 
 
 def contains_all_ones(c: BinaryCode) -> bool:
@@ -207,7 +205,7 @@ def _weight_order(c: BinaryCode) -> Iterator[F2Vector]:
     tested as the enumeration would visit.
     """
     length = c.length
-    pivots = _pivot_map(c)
+    pivots = dict(zip(c.pivots, c.basis.rows))
     budget = 1 << min(c.dim, ENUMERATION_GUARD_DIM)
     tested = 0
     for k in range(length + 1):

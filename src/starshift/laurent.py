@@ -256,10 +256,8 @@ def _substitution_table(code: BinaryCode) -> tuple[LaurentPoly, ...] | None:
     if any(r.bit_count() == 1 for r in rows):
         return None
     table = [LaurentPoly.variable(d, i) for i in range(d)]
-    for r in rows:
-        pivot = (r & -r).bit_length() - 1
-        tail = F2Vector(d, r ^ (1 << pivot))
-        table[pivot] = linear_form(tail)
+    for pivot, r in zip(code.pivots, rows):
+        table[pivot] = linear_form(F2Vector(d, r ^ (1 << pivot)))
     return tuple(table)
 
 
@@ -350,16 +348,15 @@ def membership_cofactors(
     if gc.dim == 0:
         return None
     rows = gc.basis.rows
+    pivots = gc.pivots
     d = gc.length
-    for r in rows:
+    for r, j in zip(rows, pivots):
         if r.bit_count() == 1:
-            j = (r & -r).bit_length() - 1
             cof = p.shifted(tuple(-1 if i == j else 0 for i in range(d)))
             return [(F2Vector(d, r), cof)]
     _check_expansion_budget(p)
     shift = tuple(max(0, -e) for e in p.min_exponents())
     work = set(p.shifted(shift).terms)
-    pivots = [(r & -r).bit_length() - 1 for r in rows]
     tails: list[list[Monomial]] = []
     for r, pivot in zip(rows, pivots):
         tail_vec = F2Vector(d, r ^ (1 << pivot))

@@ -30,10 +30,11 @@ from . import codes as codes_mod
 from . import laurent as laurent_mod
 from . import windows as windows_mod
 from .codes import BinaryCode
-from .errors import UnsupportedDimensionError
+from .errors import GuardExceededError, UnsupportedDimensionError
 from .windows import Box, WindowConfig, WindowSpace, cube
 
 __all__ = [
+    "MAX_SAMPLED_SITES",
     "TripleSystem",
     "TripleConfig",
     "CheckResult",
@@ -207,6 +208,7 @@ def second_difference(x: WindowConfig) -> TripleConfig:
 
 
 _MIXING_BOUND = 10**6  # mixing samples draw n from [-_MIXING_BOUND, _MIXING_BOUND]^d
+_MIXING_SAMPLES = 50  # vectors n drawn by each mixing check
 
 
 def _random_nonzero_int_vector(rng: random.Random, d: int) -> tuple[int, ...]:
@@ -251,11 +253,12 @@ def _invariant_failures(system: TripleSystem) -> list[str]:
     return [name for name, check in _premises(system) if not check()[0]]
 
 
-def verify_premises(system: TripleSystem, *, n_samples: int = 50, seed: int = 0) -> VerificationReport:
+def verify_premises(system: TripleSystem, *, seed: int = 0) -> VerificationReport:
     """Check every premise of the system; failures become entries.
 
     The structural premises are the ones ``construct_system`` checks,
-    from the same table; the two sampled mixing checks follow them.
+    from the same table.  The two mixing checks follow them; each draws
+    50 seeded nonzero vectors n and asks for a codeword separating each.
     """
     report = VerificationReport(describe_system(system))
     code, product_code, d = system.code, system.product_code, system.d
@@ -264,7 +267,7 @@ def verify_premises(system: TripleSystem, *, n_samples: int = 50, seed: int = 0)
         def run():
             rng = random.Random(f"{seed}:{tag}")
             example = None
-            for _ in range(n_samples):
+            for _ in range(_MIXING_SAMPLES):
                 n = _random_nonzero_int_vector(rng, d)
                 w = laurent_mod.mixing_certificate(c, n)
                 b = codes_mod.support_sum(n, w)
@@ -272,7 +275,7 @@ def verify_premises(system: TripleSystem, *, n_samples: int = 50, seed: int = 0)
                     return False, {"n": list(n), "codeword": str(w)}
                 if example is None:
                     example = {"n": list(n), "codeword": str(w), "support_sum": b}
-            return True, {"samples": n_samples, "example": example}
+            return True, {"samples": _MIXING_SAMPLES, "example": example}
 
         return run
 
@@ -285,6 +288,11 @@ def verify_premises(system: TripleSystem, *, n_samples: int = 50, seed: int = 0)
 
 
 _EQUIVARIANCE_TRIPLES = 25
+
+# The sampled triples are all held at once: samples x sites may not pass
+# this.  At the bound (65,536 triples at d = 8 box 2, 2,557 at d = 8
+# box 3) a process running the checks peaks at 55 and 25 MB.
+MAX_SAMPLED_SITES = 1 << 24
 
 
 def _shifts(d: int) -> list[tuple[int, ...]]:
@@ -311,7 +319,18 @@ def verify_dynamics(
     Equivariance tests 25 triples against the d unit shifts and (1, ..., 1).
     A shift whose overlap with the box is empty is skipped and counted;
     an error raised by the map fails the check, its message the witness.
+
+    Raises:
+        ValueError: when ``samples`` < 1, before any draw.
+        GuardExceededError: when ``samples`` times the box's site count
+            exceeds ``MAX_SAMPLED_SITES``, before any draw.
     """
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
+    if samples * space_xy.site_count > MAX_SAMPLED_SITES:
+        raise GuardExceededError(
+            f"{samples} samples of {space_xy.site_count} sites pass the guard of {MAX_SAMPLED_SITES}"
+        )
     d = space_xy.box.dimension
     system = TripleSystem(d, space_xy.code, space_z.code)
     rng = random.Random(seed)
@@ -479,14 +498,14 @@ def run_full_verification(
     entropy stage builds only the smaller boxes of its profile.
 
     Raises:
-        ValueError: when ``box_size`` < 2 or ``samples`` < 1.
+        ValueError: when ``box_size`` < 2, or from ``verify_dynamics``
+            when ``samples`` < 1.
         GuardExceededError: when a window space of the box exceeds
-            ``max_sites`` or the constraint-row guard.
+            ``max_sites`` or the constraint-row guard, or from
+            ``verify_dynamics`` when the sampled sites exceed theirs.
     """
-    if box_size < 2 or samples < 1:
-        raise ValueError(
-            f"need box size >= 2 and samples >= 1, got box size {box_size}, samples {samples}"
-        )
+    if box_size < 2:
+        raise ValueError(f"need box size >= 2, got {box_size}")
     system = construct_system(d)
     box = cube(d, box_size)
     space_xy = windows_mod.build_window_space(box, system.code, max_sites=max_sites)

@@ -47,6 +47,29 @@ def rational_support_rank(code: BinaryCode) -> int:
     return len(pivots)
 
 
+def canonical_basis_error(rows: tuple[int, ...]) -> str | None:
+    """Why bit-packed rows are not a canonical reduced-echelon basis, or None.
+
+    The pairwise rule, in this order: no zero row and strictly increasing
+    pivots (lowest set bits), row by row; then no row with a bit set at
+    the pivot of any other row, each pair of rows compared directly.
+    """
+    prev_pivot = -1
+    for r in rows:
+        if r == 0:
+            return "canonical basis cannot contain zero rows"
+        pivot = (r & -r).bit_length() - 1
+        if pivot <= prev_pivot:
+            return "basis rows must have strictly increasing pivots"
+        prev_pivot = pivot
+    for i, r in enumerate(rows):
+        pivot = (r & -r).bit_length() - 1
+        for j, other in enumerate(rows):
+            if i != j and (other >> pivot) & 1:
+                return "basis is not fully reduced"
+    return None
+
+
 class SpanSolver:
     """Minimal incremental echelon for span-membership queries."""
 

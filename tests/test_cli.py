@@ -265,6 +265,14 @@ class TestVerify:
         assert main(argv + ["--max-sites", "6561"]) == 0
         assert path.exists()
 
+    def test_sampled_site_guard(self, capsys, tmp_path):
+        # 2,558 triples of 6,561 sites pass 2^24 sampled sites
+        path = tmp_path / "report.json"
+        argv = ["verify", "-d", "8", "--box", "3", "--samples", "2558", "-o", str(path)]
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_matches_the_golden_report(self, capsys):
         # a pinned report catches a change to any verdict or witness,
         # which two runs of the same code cannot

@@ -1,12 +1,13 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_code, rational_support_rank, span_words
+from oracles import canonical_basis_error, random_code, rational_support_rank, span_words
 from starshift import codes, gf2
 from starshift.codes import BinaryCode, code_from_generators
 from starshift.errors import CodeFileError, DegenerateCodeError, GuardExceededError
@@ -78,6 +79,33 @@ def small_codes(max_len=10, max_gens=4):
     )
 
 
+@st.composite
+def basis_candidates(draw):
+    """(width, rows): canonical bases and random rows, then a few edits.
+
+    The edits plant zero rows, repeated or unordered pivots and
+    unreduced rows.
+    """
+    width = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=6))
+    if draw(st.booleans()):
+        rows = list(code_from_generators(F2Matrix(tuple(rows), width)).basis.rows)
+    kinds = st.sampled_from(["zero", "repeat", "swap", "add"])
+    edits = st.lists(st.tuples(kinds, st.integers(0, 5), st.integers(0, 5)), max_size=2)
+    for kind, i, j in draw(edits):
+        if kind == "zero":
+            rows.insert(i % (len(rows) + 1), 0)
+        elif rows:
+            i, j = i % len(rows), j % len(rows)
+            if kind == "repeat":
+                rows.insert(j, rows[i])
+            elif kind == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            elif i != j:
+                rows[j] ^= rows[i]
+    return width, tuple(rows)
+
+
 class TestReferenceCode:
     def test_dimension(self):
         assert C8.length == 8
@@ -143,6 +171,31 @@ class TestConstruction:
             BinaryCode(3, F2Matrix((0,), 3))  # zero row
         with pytest.raises(ValueError):
             BinaryCode(2, F2Matrix((1,), 3))  # width mismatch
+
+    @given(basis_candidates())
+    def test_canonical_check_matches_the_pairwise_oracle(self, case):
+        width, rows = case
+        basis = F2Matrix(rows, width)
+        error = canonical_basis_error(rows)
+        if error is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                BinaryCode(width, basis)
+            return
+        c = BinaryCode(width, basis)
+        # equality, hashing and repr read only the length and the basis
+        assert c == BinaryCode(width, F2Matrix(rows, width))
+        assert hash(c) == hash((width, basis))
+        assert repr(c) == f"BinaryCode(length={width}, basis={basis!r})"
+
+    @given(st.integers(1, 12), st.lists(st.integers(0, (1 << 12) - 1)))
+    def test_generator_output_is_canonical(self, width, rows):
+        rows = tuple(r & ((1 << width) - 1) for r in rows)
+        c = code_from_generators(F2Matrix(rows, width))
+        assert canonical_basis_error(c.basis.rows) is None
+
+    @given(small_codes(max_len=12, max_gens=6))
+    def test_pivots_are_the_lowest_set_bits(self, c):
+        assert c.pivots == tuple(min(j for j in range(c.length) if r >> j & 1) for r in c.basis.rows)
 
     def test_direct_sum(self):
         s = codes.direct_sum(C8, codes.full_code(2))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starshift import codes, rigidity, windows
-from starshift.errors import UnsupportedDimensionError
+from starshift.errors import GuardExceededError, UnsupportedDimensionError
 from starshift.gf2 import F2Vector
 from starshift.rigidity import (
     TripleConfig,
@@ -51,7 +51,7 @@ class TestConstruction:
 
     def test_premises_pass_for_a_dimension_sweep(self):
         for d in range(8, 13):
-            report = rigidity.verify_premises(construct_system(d), n_samples=10, seed=1)
+            report = rigidity.verify_premises(construct_system(d), seed=1)
             assert report.passed, [c.name for c in report.checks if not c.passed]
 
     def test_invariants_checked_on_construction(self):
@@ -150,7 +150,7 @@ class TestVerifyPremises:
     def test_failure_reported_for_degenerate_code(self):
         e2 = codes.even_weight_code(2)
         system = TripleSystem(2, e2, e2)
-        report = rigidity.verify_premises(system, n_samples=5, seed=0)
+        report = rigidity.verify_premises(system, seed=0)
         assert not report.passed
         by_name = {c.name: c for c in report.checks}
         assert not by_name["code_nondegenerate"].passed
@@ -160,13 +160,13 @@ class TestVerifyPremises:
     def test_failure_reported_for_improper_code(self):
         full = codes.full_code(2)
         system = TripleSystem(2, full, full)
-        report = rigidity.verify_premises(system, n_samples=5, seed=0)
+        report = rigidity.verify_premises(system, seed=0)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["code_proper"].passed
         assert not by_name["product_code_proper"].passed
 
     def test_reference_system_passes_everything(self):
-        report = rigidity.verify_premises(construct_system(8), n_samples=25, seed=7)
+        report = rigidity.verify_premises(construct_system(8), seed=7)
         assert report.passed
         names = {c.name for c in report.checks}
         assert names == {
@@ -252,6 +252,29 @@ class TestVerifyDynamics:
         assert eq.passed
         assert eq.witness["tested"] == 175
         assert eq.witness["skipped_empty_overlap"] == 50
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_samples_below_one_rejected(self, samples):
+        # called directly, not only through run_full_verification: over no
+        # triples the involution and preservation checks would pass vacuously
+        with pytest.raises(ValueError, match="samples"):
+            rigidity.verify_dynamics(*reference_spaces(8, 2), seed=0, samples=samples)
+
+    def test_sampled_site_guard_applies_before_any_draw(self, monkeypatch):
+        class Drew(Exception):
+            pass
+
+        def no_draw(space, rng):
+            raise Drew
+
+        monkeypatch.setattr(windows, "sample_with", no_draw)
+        spaces = reference_spaces(8, 2)
+        at_bound = rigidity.MAX_SAMPLED_SITES // spaces[0].site_count
+        with pytest.raises(GuardExceededError):
+            rigidity.verify_dynamics(*spaces, seed=0, samples=at_bound + 1)
+        # the bound itself is allowed: the call goes on to draw
+        with pytest.raises(Drew):
+            rigidity.verify_dynamics(*spaces, seed=0, samples=at_bound)
 
     def test_corrupted_map_caught_on_a_noncontained_pair(self, mutant):
         # the affine impostor moves z off its window space whenever the
