@@ -163,6 +163,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
+    # refuse the largest box before listing the sizes or building any space
+    n_sites = args.box**code.length
+    if args.box >= 1 and n_sites > args.max_sites:
+        raise GuardExceededError(f"box has {n_sites} sites, guard is {args.max_sites}")
     sizes = list(range(2, args.box + 1)) or [args.box]
     profile = windows_mod.entropy_profile(code, sizes, max_sites=args.max_sites)
     verdict = laurent_mod.entropy_verdict(code)

@@ -94,6 +94,26 @@ class SpanSolver:
         return self._reduce(v) == 0
 
 
+def compress_bits(x: int, mask: int) -> int:
+    """The bits of x under ``mask``, packed into the low bits, one bit at a time."""
+    out, k = 0, 0
+    for j in range(mask.bit_length()):
+        if (mask >> j) & 1:
+            out |= ((x >> j) & 1) << k
+            k += 1
+    return out
+
+
+def expand_bits(x: int, mask: int) -> int:
+    """Bit k of x placed on the k-th set bit of ``mask``, one bit at a time."""
+    out, k = 0, 0
+    for j in range(mask.bit_length()):
+        if (mask >> j) & 1:
+            out |= ((x >> k) & 1) << j
+            k += 1
+    return out
+
+
 def _anchor_stencils(box: Box) -> list[list[int]]:
     """Site indices of i + e_1 .. i + e_d for every anchor i.
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from starshift import codes, rigidity
+from starshift import codes, rigidity, windows
 from starshift.cli import main
 
 
@@ -307,6 +307,30 @@ class TestEntropy:
         out = capsys.readouterr().out
         assert "N=2: log2 count 3 over 4 sites = 3/4" in out
         assert "verdict: zero-entropy" in out
+
+    def test_huge_box_refused_without_allocating(self, e2_file):
+        # a memory cap turns any allocation of the 10^12 sizes into a
+        # MemoryError traceback; the guard must refuse before that
+        script = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from starshift.cli import main; raise SystemExit(main())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "entropy", e2_file, "--box", str(10**12)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: box has")
+        assert "Traceback" not in proc.stderr
+
+    def test_box_over_the_guard_builds_no_space(self, capsys, monkeypatch, e2_file):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a window space")
+
+        monkeypatch.setattr(windows, "build_window_space", no_build)
+        # 142^2 = 20,164 sites, just over the default guard of 20,000
+        assert main(["entropy", e2_file, "--box", "142"]) == 3
+        assert "box has 20164 sites, guard is 20000" in capsys.readouterr().err
 
 
 class TestMixingWitness:

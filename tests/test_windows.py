@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     SpanSolver,
+    compress_bits,
+    expand_bits,
     random_code,
     window_constraint_rows,
     window_log2_count,
@@ -68,6 +70,14 @@ class TestBox:
         b = cube(2, 3)
         assert b.contains_box(Box((1, 1), (2, 2)))
         assert not b.contains_box(Box((1, 0), (4, 3)))
+
+    def test_contains_box_needs_equal_arity(self):
+        b = cube(2, 3)
+        assert not b.contains_box(Box((0,), (2,)))
+        assert not Box((0,), (2,)).contains_box(b)
+        for bits in (0b1, 0b101):
+            with pytest.raises(ValueError, match="not contained"):
+                windows.restrict(WindowConfig(b, bits), Box((0,), (2,)))
 
 
 class TestWindowConfig:
@@ -606,6 +616,47 @@ class TestApplyPoly:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             windows.apply_poly(LaurentPoly.one(3), WindowConfig.zero(cube(2, 2)))
+
+
+@st.composite
+def bit_masks(draw):
+    """(n, mask) for n = 1..300, with masks no box produces among them."""
+    n = draw(st.integers(1, 300))
+    full = (1 << n) - 1
+    mask = draw(
+        st.one_of(
+            st.integers(0, full),
+            st.sampled_from([0, full, full // 3, full - full // 3]),  # alternating bits
+            st.integers(0, n - 1).map(lambda j: 1 << j),
+            st.integers(0, n - 1).map(lambda j: full ^ ((1 << j) - 1)),  # high bits only
+        )
+    )
+    return n, mask
+
+
+class TestCompressExpand:
+    """The bit-permutation primitive against bit-by-bit compress and expand."""
+
+    @given(bit_masks(), st.data())
+    def test_against_the_bitwise_oracle(self, case, data):
+        n, mask = case
+        moves = windows._moves(mask, n)
+        x = data.draw(st.integers(0, (1 << (n + 8)) - 1))
+        assert windows._compress(x, mask, moves) == compress_bits(x, mask)
+        v = data.draw(st.integers(0, (1 << mask.bit_count()) - 1))
+        assert windows._expand(v, mask, moves) == expand_bits(v, mask)
+        assert windows._compress(windows._expand(v, mask, moves), mask, moves) == v
+
+    def test_every_value_round_trips_on_every_small_mask(self):
+        for n in range(1, 7):
+            for mask in range(1 << n):
+                moves = windows._moves(mask, n)
+                for v in range(1 << mask.bit_count()):
+                    spread = windows._expand(v, mask, moves)
+                    assert spread == expand_bits(v, mask)
+                    assert windows._compress(spread, mask, moves) == v
+                for x in range(1 << n):
+                    assert windows._compress(x, mask, moves) == compress_bits(x, mask)
 
 
 def _random_config(rng, d):

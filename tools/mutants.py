@@ -1,0 +1,194 @@
+"""The committed mutant catalogue: each known fault, applied alone, must fail Tier-1.
+
+Run from the root of a source checkout:
+
+    python3 tools/mutants.py
+
+Each mutant is one (file, old, new) text replacement under ``src/``; the
+old text must occur exactly once.  The script first runs Tier-1 on an
+unmutated copy of ``src/``, ``tests/``, ``perfbench/`` (whose hooks a
+test loads) and ``pyproject.toml`` in a temporary directory, then on
+one fresh copy per mutant, and writes ``tools/mutants.json``: per
+mutant, ``killed`` with the first failing test, or ``survived``.  A
+run that outlives five times the unmutated run (plus 30 s) is stopped
+and counts as killed by the timeout.  A survivor is a finding to fix in
+the program or the tests, never a reason to loosen a test.  Standard
+library only; not part of Tier-1.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "tools" / "mutants.json"
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+W = "src/starshift/windows.py"
+R = "src/starshift/rigidity.py"
+C = "src/starshift/cli.py"
+K = "src/starshift/codes.py"
+
+# (name, file, old, new)
+MUTANTS = [
+    (
+        "expand_moves_in_forward_order", W,
+        "    for mv, s in reversed(moves):\n",
+        "    for mv, s in moves:\n",
+    ),
+    (
+        "compress_without_initial_mask", W,
+        "    x &= mask\n    for mv, s in moves:\n",
+        "    for mv, s in moves:\n",
+    ),
+    (
+        "moves_without_full_truncation", W,
+        "    zeros = ~mask << 1 & ((1 << n) - 1)\n",
+        "    zeros = ~mask << 1\n",
+    ),
+    (
+        "sub_box_mask_one_copy_short_per_axis", W,
+        "        for k in range(width):\n",
+        "        for k in range(width - 1):\n",
+    ),
+    (
+        # a plan cache keyed on (source box, domain) alone
+        "plan_key_without_offset", W,
+        "@functools.lru_cache(maxsize=64)\ndef _gather_plan(",
+        "def _gather_plan(source, domain, offset, _plans={}):\n"
+        "    if (source, domain) not in _plans:\n"
+        "        _plans[source, domain] = _gather_plan_for(source, domain, offset)\n"
+        "    return _plans[source, domain]\n\n\n"
+        "def _gather_plan_for(",
+    ),
+    (
+        "parities_over_full_width_rows", W,
+        "        self.rows = [_compress(row, *self.free) for row in rref]\n",
+        "        self.rows = list(rref)\n",
+    ),
+    (
+        "contains_box_ignores_arity", W,
+        "            self.dimension == other.dimension\n            and all(",
+        "            all(",
+    ),
+    (
+        "overlap_reads_only_the_first_offset", W,
+        "    for t in offsets:\n",
+        "    for t in list(offsets)[:1]:\n",
+    ),
+    (
+        "shifts_without_the_diagonal", R,
+        " for j in range(d)] + [(1,) * d]\n",
+        " for j in range(d)]\n",
+    ),
+    (
+        "samples_below_one_check_dropped", R,
+        "    if samples < 1:\n        raise ValueError(f\"need samples >= 1, got {samples}\")\n",
+        "",
+    ),
+    (
+        "sampled_site_guard_doubled", R,
+        "MAX_SAMPLED_SITES = 1 << 24\n",
+        "MAX_SAMPLED_SITES = 1 << 25\n",
+    ),
+    (
+        "weight_stream_skips_the_zero_word", K,
+        "    for k in range(length + 1):\n        tested += math.comb(length, k)\n",
+        "    for k in range(1, length + 1):\n        tested += math.comb(length, k)\n",
+    ),
+    (
+        "weight_fallback_drops_weight_k", K,
+        "if gf2.weight(v) >= k)",
+        "if gf2.weight(v) > k)",
+    ),
+    (
+        "column_classes_keyed_by_coordinate", K,
+        "by_column.setdefault(column, []).append(j)",
+        "by_column.setdefault((j,), []).append(j)",
+    ),
+    (
+        "entropy_guard_dropped", C,
+        "    if args.box >= 1 and n_sites > args.max_sites:\n",
+        "    if False:\n",
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _tier1(tree: Path, timeout: float | None) -> tuple[str, str]:
+    """("passed" | "failed" | "timeout", first failing test) of Tier-1 in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # a session of its own, so that a timeout also stops the processes the
+    # CLI tests start, which a looping mutant would otherwise leave running
+    proc = subprocess.Popen(TIER1, cwd=tree, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return "timeout", ""
+    finally:
+        # nothing of the run may outlive it, on any exit
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    if proc.returncode == 0:
+        return "passed", ""
+    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", out, re.MULTILINE)
+    return "failed", failed.group(1) if failed else f"exit code {proc.returncode}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="starshift-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        start = time.perf_counter()
+        status, first = _tier1(base, None)
+        if status != "passed":
+            print(f"unmutated Tier-1 fails ({first}); no mutant can be judged", file=sys.stderr)
+            return 2
+        timeout = 5 * (time.perf_counter() - start) + 30
+        results = []
+        for name, file, old, new in MUTANTS:
+            tree = Path(tmp) / name
+            _copy(tree)
+            path = tree / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"{name}: the old text occurs {text.count(old)} times in {file}",
+                      file=sys.stderr)
+                return 2
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            status, first = _tier1(tree, timeout)
+            verdict = "survived" if status == "passed" else "killed"
+            by = "timeout" if status == "timeout" else first
+            results.append({"name": name, "file": file, "verdict": verdict, "by": by})
+            print(f"{verdict:8} {name} {by}")
+            shutil.rmtree(tree)
+    OUT.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+    survivors = [r["name"] for r in results if r["verdict"] == "survived"]
+    if survivors:
+        print(f"survived: {', '.join(survivors)}", file=sys.stderr)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
