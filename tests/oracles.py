@@ -114,6 +114,28 @@ def expand_bits(x: int, mask: int) -> int:
     return out
 
 
+def gathered_shift(
+    lower: tuple[int, ...], upper: tuple[int, ...], bits: int, m: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """y(i) = x(i + m) on the sites i of the box with i + m in it, site by site.
+
+    ``bits`` holds x with site k of the row-major order (first axis most
+    significant) at bit k.  Returns the (lower, upper, bits) of y on its
+    domain, the kept sites in the same order, or None when no site is kept.
+    """
+    sites = list(itertools.product(*(range(l, u) for l, u in zip(lower, upper))))
+    index = {s: k for k, s in enumerate(sites)}
+    kept = [s for s in sites if tuple(a + v for a, v in zip(s, m)) in index]
+    if not kept:
+        return None
+    out = 0
+    for k, s in enumerate(kept):
+        out |= ((bits >> index[tuple(a + v for a, v in zip(s, m))]) & 1) << k
+    lo = tuple(min(s[a] for s in kept) for a in range(len(lower)))
+    hi = tuple(max(s[a] for s in kept) + 1 for a in range(len(lower)))
+    return lo, hi, out
+
+
 def _anchor_stencils(box: Box) -> list[list[int]]:
     """Site indices of i + e_1 .. i + e_d for every anchor i.
 

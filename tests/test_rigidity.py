@@ -76,6 +76,21 @@ class TestTripleConfig:
         with pytest.raises(ValueError):
             TripleConfig(x, x, y)
 
+    def test_equal_distinct_boxes_accepted(self):
+        x = WindowConfig(Box((0, 0), (2, 2)), 0b0110)
+        y = WindowConfig(Box((0, 0), (2, 2)), 0b0011)
+        z = WindowConfig(Box((0, 0), (2, 2)), 0b1000)
+        t = TripleConfig(x, y, z)
+        assert t.box == Box((0, 0), (2, 2))
+        assert shear(t).z.bits == 0b1010
+
+    def test_same_shape_at_another_offset_rejected(self):
+        x = WindowConfig.zero(Box((0, 0), (2, 2)))
+        moved = WindowConfig.zero(Box((1, 1), (3, 3)))
+        for args in [(x, moved, x), (x, x, moved), (moved, x, x)]:
+            with pytest.raises(ValueError, match="different boxes"):
+                TripleConfig(*args)
+
     def test_componentwise_addition(self):
         box = cube(2, 2)
         a = random_triple(random.Random(1), box)

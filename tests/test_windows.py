@@ -12,6 +12,7 @@ from oracles import (
     SpanSolver,
     compress_bits,
     expand_bits,
+    gathered_shift,
     random_code,
     window_constraint_rows,
     window_log2_count,
@@ -79,6 +80,25 @@ class TestBox:
             with pytest.raises(ValueError, match="not contained"):
                 windows.restrict(WindowConfig(b, bits), Box((0,), (2,)))
 
+    def test_equal_distinct_boxes_are_equal_and_hash_equal(self):
+        a, b = Box((0, -1), (2, 3)), Box((0, -1), (2, 3))
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_either_bound_tells_boxes_apart(self):
+        b = Box((0, 0), (2, 2))
+        assert b != Box((0, 0), (2, 3))
+        assert b != Box((1, 0), (2, 2))
+        assert b != Box((1, 1), (3, 3))  # same shape at another offset
+
+    def test_comparison_with_a_tuple_is_false(self):
+        b = Box((0, 0), (2, 2))
+        assert (b == ((0, 0), (2, 2))) is False
+        assert b != ((0, 0), (2, 2))
+        assert (((0, 0), (2, 2)) == b) is False
+
 
 class TestWindowConfig:
     def test_values_and_bits(self):
@@ -96,6 +116,27 @@ class TestWindowConfig:
             WindowConfig.from_values(b, [0, 2])
         with pytest.raises(ValueError):
             WindowConfig.zero(b) + WindowConfig.zero(cube(1, 3))
+
+    def test_bits_bound_is_the_site_count(self):
+        for box in (cube(1, 1), cube(1, 2), cube(2, 2), cube(3, 3)):
+            n = box.site_count
+            assert WindowConfig(box, (1 << n) - 1).bits == (1 << n) - 1
+            assert WindowConfig(box, 1 << (n - 1)).bits == 1 << (n - 1)
+            for bad in (1 << n, (1 << (n + 5)) | 1, -1):
+                with pytest.raises(ValueError):
+                    WindowConfig(box, bad)
+
+    @pytest.mark.parametrize("bits", [1.5, 1.0, 0.0, Fraction(1), "1", None])
+    def test_non_integer_bits_rejected(self, bits):
+        with pytest.raises(ValueError):
+            WindowConfig(cube(2, 2), bits)
+
+    def test_addition_needs_equal_boxes_not_the_same_object(self):
+        x = WindowConfig(Box((0, 0), (2, 2)), 0b0110)
+        y = WindowConfig(Box((0, 0), (2, 2)), 0b0011)
+        assert (x + y).bits == 0b0101
+        with pytest.raises(ValueError, match="box mismatch"):
+            x + WindowConfig(Box((1, 1), (3, 3)), 0b0011)
 
     def test_json_round_trip(self):
         b = Box((-1, 0), (1, 2))
@@ -217,6 +258,13 @@ class TestWindowSpace:
         space = build_window_space(cube(2, 2), E2)
         with pytest.raises(ValueError):
             contains(space, WindowConfig.zero(cube(2, 3)))
+
+    def test_contains_compares_boxes_by_value(self):
+        space = build_window_space(cube(2, 2), E2)
+        assert contains(space, WindowConfig(Box((0, 0), (2, 2)), 0b1001))
+        assert not contains(space, WindowConfig(Box((0, 0), (2, 2)), 0b0010))
+        with pytest.raises(ValueError, match="box mismatch"):
+            contains(space, WindowConfig.zero(Box((1, 1), (3, 3))))
 
     def test_solution_basis_spans_solutions(self):
         space = build_window_space(cube(2, 3), E2)
@@ -462,6 +510,43 @@ class TestShiftRestrict:
                 inner = build_window_space(y.box, E2)
                 assert contains(inner, y)
 
+    @pytest.mark.parametrize("m", [(0.9, 0), (0, 1.5), (1.0, 0), (Fraction(1), 0), ("1", 0)])
+    def test_non_integral_shift_rejected(self, m):
+        x = WindowConfig(cube(2, 2), 0b1011)
+        with pytest.raises(ValueError, match="integers"):
+            windows.shift_restrict(x, m)
+
+    def test_integer_like_entries_are_accepted(self):
+        x = WindowConfig(cube(2, 3), 0b110101101)
+        assert windows.shift_restrict(x, [True, 0]) == windows.shift_restrict(x, (1, 0))
+
+    def test_repeated_shift_shares_one_domain_box(self):
+        box = cube(3, 3)
+        x = WindowConfig(box, 0b101)
+        y = WindowConfig(Box(box.lower, box.upper), 0b110)  # equal box, another object
+        for m in [(1, 0, 0), (0, -1, 1), (1, 1, 1)]:
+            a, b = windows.shift_restrict(x, m), windows.shift_restrict(y, list(m))
+            assert a.box is b.box
+        assert windows.shift_restrict(x, (1, 0, 0)).box != windows.shift_restrict(x, (0, 1, 0)).box
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_gather_oracle(self, data):
+        d = data.draw(st.integers(1, 4))
+        lower = tuple(data.draw(st.integers(-3, 3)) for _ in range(d))
+        upper = tuple(l + data.draw(st.integers(1, 4)) for l in lower)
+        box = Box(lower, upper)
+        bits = data.draw(st.integers(0, (1 << box.site_count) - 1))
+        m = tuple(data.draw(st.integers(-4, 4)) for _ in range(d))
+        expected = gathered_shift(lower, upper, bits, m)
+        x = WindowConfig(box, bits)
+        if expected is None:
+            with pytest.raises(ValueError, match="empty overlap"):
+                windows.shift_restrict(x, m)
+            return
+        y = windows.shift_restrict(x, m)
+        assert (y.box.lower, y.box.upper, y.bits) == expected
+
 
 class TestRestrict:
     def test_restriction_passes_inner_window(self):
@@ -505,6 +590,12 @@ class TestStar:
     def test_box_mismatch(self):
         with pytest.raises(ValueError):
             windows.star(WindowConfig.zero(cube(2, 2)), WindowConfig.zero(cube(2, 3)))
+
+    def test_boxes_compare_by_value(self):
+        x = WindowConfig(Box((0, 0), (2, 2)), 0b0110)
+        assert windows.star(x, WindowConfig(Box((0, 0), (2, 2)), 0b0011)).bits == 0b0010
+        with pytest.raises(ValueError, match="box mismatch"):
+            windows.star(x, WindowConfig(Box((1, 1), (3, 3)), 0b0011))
 
     def test_closure_into_product_code_space(self):
         xy_space = build_window_space(cube(8, 2), C8)

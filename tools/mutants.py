@@ -87,6 +87,47 @@ MUTANTS = [
         "    for t in list(offsets)[:1]:\n",
     ),
     (
+        "box_eq_compares_only_lower", W,
+        "        return self.lower == other.lower and self.upper == other.upper\n",
+        "        return self.lower == other.lower\n",
+    ),
+    (
+        "box_mismatch_by_identity_only", W,
+        "    if x.box is not y.box and x.box != y.box:\n",
+        "    if x.box is not y.box:\n",
+    ),
+    (
+        "bits_bound_rejects_the_top_site", W,
+        "bits.bit_length() > self.box.site_count",
+        "bits.bit_length() >= self.box.site_count",
+    ),
+    (
+        "bits_type_check_dropped", W,
+        "if not isinstance(bits, int) or bits < 0",
+        "if bits < 0",
+    ),
+    (
+        "shift_entries_truncated_by_int", W,
+        "        mm = tuple(map(operator.index, m))\n",
+        "        mm = tuple(map(int, m))\n",
+    ),
+    (
+        # the shift overlaps memoised per source box, whatever the shift
+        "overlap_memo_keyed_on_the_box_alone", W,
+        "@functools.lru_cache(maxsize=64)\ndef _gather_plan(",
+        "def _gather_plan(source, domain, offset, _plans={}):\n"
+        "    key = source if domain is None else (source, domain, offset)\n"
+        "    if key not in _plans:\n"
+        "        _plans[key] = _gather_plan_for(source, domain, offset)\n"
+        "    return _plans[key]\n\n\n"
+        "def _gather_plan_for(",
+    ),
+    (
+        "triple_checks_only_x_against_y", R,
+        "        if (y is not box and y != box) or (z is not box and z != box):\n",
+        "        if y is not box and y != box:\n",
+    ),
+    (
         "shifts_without_the_diagonal", R,
         " for j in range(d)] + [(1,) * d]\n",
         " for j in range(d)]\n",
