@@ -1,17 +1,23 @@
 """Command-line surface: inspect codes, build systems, run verifications.
 
+Every ``cmd_*`` computes its result and returns it as (exit code, JSON
+payload, text lines) without writing anything; ``main`` renders it once.
+With ``--json`` the output is the payload after a top-level
+"schema_version": 1, otherwise the lines joined by newlines.  Either form
+ends in one newline and goes to stdout, or to the ``-o`` file.  Rendering
+runs inside the error table, so a file that cannot be written exits 2.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error, 3 resource guard exceeded.  JSON output carries a top-level
-"schema_version": 1; per-check timing fields are informational and not
-part of the deterministic surface.
+error, 3 resource guard exceeded.  Per-check timing fields are
+informational and not part of the deterministic surface.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from fractions import Fraction
 
 from . import codes as codes_mod
 from . import laurent as laurent_mod
@@ -31,23 +37,11 @@ def _load_code(path: str) -> BinaryCode:
         return codes_mod.parse_generator_file(fh.read())
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
+# (exit code, JSON payload without schema_version, text lines)
+CommandResult = tuple[int, dict, list[str]]
 
 
-def _emit_json(args: argparse.Namespace, payload: dict) -> None:
-    body = {"schema_version": SCHEMA_VERSION}
-    body.update(payload)
-    _emit(args, json.dumps(body, indent=2))
-
-
-def cmd_inspect(args: argparse.Namespace) -> int:
+def cmd_inspect(args: argparse.Namespace) -> CommandResult:
     code = _load_code(args.codefile)
     dual = codes_mod.dual(code)
     cert = codes_mod.is_integrally_nondegenerate(code)
@@ -63,9 +57,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         "integrally_nondegenerate": cert.verdict,
         "kernel_witness": None if cert.verdict else list(cert.kernel_witness),
     }
-    if args.json:
-        _emit_json(args, info)
-        return 0
     lines = [
         f"length: {info['length']}",
         f"dim: {info['dim']}",
@@ -80,65 +71,49 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     else:
         witness = ",".join(str(x) for x in cert.kernel_witness)
         lines.append(f"integrally non-degenerate: no, kernel witness ({witness})")
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, info, lines
 
 
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def cmd_dual(args: argparse.Namespace) -> int:
+def cmd_dual(args: argparse.Namespace) -> CommandResult:
     code = _load_code(args.codefile)
     d = codes_mod.dual(code)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "length": d.length,
-                "dim": d.dim,
-                "generators": [str(v) for v in d.basis.row_vectors()],
-            },
-        )
-    else:
-        _emit(args, codes_mod.render_generator_file(d, header=f"dual, dim {d.dim}").rstrip("\n"))
-    return 0
+    payload = {
+        "length": d.length,
+        "dim": d.dim,
+        "generators": [str(v) for v in d.basis.row_vectors()],
+    }
+    text = codes_mod.render_generator_file(d, header=f"dual, dim {d.dim}").rstrip("\n")
+    return 0, payload, [text]
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> CommandResult:
     code = _load_code(args.codefile)
     with open(args.configfile, "r", encoding="utf-8") as fh:
         config = WindowConfig.from_json_dict(json.load(fh))
     space = windows_mod.build_window_space(config.box, code, max_sites=args.max_sites)
     ok = windows_mod.contains(space, config)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "valid": ok,
-                "box": {"lower": list(config.box.lower), "upper": list(config.box.upper)},
-                "constraint_rank": space.rank,
-            },
-        )
-    else:
-        _emit(args, "VALID" if ok else "INVALID")
-    return 0 if ok else 1
+    payload = {
+        "valid": ok,
+        "box": {"lower": list(config.box.lower), "upper": list(config.box.upper)},
+        "constraint_rank": space.rank,
+    }
+    return (0 if ok else 1), payload, ["VALID" if ok else "INVALID"]
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: argparse.Namespace) -> CommandResult:
     system = rigidity_mod.construct_system(args.d)
-    if args.json:
-        _emit_json(args, rigidity_mod.describe_system(system))
-        return 0
     lines = [f"dimension: {system.d}", f"code (dim {system.code.dim}):"]
     lines.extend("  " + str(v) for v in system.code.basis.row_vectors())
     lines.append(f"product code (dim {system.product_code.dim}):")
     lines.extend("  " + str(v) for v in system.product_code.basis.row_vectors())
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, rigidity_mod.describe_system(system), lines
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> CommandResult:
     report = rigidity_mod.run_full_verification(
         args.d,
         box_size=args.box,
@@ -146,47 +121,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_sites=args.max_sites,
     )
-    if args.json:
-        _emit_json(args, report.to_dict())
-    else:
-        lines = []
-        for check in report.checks:
-            tag = "PASS" if check.passed else "FAIL"
-            lines.append(f"{tag} {check.name} ({check.millis:.1f} ms)")
-            if not check.passed and check.witness is not None:
-                lines.append(f"     witness: {check.witness}")
-        verdict = "PASS" if report.passed else "FAIL"
-        lines.append(f"RESULT: {verdict} ({len(report.checks)} checks, d={args.d})")
-        _emit(args, "\n".join(lines))
-    return 0 if report.passed else 1
+    lines = []
+    for check in report.checks:
+        tag = "PASS" if check.passed else "FAIL"
+        lines.append(f"{tag} {check.name} ({check.millis:.1f} ms)")
+        if not check.passed and check.witness is not None:
+            lines.append(f"     witness: {check.witness}")
+    verdict = "PASS" if report.passed else "FAIL"
+    lines.append(f"RESULT: {verdict} ({len(report.checks)} checks, d={args.d})")
+    return (0 if report.passed else 1), report.to_dict(), lines
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
+def cmd_entropy(args: argparse.Namespace) -> CommandResult:
     code = _load_code(args.codefile)
     # refuse the largest box before listing the sizes or building any space
-    n_sites = args.box**code.length
-    if args.box >= 1 and n_sites > args.max_sites:
-        raise GuardExceededError(f"box has {n_sites} sites, guard is {args.max_sites}")
+    if args.box >= 1:
+        windows_mod.guarded_site_count(itertools.repeat(args.box, code.length), args.max_sites)
     sizes = list(range(2, args.box + 1)) or [args.box]
     profile = windows_mod.entropy_profile(code, sizes, max_sites=args.max_sites)
     verdict = laurent_mod.entropy_verdict(code)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "sizes": sizes,
-                "ratios": [str(v) for v in profile],
-                "verdict": verdict,
-            },
-        )
-        return 0
+    payload = {
+        "sizes": sizes,
+        "ratios": [str(v) for v in profile],
+        "verdict": verdict,
+    }
     lines = []
     for n, ratio in zip(sizes, profile):
         sites = n**code.length
         lines.append(f"N={n}: log2 count {ratio * sites} over {sites} sites = {ratio}")
     lines.append(f"verdict: {verdict}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, payload, lines
 
 
 def _parse_int_csv(text: str) -> tuple[int, ...]:
@@ -196,7 +160,7 @@ def _parse_int_csv(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def cmd_mixing_witness(args: argparse.Namespace) -> int:
+def cmd_mixing_witness(args: argparse.Namespace) -> CommandResult:
     code = _load_code(args.codefile)
     n = _parse_int_csv(args.n)
     if len(n) != code.length:
@@ -207,44 +171,28 @@ def cmd_mixing_witness(args: argparse.Namespace) -> int:
         w = laurent_mod.mixing_certificate(code, n)
     except DegenerateCodeError as exc:
         witness = list(exc.kernel_witness) if exc.kernel_witness is not None else None
-        if args.json:
-            _emit_json(
-                args,
-                {"n": list(n), "degenerate": True, "kernel_witness": witness},
-            )
-        else:
-            _emit(args, f"degenerate code, kernel witness {tuple(witness or ())}")
-        return 1
+        payload = {"n": list(n), "degenerate": True, "kernel_witness": witness}
+        return 1, payload, [f"degenerate code, kernel witness {tuple(witness or ())}"]
     b = codes_mod.support_sum(n, w)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "n": list(n),
-                "degenerate": False,
-                "witness": str(w),
-                "support_sum": b,
-            },
-        )
-    else:
-        _emit(args, f"witness codeword {w} with support sum {b}")
-    return 0
+    payload = {
+        "n": list(n),
+        "degenerate": False,
+        "witness": str(w),
+        "support_sum": b,
+    }
+    return 0, payload, [f"witness codeword {w} with support sum {b}"]
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> CommandResult:
     code = _load_code(args.codefile)
     space = windows_mod.build_window_space(
         cube(code.length, args.box), code, max_sites=args.max_sites
     )
     config = windows_mod.sample(space, args.seed)
-    if args.json:
-        payload = config.to_json_dict()
-        payload["seed"] = args.seed
-        payload["log2_count"] = windows_mod.log2_count(space)
-        _emit_json(args, payload)
-    else:
-        _emit(args, config.to_bit_string())
-    return 0
+    payload = config.to_json_dict()
+    payload["seed"] = args.seed
+    payload["log2_count"] = windows_mod.log2_count(space)
+    return 0, payload, [config.to_bit_string()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc, payload, lines = args.func(args)
+        if args.json:
+            text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
+        else:
+            text = "\n".join(lines)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return rc
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -173,7 +173,8 @@ def contains_all_ones(c: BinaryCode) -> bool:
 def is_subcode(inner: BinaryCode, outer: BinaryCode) -> bool:
     if inner.length != outer.length:
         raise ValueError("length mismatch")
-    return all(contains_vector(outer, v) for v in inner.basis.row_vectors())
+    pivots = dict(zip(outer.pivots, outer.basis.rows))
+    return all(gf2.reduce_bits(r, pivots) == 0 for r in inner.basis.rows)
 
 
 def codewords(c: BinaryCode) -> Iterable[F2Vector]:
@@ -400,9 +401,10 @@ def star_closure_check(c: BinaryCode, c_prime: BinaryCode) -> bool:
     """
     if c.length != c_prime.length:
         raise ValueError("length mismatch")
-    rows = c.basis.row_vectors()
+    rows = c.basis.rows
+    pivots = dict(zip(c_prime.pivots, c_prime.basis.rows))
     return all(
-        contains_vector(c_prime, gf2.cw_product(rows[i], rows[j]))
+        gf2.reduce_bits(rows[i] & rows[j], pivots) == 0
         for i in range(len(rows))
         for j in range(i, len(rows))
     )

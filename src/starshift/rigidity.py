@@ -20,6 +20,7 @@ a linear space, sweeping the pairs (x, y, 0) decides every triple.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -507,12 +508,15 @@ def run_full_verification(
     Raises:
         ValueError: when ``box_size`` < 2, or from ``verify_dynamics``
             when ``samples`` < 1.
-        GuardExceededError: when a window space of the box exceeds
-            ``max_sites`` or the constraint-row guard, or from
-            ``verify_dynamics`` when the sampled sites exceed theirs.
+        GuardExceededError: when the box exceeds ``max_sites``, before
+            the code pair is built; when a window space of the box exceeds
+            the constraint-row guard; or from ``verify_dynamics`` when the
+            sampled sites exceed theirs.
     """
     if box_size < 2:
         raise ValueError(f"need box size >= 2, got {box_size}")
+    # the widths are never collected, so -d 10**9 costs a few multiplications
+    windows_mod.guarded_site_count(itertools.repeat(box_size, d), max_sites)
     system = construct_system(d)
     box = cube(d, box_size)
     space_xy = windows_mod.build_window_space(box, system.code, max_sites=max_sites)

@@ -66,6 +66,7 @@ __all__ = [
     "StencilPlan",
     "WindowSpace",
     "cube",
+    "guarded_site_count",
     "build_window_space",
     "log2_count",
     "sample",
@@ -412,6 +413,33 @@ class WindowSpace:
         return bits
 
 
+def guarded_site_count(widths: Iterable[int], max_sites: int) -> int:
+    """The site count of a box with these axis widths, refused above ``max_sites``.
+
+    The product stops at the first axis that takes it past the guard, so
+    ``itertools.repeat(2, 10**9)`` is refused after 15 multiplications.
+    The refusal names the count when every axis is in it, else "at least"
+    the partial product; past 4,096 bits it names "at least 2^k" instead,
+    since ``str(int)`` fails past 4,300 digits.
+
+    Raises:
+        GuardExceededError: when the count exceeds ``max_sites``.
+    """
+    n = 1
+    widths = iter(widths)
+    for w in widths:
+        n *= w
+        if n > max_sites:
+            if n.bit_length() > 4096:
+                count = f"at least 2^{n.bit_length() - 1}"
+            elif next(widths, None) is None:
+                count = str(n)
+            else:
+                count = f"at least {n}"
+            raise GuardExceededError(f"box has {count} sites, guard is {max_sites}")
+    return n
+
+
 def build_window_space(box: Box, code: BinaryCode, *, max_sites: int = MAX_SITES) -> WindowSpace:
     """Assemble the constraint system of a code's local rule on a box.
 
@@ -426,9 +454,7 @@ def build_window_space(box: Box, code: BinaryCode, *, max_sites: int = MAX_SITES
     """
     if box.dimension != code.length:
         raise ValueError("box dimension disagrees with the code length")
-    n_sites = box.site_count
-    if n_sites > max_sites:
-        raise GuardExceededError(f"box has {n_sites} sites, guard is {max_sites}")
+    n_sites = guarded_site_count(box.shape, max_sites)
     plan = _stencil_plan(box, codes_mod.dual(code).basis.row_vectors())
     n_rows = plan.anchor_mask.bit_count() * len(plan.taps)
     if n_rows > MAX_CONSTRAINT_ROWS:

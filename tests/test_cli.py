@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -416,6 +417,98 @@ class TestSample:
         capsys.readouterr()
         assert main(["sample", e2_file, "--box", "150", "--max-sites", "23000"]) == 0
         capsys.readouterr()
+
+
+class TestSiteGuard:
+    @pytest.mark.parametrize(
+        "argv",
+        [["sample", "--box", "2"], ["entropy", "--box", "2"], ["entropy", "--box", "9" * 4000]],
+        ids=["sample", "entropy", "entropy-4000-digit-box"],
+    )
+    def test_giant_site_count_exits_3(self, capsys, tmp_path, argv):
+        # 2^15000 sites, and (10^4000)^15000, print past Python's
+        # 4,300-digit limit on int to str conversion
+        path = tmp_path / "rep.code"
+        path.write_text("1" * 15_000 + "\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: box has at least ")
+        assert captured.out == ""
+
+    def test_verify_refuses_the_box_before_construction(self, capsys, monkeypatch):
+        def no_construct(d):
+            raise AssertionError("constructed the code pair")
+
+        monkeypatch.setattr(rigidity, "construct_system", no_construct)
+        assert main(["verify", "-d", "40", "--box", "2"]) == 3
+        assert capsys.readouterr().err == "error: box has at least 32768 sites, guard is 20000\n"
+
+    def test_verify_giant_dimension_refused_without_allocating(self):
+        # under a 1 GB address-space cap, building the 10^9-coordinate
+        # code pair ends in a MemoryError traceback
+        script = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from starshift.cli import main; raise SystemExit(main())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "verify", "-d", str(10**9)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: box has at least")
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_usage_errors_still_exit_2(self, capsys):
+        for argv in (["-d", "7"], ["-d", "40", "--box", "1"]):
+            assert main(["verify", *argv]) == 2
+            assert "error:" in capsys.readouterr().err
+
+
+def _every_command(c8_file, e2_file, tmp_path):
+    config = tmp_path / "config.json"
+    assert main(["sample", c8_file, "--json", "-o", str(config)]) == 0
+    return [
+        ["inspect", c8_file],
+        ["dual", c8_file],
+        ["check", c8_file, str(config)],
+        ["construct", "-d", "8"],
+        ["verify", "-d", "8", "--samples", "5"],
+        ["entropy", e2_file],
+        ["mixing-witness", c8_file, "--n", "1,0,0,0,0,0,0,0"],
+        ["sample", c8_file],
+    ]
+
+
+class TestOutputFile:
+    @pytest.fixture(autouse=True)
+    def frozen_clock(self, monkeypatch):
+        # verify's per-check timings then read 0.0 ms on every run
+        monkeypatch.setattr(rigidity, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_file_holds_the_stdout_bytes(self, capsys, tmp_path, c8_file, e2_file, mode):
+        commands = _every_command(c8_file, e2_file, tmp_path)
+        assert len({argv[0] for argv in commands}) == 8
+        for argv in commands:
+            assert main(argv + mode) == 0
+            stdout = capsys.readouterr().out
+            assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+            path = tmp_path / f"{argv[0]}.out"
+            assert main(argv + mode + ["-o", str(path)]) == 0
+            assert capsys.readouterr().out == ""
+            assert path.read_bytes() == stdout.encode()
+            if mode:
+                assert json.loads(stdout)["schema_version"] == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_missing_directory_exits_2(self, capsys, tmp_path, c8_file, e2_file, mode):
+        missing = tmp_path / "missing"
+        for argv in _every_command(c8_file, e2_file, tmp_path):
+            assert main(argv + mode + ["-o", str(missing / "report")]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "Traceback" not in captured.err
+            assert captured.out == ""
+            assert not missing.exists()
 
 
 class TestModuleEntry:

@@ -556,6 +556,28 @@ class TestStarClosure:
         )
         assert codes.star_closure_check(c, other) == expected
 
+    def test_subcode_and_closure_agree_with_spans(self):
+        # the outer code often holds the inner rows and some of their
+        # products, so each verdict comes out either way; closure implies
+        # containment, as a * a = a
+        rng = random.Random(14)
+        verdicts = set()
+        for _ in range(300):
+            length = rng.randint(1, 7)
+            inner = random_code(rng, length)
+            rows = [r for r in inner.basis.rows if rng.random() < 0.9]
+            rows += [a & b for a in inner.basis.rows for b in inner.basis.rows if rng.random() < 0.6]
+            rows += [rng.getrandbits(length) for _ in range(rng.randint(0, 2))]
+            outer = code_from_generators([F2Vector(length, r) for r in rows if r] or [F2Vector(length, 1)])
+            inner_words = span_words(inner.basis.rows)
+            outer_words = span_words(outer.basis.rows)
+            subcode = inner_words <= outer_words
+            closed = all(a & b in outer_words for a in inner_words for b in inner_words)
+            assert codes.is_subcode(inner, outer) == subcode
+            assert codes.star_closure_check(inner, outer) == closed
+            verdicts.add((subcode, closed))
+        assert verdicts == {(False, False), (True, False), (True, True)}
+
     def test_closure_with_all_ones_forces_containment(self):
         rng = random.Random(9)
         found = 0

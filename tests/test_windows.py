@@ -240,6 +240,33 @@ class TestWindowSpace:
         space = build_window_space(cube(2, 150), E2, max_sites=25_000)
         assert space.site_count == 22_500
 
+    def test_site_guard_admits_exactly_max_sites(self):
+        assert windows.guarded_site_count((100, 200), 20_000) == 20_000
+        with pytest.raises(GuardExceededError, match="^box has 20001 sites, guard is 20000$"):
+            windows.guarded_site_count((1, 20_001), 20_000)
+
+    def test_site_guard_stops_at_the_axis_that_passes_it(self):
+        def widths():
+            # 2^15 passes 20,000; one more axis may be read to tell
+            # whether the count is whole
+            for k in itertools.count():
+                assert k <= 15, "read widths past the guard"
+                yield 2
+
+        with pytest.raises(GuardExceededError, match="^box has at least 32768 sites, guard is 20000$"):
+            windows.guarded_site_count(widths(), 20_000)
+
+    @pytest.mark.parametrize(
+        "widths, count",
+        [((2**5000,), "at least 2^5000"), ((10**4000, 3), "at least 2^13287")],
+        ids=["whole", "partial"],
+    )
+    def test_site_guard_names_a_giant_count_as_a_power_of_two(self, widths, count):
+        # str() of either product passes Python's 4,300-digit limit
+        with pytest.raises(GuardExceededError) as info:
+            windows.guarded_site_count(widths, 20_000)
+        assert str(info.value) == f"box has {count} sites, guard is 20000"
+
     def test_row_guard(self):
         with pytest.raises(GuardExceededError):
             # 459^2 = 210,681 rows against the fixed 200,000-row guard

@@ -159,8 +159,28 @@ MUTANTS = [
     ),
     (
         "entropy_guard_dropped", C,
-        "    if args.box >= 1 and n_sites > args.max_sites:\n",
-        "    if False:\n",
+        "    if args.box >= 1:\n        windows_mod.guarded_site_count(",
+        "    if False:\n        windows_mod.guarded_site_count(",
+    ),
+    (
+        "site_guard_refuses_max_sites", W,
+        "        if n > max_sites:\n",
+        "        if n >= max_sites:\n",
+    ),
+    (
+        "verify_constructs_before_the_site_guard", R,
+        "    windows_mod.guarded_site_count(itertools.repeat(box_size, d), max_sites)\n",
+        "",
+    ),
+    (
+        "render_drops_the_file_newline", C,
+        "                fh.write(text + \"\\n\")\n",
+        "                fh.write(text)\n",
+    ),
+    (
+        "render_swaps_json_and_text", C,
+        "        if args.json:\n            text = json.dumps(",
+        "        if not args.json:\n            text = json.dumps(",
     ),
 ]
 
