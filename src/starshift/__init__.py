@@ -33,7 +33,6 @@ from .gf2 import F2Matrix, F2Vector
 from .laurent import (
     LaurentPoly,
     LinearFormIdeal,
-    UniLaurent,
     annihilator_ideal,
     collapse_to_univariate,
     entropy_verdict,

@@ -150,7 +150,9 @@ def code_from_generators(
 def dual(c: BinaryCode) -> BinaryCode:
     """The dual code, every vector orthogonal to all of ``c``."""
     kernel = gf2.kernel_basis(c.basis)
-    return code_from_generators(kernel)
+    # kernel row f is e_f plus pivot columns below f: in increasing f the
+    # rows share low pivots and the elimination is quadratic in their number
+    return code_from_generators(F2Matrix(kernel.rows[::-1], c.length))
 
 
 def is_self_orthogonal(c: BinaryCode) -> bool:
@@ -239,7 +241,6 @@ class WeightOrderedCodewords:
         self.code = c
         self.prefix: list[F2Vector] = []
         self._stream = _weight_order(c)
-        self._classes: list[list[int]] | None = None
 
     def __iter__(self) -> Iterator[F2Vector]:
         i = 0
@@ -265,6 +266,16 @@ class WeightOrderedCodewords:
         """Whether the all-ones vector is a codeword, decided once per code."""
         return contains_all_ones(self.code)
 
+    @functools.cached_property
+    def _classes(self) -> list[list[int]]:
+        """The coordinates of each distinct nonzero generator column."""
+        by_column: dict[tuple[int, ...], list[int]] = {}
+        for j in range(self.code.length):
+            column = tuple((r >> j) & 1 for r in self.code.basis.rows)
+            if any(column):
+                by_column.setdefault(column, []).append(j)
+        return list(by_column.values())
+
     def separable(self, n: Sequence[int]) -> bool:
         """Whether some codeword has a nonzero support sum against ``n``.
 
@@ -274,13 +285,6 @@ class WeightOrderedCodewords:
         sum on some class.  With one class per coordinate the code is
         non-degenerate and every nonzero ``n`` is separable.
         """
-        if self._classes is None:
-            by_column: dict[tuple[int, ...], list[int]] = {}
-            for j in range(self.code.length):
-                column = tuple((r >> j) & 1 for r in self.code.basis.rows)
-                if any(column):
-                    by_column.setdefault(column, []).append(j)
-            self._classes = list(by_column.values())
         if len(self._classes) == self.code.length:
             return True
         return any(sum(n[j] for j in cls) != 0 for cls in self._classes)
@@ -305,15 +309,13 @@ def weight_class(c: BinaryCode) -> str:
 
     Decided from the basis alone, by wt(a + b) = wt(a) + wt(b) - 2|a & b|:
     every codeword is even exactly when every basis row is even, and
-    doubly even exactly when the rows are doubly even and pairwise
-    orthogonal.  No codeword is enumerated.
+    doubly even exactly when the rows are doubly even and the code is
+    self-orthogonal.  No codeword is enumerated.
     """
     rows = c.basis.row_vectors()
     if any(gf2.weight(v) % 2 for v in rows):
         return "neither"
-    if all(gf2.weight(v) % 4 == 0 for v in rows) and all(
-        gf2.dot(rows[i], rows[j]) == 0 for i in range(len(rows)) for j in range(i + 1, len(rows))
-    ):
+    if all(gf2.weight(v) % 4 == 0 for v in rows) and is_self_orthogonal(c):
         return "doubly-even"
     return "even"
 
@@ -421,7 +423,8 @@ def even_weight_code(d: int) -> BinaryCode:
     """All even-weight vectors of length ``d`` (dimension d - 1); needs d >= 2."""
     if d < 2:
         raise ValueError("the even-weight code needs length at least 2")
-    rows = [1 | (1 << j) for j in range(1, d)]
+    # canonical rows e_j + e_{d-1}; rows e_0 + e_j share a pivot (quadratic in d)
+    rows = [(1 << j) | (1 << (d - 1)) for j in range(d - 1)]
     return code_from_generators(F2Matrix(tuple(rows), d))
 
 

@@ -16,6 +16,7 @@ returns explicit cofactors that re-expand to the queried polynomial.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,7 +32,6 @@ __all__ = [
     "POSITIVE_ENTROPY",
     "Monomial",
     "LaurentPoly",
-    "UniLaurent",
     "LinearFormIdeal",
     "linear_form",
     "annihilator_ideal",
@@ -57,6 +57,14 @@ Monomial = tuple[int, ...]
 
 def _mono_add(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _exponents(t: Iterable[int]) -> Monomial:
+    """The entries of ``t`` as ints; a non-integer is refused, never truncated."""
+    try:
+        return tuple(operator.index(e) for e in t)
+    except TypeError:
+        raise ValueError("exponents must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exponents: Sequence[int]) -> LaurentPoly:
-        t = tuple(int(e) for e in exponents)
+        t = _exponents(exponents)
         return cls(len(t), frozenset({t}))
 
     @classmethod
@@ -100,7 +108,7 @@ class LaurentPoly:
     def from_terms(cls, arity: int, terms: Iterable[Sequence[int]]) -> LaurentPoly:
         acc: set[Monomial] = set()
         for t in terms:
-            acc ^= {tuple(int(e) for e in t)}
+            acc ^= {_exponents(t)}
         return cls(arity, frozenset(acc))
 
     @property
@@ -140,7 +148,7 @@ class LaurentPoly:
 
     def shifted(self, m: Sequence[int]) -> LaurentPoly:
         """Multiply by the monomial u^m."""
-        mm = tuple(int(e) for e in m)
+        mm = _exponents(m)
         if len(mm) != self.arity:
             raise ValueError("shift arity mismatch")
         return LaurentPoly(self.arity, frozenset(_mono_add(t, mm) for t in self.terms))
@@ -168,41 +176,6 @@ class LaurentPoly:
                 if e != 0
             ]
             parts.append("*".join(factors) if factors else "1")
-        return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class UniLaurent:
-    """A univariate Laurent polynomial over GF(2), as a set of exponents."""
-
-    terms: frozenset[int]
-
-    @classmethod
-    def zero(cls) -> UniLaurent:
-        return cls(frozenset())
-
-    @classmethod
-    def one(cls) -> UniLaurent:
-        return cls(frozenset({0}))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: UniLaurent) -> UniLaurent:
-        return UniLaurent(self.terms ^ other.terms)
-
-    def __mul__(self, other: UniLaurent) -> UniLaurent:
-        acc: set[int] = set()
-        for a in self.terms:
-            for b in other.terms:
-                acc ^= {a + b}
-        return UniLaurent(frozenset(acc))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = ["1" if e == 0 else ("z" if e == 1 else f"z^{e}") for e in sorted(self.terms)]
         return " + ".join(parts)
 
 
@@ -398,17 +371,15 @@ def verify_cofactors(
     return acc == p
 
 
-def collapse_to_univariate(p: LaurentPoly, w: F2Vector) -> UniLaurent:
-    """Ring map sending u_j to z when w_j = 1 and to 1 otherwise.
+def collapse_to_univariate(p: LaurentPoly, w: F2Vector) -> LaurentPoly:
+    """Ring map into the one-variable ring: u_j goes to u1 when w_j = 1, else to 1.
 
-    A monomial u^n lands on z raised to the support sum of n over ``w``.
+    A monomial u^n lands on u1 raised to the support sum of n over ``w``,
+    and equal images cancel in pairs.
     """
     if p.arity != w.length:
         raise ValueError("arity mismatch")
-    acc: set[int] = set()
-    for t in p.terms:
-        acc ^= {support_sum(t, w)}
-    return UniLaurent(frozenset(acc))
+    return LaurentPoly.from_terms(1, [(support_sum(t, w),) for t in p.terms])
 
 
 def mixing_certificate(c: BinaryCode, n: Sequence[int]) -> F2Vector:

@@ -83,14 +83,14 @@ MAX_SITES = 20_000
 MAX_CONSTRAINT_ROWS = 200_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Box:
     """A half-open integer box: sites with lower[a] <= i[a] < upper[a].
 
-    Equal boxes are those with equal ``lower`` and ``upper``.  Equality
-    returns at once on the same object, which is the common case: the
-    configurations of one space share its box, and those gathered
-    through one plan share the plan's domain.
+    Equal boxes are those with equal ``lower`` and ``upper``.  The box
+    checks test identity first, since the configurations of one space
+    share its box and those gathered through one plan share its domain;
+    the hash, ``hash((lower, upper))``, is computed once per box.
     """
 
     lower: IntVector
@@ -102,22 +102,19 @@ class Box:
         if any(u <= l for l, u in zip(self.lower, self.upper)):
             raise ValueError("box must be nonempty on every axis")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lower == other.lower and self.upper == other.upper
-
     def __hash__(self) -> int:
+        return self._hash
+
+    # computed once per box; cached_property writes to the instance
+    # __dict__, outside the fields that equality, hashing and repr read
+    @functools.cached_property
+    def _hash(self) -> int:
         return hash((self.lower, self.upper))
 
     @property
     def dimension(self) -> int:
         return len(self.lower)
 
-    # computed once per box; cached_property writes to the instance
-    # __dict__, outside the fields that equality, hashing and repr read
     @functools.cached_property
     def shape(self) -> IntVector:
         return tuple(u - l for l, u in zip(self.lower, self.upper))
@@ -165,11 +162,13 @@ def cube(d: int, n: int) -> Box:
 _BIT_CHARS = {0: "0", 1: "1"}
 
 
-def _bits_from_string(chars: str) -> int:
-    """Bits of a site-order string of '0'/'1', character k at bit k."""
+def _bits_from_string(chars: str, box: Box) -> int:
+    """Bits of a string of '0'/'1', one per site of ``box`` in order, character k at bit k."""
+    if len(chars) != box.site_count:
+        raise ValueError("value string length disagrees with the box")
     if chars.strip("01"):
         raise ValueError("values must be 0 or 1")
-    return int(chars[::-1], 2) if chars else 0
+    return int(chars[::-1], 2)
 
 
 def _int_field(box_data: dict, key: str) -> IntVector:
@@ -198,12 +197,12 @@ class WindowConfig:
 
     @classmethod
     def from_values(cls, box: Box, values: Iterable[int]) -> WindowConfig:
-        """Configuration from per-site values 0/1 in site order."""
+        """Configuration from one value 0/1 per site, in site order; else ValueError."""
         try:
             chars = "".join([_BIT_CHARS[v] for v in values])
         except (KeyError, TypeError):
             raise ValueError("values must be 0 or 1") from None
-        return cls(box, _bits_from_string(chars))
+        return cls(box, _bits_from_string(chars, box))
 
     def value(self, site: Sequence[int]) -> int:
         return (self.bits >> self.box.index(site)) & 1
@@ -243,9 +242,7 @@ class WindowConfig:
         values = data.get("values")
         if not isinstance(values, str):
             raise ValueError("values must be a string of 0 and 1")
-        if len(values) != box.site_count:
-            raise ValueError("value string length disagrees with the box")
-        return cls(box, _bits_from_string(values))
+        return cls(box, _bits_from_string(values, box))
 
 
 @dataclass(frozen=True)
@@ -358,38 +355,30 @@ class _PivotParities:
         return _expand(mask, *self.free) | _expand(parities, *self.pivots)
 
 
+@dataclass(eq=False, repr=False)
 class WindowSpace:
     """The exact solution space of a code's local rule on a box.
 
-    ``plan`` is the stencil plan of the rule; ``constraint_matrix`` has
-    one bit-packed row per (anchor, dual-basis word), assembled from it;
-    ``solution_basis`` (materialized on first use) spans its kernel.
-    ``rank`` is available immediately after construction.  A space with
-    rank < free_dim draws from pivot parities built on its first draw,
-    any other space by combining ``solution_basis`` rows.
+    ``plan`` is the stencil plan of the rule; ``constraint_matrix``, of
+    rank ``rank``, has one bit-packed row per (anchor, dual-basis word).
+    ``solution_basis`` spans its kernel, computed on first use.  A space
+    with rank < free_dim draws from pivot parities computed on its first
+    draw, any other space by combining ``solution_basis`` rows.
     """
 
-    def __init__(
-        self,
-        box: Box,
-        code: BinaryCode,
-        plan: StencilPlan,
-        constraint_matrix: F2Matrix,
-        rank: int,
-    ):
-        self.box = box
-        self.code = code
-        self.plan = plan
-        self.constraint_matrix = constraint_matrix
-        self.rank = rank
-        self._solution_basis: F2Matrix | None = None
-        self._pivot_parities: _PivotParities | None = None
+    box: Box
+    code: BinaryCode
+    plan: StencilPlan
+    constraint_matrix: F2Matrix
+    rank: int
 
-    @property
+    @functools.cached_property
     def solution_basis(self) -> F2Matrix:
-        if self._solution_basis is None:
-            self._solution_basis = gf2.kernel_basis(self.constraint_matrix)
-        return self._solution_basis
+        return gf2.kernel_basis(self.constraint_matrix)
+
+    @functools.cached_property
+    def _pivot_parities(self) -> _PivotParities:
+        return _PivotParities(self.constraint_matrix)
 
     @property
     def site_count(self) -> int:
@@ -403,8 +392,6 @@ class WindowSpace:
     def _combine(self, mask: int) -> int:
         """The combination of ``solution_basis`` rows selected by ``mask``."""
         if self.rank < self.free_dim:
-            if self._pivot_parities is None:
-                self._pivot_parities = _PivotParities(self.constraint_matrix)
             return self._pivot_parities.combine(mask)
         bits = 0
         for k, row in enumerate(self.solution_basis.rows):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import canonical_basis_error, random_code, rational_support_rank, span_words
+from test_acceptance import budget
 from starshift import codes, gf2
 from starshift.codes import BinaryCode, code_from_generators
 from starshift.errors import CodeFileError, DegenerateCodeError, GuardExceededError
@@ -213,6 +214,13 @@ class TestDuality:
         for d in range(2, 13):
             assert codes.dual(codes.even_weight_code(d)) == codes.repetition_code(d)
 
+    def test_dual_of_a_long_repetition_code_is_linear(self):
+        # kernel rows in increasing free-column order all share pivot 0,
+        # which made the elimination quadratic (8.6 s at this length)
+        expected = codes.even_weight_code(8000)
+        with budget("dual of repetition_code(8000)", 1.0):
+            assert codes.dual(codes.repetition_code(8000)) == expected
+
     def test_dual_of_full_is_zero(self):
         z = codes.dual(codes.full_code(4))
         assert z.dim == 0
@@ -274,6 +282,12 @@ class TestWeightClass:
         else:
             expected = "neither"
         assert codes.weight_class(c) == expected
+
+    def test_doubly_even_rows_that_meet_once_are_only_even(self):
+        # two weight-4 rows sharing one site sum to a word of weight 6
+        c = code_from_generators(["10111000", "01010110"])
+        assert sorted(gf2.weight(v) for v in codes.codewords(c)) == [0, 4, 4, 6]
+        assert codes.weight_class(c) == "even"
 
     def test_doubly_even_orthogonal_basis_theorem(self):
         # a doubly even pairwise-orthogonal basis forces every codeword

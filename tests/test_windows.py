@@ -87,6 +87,17 @@ class TestBox:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @given(
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 3)), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 3)), min_size=1, max_size=3),
+    )
+    def test_equality_and_hash_follow_the_bounds(self, axes_a, axes_b):
+        a, b = (Box(tuple(l for l, _ in ax), tuple(l + w for l, w in ax)) for ax in (axes_a, axes_b))
+        assert (a == b) == ((a.lower, a.upper) == (b.lower, b.upper))
+        assert hash(a) == hash(a) == hash((a.lower, a.upper))
+        if a == b:
+            assert hash(a) == hash(b)
+
     def test_either_bound_tells_boxes_apart(self):
         b = Box((0, 0), (2, 2))
         assert b != Box((0, 0), (2, 3))
@@ -116,6 +127,11 @@ class TestWindowConfig:
             WindowConfig.from_values(b, [0, 2])
         with pytest.raises(ValueError):
             WindowConfig.zero(b) + WindowConfig.zero(cube(1, 3))
+
+    @pytest.mark.parametrize("values", [[1, 0, 0, 0], [1, 0, 0], [1], []])
+    def test_value_count_must_be_the_site_count(self, values):
+        with pytest.raises(ValueError, match="disagrees with the box"):
+            WindowConfig.from_values(cube(1, 2), values)
 
     def test_bits_bound_is_the_site_count(self):
         for box in (cube(1, 1), cube(1, 2), cube(2, 2), cube(3, 3)):
@@ -404,7 +420,7 @@ class TestSampling:
         space = build_window_space(cube(2, 140), codes.full_code(2))
         assert space.rank == 0
         assert sample(space, 7).bits == random.Random(7).getrandbits(space.free_dim)
-        assert space._solution_basis is None
+        assert "solution_basis" not in vars(space)
 
     def test_group_closure_of_samples(self):
         space = build_window_space(cube(2, 3), E2)

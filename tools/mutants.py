@@ -38,6 +38,7 @@ W = "src/starshift/windows.py"
 R = "src/starshift/rigidity.py"
 C = "src/starshift/cli.py"
 K = "src/starshift/codes.py"
+L = "src/starshift/laurent.py"
 
 # (name, file, old, new)
 MUTANTS = [
@@ -87,9 +88,20 @@ MUTANTS = [
         "    for t in list(offsets)[:1]:\n",
     ),
     (
-        "box_eq_compares_only_lower", W,
-        "        return self.lower == other.lower and self.upper == other.upper\n",
-        "        return self.lower == other.lower\n",
+        # eq=False leaves Box equality to object identity
+        "box_eq_false_restored", W,
+        "@dataclass(frozen=True)\nclass Box:\n",
+        "@dataclass(frozen=True, eq=False)\nclass Box:\n",
+    ),
+    (
+        "box_hash_of_lower_only", W,
+        "        return hash((self.lower, self.upper))\n",
+        "        return hash((self.lower,))\n",
+    ),
+    (
+        "values_length_unchecked", W,
+        "    if len(chars) != box.site_count:\n",
+        "    if False:\n",
     ),
     (
         "box_mismatch_by_identity_only", W,
@@ -156,6 +168,50 @@ MUTANTS = [
         "column_classes_keyed_by_coordinate", K,
         "by_column.setdefault(column, []).append(j)",
         "by_column.setdefault((j,), []).append(j)",
+    ),
+    (
+        "weight_class_without_self_orthogonality", K,
+        " for v in rows) and is_self_orthogonal(c):\n",
+        " for v in rows):\n",
+    ),
+    (
+        "dual_rows_in_increasing_order", K,
+        "code_from_generators(F2Matrix(kernel.rows[::-1], c.length))",
+        "code_from_generators(F2Matrix(kernel.rows, c.length))",
+    ),
+    (
+        "collapse_exponent_negated", L,
+        "[(support_sum(t, w),) for t in p.terms]",
+        "[(-support_sum(t, w),) for t in p.terms]",
+    ),
+    (
+        # negating the difference is an equivalent mutant: the totals only
+        # have to vanish, so the sum stands in for a sign error
+        "binomial_exponents_added", L,
+        "    diff = tuple(x - y for x, y in zip(a, b))\n",
+        "    diff = tuple(x + y for x, y in zip(a, b))\n",
+    ),
+    (
+        "unit_generator_screen_inverted", L,
+        "        # a single-variable generator is a unit, the ideal is everything\n"
+        "        return True\n",
+        "        # a single-variable generator is a unit, the ideal is everything\n"
+        "        return False\n",
+    ),
+    (
+        "term_budget_refuses_the_bound", L,
+        "    if len(p.terms) > MAX_EXPANSION_TERMS:\n",
+        "    if len(p.terms) >= MAX_EXPANSION_TERMS:\n",
+    ),
+    (
+        "degree_budget_refuses_the_bound", L,
+        "    if deg > MAX_EXPANSION_DEGREE:\n",
+        "    if deg >= MAX_EXPANSION_DEGREE:\n",
+    ),
+    (
+        "exponents_truncated_by_int", L,
+        "        return tuple(operator.index(e) for e in t)\n",
+        "        return tuple(int(e) for e in t)\n",
     ),
     (
         "entropy_guard_dropped", C,
