@@ -94,6 +94,24 @@ class SpanSolver:
         return self._reduce(v) == 0
 
 
+def free_column_mask(rows: tuple[int, ...], cols: int) -> int:
+    """The columns that are GF(2) sums of the columns below them, one column at a time.
+
+    These are the non-pivot columns of the reduced echelon form whose
+    pivots are lowest set bits: a column is a pivot exactly when it is
+    independent of every column below it.
+    """
+    below = SpanSolver()
+    free = 0
+    for c in range(cols):
+        column = sum(((r >> c) & 1) << i for i, r in enumerate(rows))
+        if below.member(column):
+            free |= 1 << c
+        else:
+            below.add(column)
+    return free
+
+
 def compress_bits(x: int, mask: int) -> int:
     """The bits of x under ``mask``, packed into the low bits, one bit at a time."""
     out, k = 0, 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -12,16 +13,17 @@ from oracles import (
     SpanSolver,
     compress_bits,
     expand_bits,
+    free_column_mask,
     gathered_shift,
     random_code,
     window_constraint_rows,
     window_log2_count,
     window_rule_holds,
 )
-from starshift import codes, windows
+from starshift import codes, rigidity, windows
 from starshift.codes import code_from_generators
 from starshift.errors import GuardExceededError
-from starshift.gf2 import F2Vector
+from starshift.gf2 import F2Matrix, F2Vector
 from starshift.laurent import LaurentPoly, annihilator_ideal, linear_form
 from starshift.windows import (
     Box,
@@ -466,6 +468,38 @@ class TestSampling:
         space = build_window_space(box, code)
         assert [sample(space, seed).bits for seed in range(5)] == expected
 
+    @pytest.mark.parametrize(
+        "which, expected",
+        [
+            (
+                "code",
+                [
+                    "5d0c47fa08b5054c1be5d915aef9e20769e9189755a50f21a26e1444fdea5d5e",
+                    "31243520235f4bb34b39f8efa1cec89c50d6abbdf8372cacb4d936187b74767d",
+                    "369441ddfc23876573c0a103e87b3057aba1d95c19fbe1f5b1478d5534afdbdf",
+                ],
+            ),
+            (
+                "product_code",
+                [
+                    "00f5c5e7c60c94fc89ade8b31db1e079ac97776130b61f45569a8febe29d940c",
+                    "ebd403c365daf00d52b2c1e00052b6da972a021e4dca9abec4bd3a8bc519c29d",
+                    "e3f2431f01b744764fc89a14e9e5e95d58ffd1240ed47c682125c026e292e24c",
+                ],
+            ),
+        ],
+    )
+    def test_box3_seeded_draws_are_pinned(self, which, expected):
+        # the two d = 8 box-3 spaces of `verify` draw through pivot parities
+        # (rank 977 of 6,561 sites and rank 256); SHA-256 of each bit string
+        space = build_window_space(cube(8, 3), getattr(rigidity.construct_system(8), which))
+        assert space.rank < space.free_dim
+        digests = [
+            hashlib.sha256(sample(space, seed).to_bit_string().encode()).hexdigest()
+            for seed in range(3)
+        ]
+        assert digests == expected
+
     @given(small_space_cases(), st.integers(0, 2**32))
     @example((cube(3, 3), codes.even_weight_code(3)), 0)  # parities: rank 8, free 19
     @example((cube(2, 4), E2), 0)  # kernel rows: rank 9, free 7
@@ -498,6 +532,54 @@ class TestSampling:
         k = nonconstant[0]
         hits = sum((sample(space, seed).bits >> k) & 1 for seed in range(10_000))
         assert 0.45 <= hits / 10_000 <= 0.55
+
+
+def _row(*bits):
+    return sum(1 << b for b in bits)
+
+
+@st.composite
+def parity_systems(draw):
+    """A matrix of dense rows and sparse ones (unit rows among them).
+
+    Past 140 columns most dense rows reduce to more free bits than the cut.
+    """
+    cols = draw(st.one_of(st.integers(1, 40), st.integers(140, 300)))
+    # hypothesis leans to small integers, so dense rows come from a seeded stream
+    dense = st.integers(0, 2**32).map(lambda seed: random.Random(seed).getrandbits(cols))
+    sparse = st.lists(st.integers(0, cols - 1), max_size=4, unique=True).map(lambda b: _row(*b))
+    return F2Matrix(tuple(draw(st.lists(st.one_of(dense, sparse), max_size=12))), cols)
+
+
+class TestPivotParities:
+    """A draw against the kernel element its free bits fix, found without the library."""
+
+    @staticmethod
+    def _assert_kernel_element(m, seed):
+        free = free_column_mask(m.rows, m.cols)
+        mask = random.Random(seed).getrandbits(free.bit_count())
+        x = windows._PivotParities(m).combine(mask)
+        # the free bits fix a kernel element; every row meets it evenly
+        assert 0 <= x < 1 << m.cols
+        assert x & free == expand_bits(mask, free)
+        assert all((row & x).bit_count() % 2 == 0 for row in m.rows)
+
+    @given(parity_systems(), st.integers(0, 2**32))
+    @example(F2Matrix((), 5), 0)  # rank 0
+    @example(F2Matrix((0, 0), 1), 0)  # rank 0, no free bit drawn either
+    @example(F2Matrix((_row(0), _row(0, 1), _row(1, 2)), 4), 0)  # no free bits in any row
+    @example(F2Matrix((_row(0, 1),), 2), 0)  # a single tap in total, mask 1
+    @example(F2Matrix((_row(*range(100)), _row(1, 150)), 160), 2)  # one row above the cut
+    def test_combine_is_the_kernel_element_of_its_free_bits(self, m, seed):
+        self._assert_kernel_element(m, seed)
+
+    def test_rows_either_side_of_the_cut(self):
+        # reduced rows with 64 and 65 free bits: the second takes the loop
+        m = F2Matrix((_row(0, *range(2, 66)), _row(1, *range(70, 135))), 200)
+        assert windows._HEAVY_ROW == 64
+        assert [k for k, _ in windows._PivotParities(m).heavy] == [1]
+        for seed in range(20):
+            self._assert_kernel_element(m, seed)
 
 
 class TestShiftRestrict:

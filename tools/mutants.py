@@ -8,12 +8,14 @@ Each mutant is one (file, old, new) text replacement under ``src/``; the
 old text must occur exactly once.  The script first runs Tier-1 on an
 unmutated copy of ``src/``, ``tests/``, ``perfbench/`` (whose hooks a
 test loads) and ``pyproject.toml`` in a temporary directory, then on
-one fresh copy per mutant, and writes ``tools/mutants.json``: per
-mutant, ``killed`` with the first failing test, or ``survived``.  A
-run that outlives five times the unmutated run (plus 30 s) is stopped
-and counts as killed by the timeout.  A survivor is a finding to fix in
-the program or the tests, never a reason to loosen a test.  Standard
-library only; not part of Tier-1.
+one fresh copy per mutant, and writes ``tools/mutants.json``: the
+hypothesis seed of every run, and per mutant ``killed`` with the first
+failing test, or ``survived``.  The seed is fixed, so two runs on one
+tree give the same verdicts.  A run that outlives five times the
+unmutated run (plus 30 s) is stopped and counts as killed by the
+timeout.  A survivor is a finding to fix in the program or the tests,
+never a reason to loosen a test.  Standard library only; not part of
+Tier-1.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "tools" / "mutants.json"
+# a fixed hypothesis seed, so that a second run of the catalogue gives the same verdicts
+HYPOTHESIS_SEED = 0
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", f"--hypothesis-seed={HYPOTHESIS_SEED}"]
 
 W = "src/starshift/windows.py"
 R = "src/starshift/rigidity.py"
@@ -73,9 +77,26 @@ MUTANTS = [
         "def _gather_plan_for(",
     ),
     (
+        # taps listed from the reduced rows before their compress to the free columns
         "parities_over_full_width_rows", W,
-        "        self.rows = [_compress(row, *self.free) for row in rref]\n",
-        "        self.rows = list(rref)\n",
+        "        rows = [_compress(row, *self.free) for row in rref]\n",
+        "        rows = list(rref)\n",
+    ),
+    (
+        "prefix_xor_one_doubling_short", W,
+        "range(max(len(taps) - 1, 0).bit_length())]",
+        "range(max(len(taps) - 1, 0).bit_length() - 1)]",
+    ),
+    (
+        "start_marks_read_at_row_ends", W,
+        "_compress(p << 1, *self.starts)",
+        "_compress(p << 1, *self.ends)",
+    ),
+    (
+        "heavy_rows_dropped", W,
+        "        for k, row in self.heavy:\n"
+        "            parities |= ((row & mask).bit_count() & 1) << k\n",
+        "",
     ),
     (
         "contains_box_ignores_arity", W,
@@ -300,7 +321,8 @@ def main() -> int:
             results.append({"name": name, "file": file, "verdict": verdict, "by": by})
             print(f"{verdict:8} {name} {by}")
             shutil.rmtree(tree)
-    OUT.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+    record = {"hypothesis_seed": HYPOTHESIS_SEED, "mutants": results}
+    OUT.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     survivors = [r["name"] for r in results if r["verdict"] == "survived"]
     if survivors:
         print(f"survived: {', '.join(survivors)}", file=sys.stderr)
