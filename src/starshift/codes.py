@@ -131,7 +131,9 @@ def code_from_generators(
     """Canonicalize arbitrary generator rows into a code.
 
     Accepts a matrix, vectors, or '0'/'1' strings.  Dependent and zero
-    rows are dropped by the reduction.
+    rows are dropped by the reduction.  The rows are reduced in order of
+    decreasing ``bit_length``, so rows that share a low pivot meet it
+    once each: the rows e_0 + e_j take one XOR each, not a chain of j.
     """
     if isinstance(rows, F2Matrix):
         m = rows
@@ -143,16 +145,18 @@ def code_from_generators(
             m = F2Matrix.from_vectors(rows, cols=length)  # type: ignore[arg-type]
     if length is not None and m.cols != length:
         raise ValueError("declared length disagrees with the generator rows")
-    rref, _ = gf2.reduced_rows(m.rows)
+    rref, _ = gf2.reduced_rows(sorted(m.rows, key=int.bit_length, reverse=True))
     return BinaryCode(m.cols, F2Matrix(tuple(rref), m.cols))
 
 
 def dual(c: BinaryCode) -> BinaryCode:
-    """The dual code, every vector orthogonal to all of ``c``."""
-    kernel = gf2.kernel_basis(c.basis)
-    # kernel row f is e_f plus pivot columns below f: in increasing f the
-    # rows share low pivots and the elimination is quadratic in their number
-    return code_from_generators(F2Matrix(kernel.rows[::-1], c.length))
+    """The dual code, every vector orthogonal to all of ``c``.
+
+    The kernel rows are read straight off the canonical basis, which is
+    already reduced, and then canonicalized.
+    """
+    kernel = gf2.kernel_rows(c.basis.rows, c.pivots, c.length)
+    return code_from_generators(F2Matrix(kernel, c.length))
 
 
 def is_self_orthogonal(c: BinaryCode) -> bool:
@@ -423,7 +427,6 @@ def even_weight_code(d: int) -> BinaryCode:
     """All even-weight vectors of length ``d`` (dimension d - 1); needs d >= 2."""
     if d < 2:
         raise ValueError("the even-weight code needs length at least 2")
-    # canonical rows e_j + e_{d-1}; rows e_0 + e_j share a pivot (quadratic in d)
     rows = [(1 << j) | (1 << (d - 1)) for j in range(d - 1)]
     return code_from_generators(F2Matrix(tuple(rows), d))
 

@@ -9,7 +9,7 @@ touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "IntVector",
@@ -19,7 +19,9 @@ __all__ = [
     "dot",
     "cw_product",
     "kernel_basis",
+    "kernel_rows",
     "echelon_pivots",
+    "back_substitute",
     "reduced_rows",
     "reduce_bits",
 ]
@@ -41,8 +43,9 @@ class F2Vector:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("vector length must be at least 1")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError("bits outside the declared length")
+        bits = self.bits
+        if not isinstance(bits, int) or bits < 0 or bits.bit_length() > self.length:
+            raise ValueError("bits must be an int with no bit outside the declared length")
 
     @classmethod
     def from_coords(cls, coords: Iterable[int]) -> F2Vector:
@@ -119,10 +122,10 @@ class F2Matrix:
     def __post_init__(self):
         if self.cols < 1:
             raise ValueError("matrix must have at least one column")
-        limit = 1 << self.cols
+        cols = self.cols
         for r in self.rows:
-            if not 0 <= r < limit:
-                raise ValueError("row outside the declared width")
+            if not isinstance(r, int) or r < 0 or r.bit_length() > cols:
+                raise ValueError("rows must be ints with no bit outside the declared width")
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[F2Vector], cols: int | None = None) -> F2Matrix:
@@ -219,47 +222,57 @@ def reduce_bits(bits: int, pivots: dict[int, int]) -> int:
     return cur
 
 
+def back_substitute(pivots: dict[int, int]) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon rows and their pivot columns, from echelon pivots.
+
+    ``pivots`` maps pivot column to an echelon row whose lowest set bit is
+    that column, as :func:`echelon_pivots` returns; it is left unchanged.
+    Returns ``(rref_rows, pivot_cols)``, both sorted by pivot column.
+
+    The pivots are walked from the highest column down.  Each echelon row
+    XORs in the already reduced row of every other pivot column it has
+    set, found as ``row & pivot_mask``; those rows carry no other pivot
+    bit, so the XORs commute and the cost is the number of pivot bits
+    actually set rather than rank squared.
+    """
+    cols = sorted(pivots)
+    pivot_mask = sum(1 << c for c in cols)
+    reduced: dict[int, int] = {}
+    for c in reversed(cols):
+        row = pivots[c]
+        hits = (row & pivot_mask) ^ (1 << c)
+        while hits:
+            low = hits & -hits
+            row ^= reduced[low.bit_length() - 1]
+            hits ^= low
+        reduced[c] = row
+    return [reduced[c] for c in cols], cols
+
+
 def reduced_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row-echelon rows and their pivot columns.
 
     Returns ``(rref_rows, pivot_cols)`` with both lists sorted by pivot
     column; zero rows are dropped.  Pivot choice is the lowest column
     index with a nonzero entry, which makes the output the canonical
-    reduced basis of the row space.
-
-    Back-substitution walks the pivots from the highest column down.
-    Each echelon row XORs in the already reduced row of every other
-    pivot column it has set, found as ``row & pivot_mask``; those rows
-    carry no other pivot bit, so the XORs commute and the cost is the
-    number of pivot bits actually set rather than rank squared.
+    reduced basis of the row space.  One :func:`echelon_pivots` pass,
+    then :func:`back_substitute`.
     """
-    pivots = echelon_pivots(rows)
-    cols = sorted(pivots)
-    pivot_mask = sum(1 << c for c in cols)
-    for c in reversed(cols):
-        row = pivots[c]
-        hits = (row & pivot_mask) ^ (1 << c)
-        while hits:
-            low = hits & -hits
-            row ^= pivots[low.bit_length() - 1]
-            hits ^= low
-        pivots[c] = row
-    return [pivots[c] for c in cols], cols
+    return back_substitute(echelon_pivots(rows))
 
 
-def kernel_basis(m: F2Matrix) -> F2Matrix:
-    """A basis of the right kernel ``{x : m x = 0}`` as matrix rows.
+def kernel_rows(rref: Sequence[int], pivot_cols: Sequence[int], cols: int) -> tuple[int, ...]:
+    """Basis rows of the right kernel of reduced rows over ``cols`` columns.
 
-    One basis row per free column, in increasing free-column order; a
-    full-rank matrix yields a matrix with no rows.
-
-    The basis row of free column ``f`` is ``f`` itself plus the pivot
-    column of every reduced row with bit ``f`` set, so the rows are read
-    off the free bits of the reduced rows in one pass over them.
+    ``rref`` and ``pivot_cols`` are a reduced row-echelon form, as
+    :func:`back_substitute` returns.  One row per free column, in
+    increasing free-column order.  The row of free column ``f`` is ``f``
+    itself plus the pivot column of every reduced row with bit ``f`` set,
+    so the rows are read off the free bits of the reduced rows in one
+    pass over them.
     """
-    rref, pivot_cols = reduced_rows(m.rows)
     pivot_set = set(pivot_cols)
-    basis = {f: 1 << f for f in range(m.cols) if f not in pivot_set}
+    basis = {f: 1 << f for f in range(cols) if f not in pivot_set}
     free_mask = sum(basis.values())
     for prow, pcol in zip(rref, pivot_cols):
         scan = prow & free_mask
@@ -267,4 +280,14 @@ def kernel_basis(m: F2Matrix) -> F2Matrix:
             low = scan & -scan
             basis[low.bit_length() - 1] |= 1 << pcol
             scan ^= low
-    return F2Matrix(tuple(basis.values()), m.cols)
+    return tuple(basis.values())
+
+
+def kernel_basis(m: F2Matrix) -> F2Matrix:
+    """A basis of the right kernel ``{x : m x = 0}`` as matrix rows.
+
+    One basis row per free column, in increasing free-column order; a
+    full-rank matrix yields a matrix with no rows.  :func:`reduced_rows`,
+    then :func:`kernel_rows`.
+    """
+    return F2Matrix(kernel_rows(*reduced_rows(m.rows), m.cols), m.cols)

@@ -30,30 +30,36 @@ lookups on 46 keys, all of them shifts: a fresh process builds the 46
 plans (about 1.4 ms in all, 0.14 ms for one ``verify -d 8 --box 2``) and
 hits 17,472 times, and a later pass hits every lookup.
 
+Every space is eliminated once, when it is built: ``echelon`` maps each
+pivot column to its echelon row, and the rank is its size.  Draws and
+``solution_basis`` back-substitute that echelon when first needed and keep
+only what they derive, not the reduced rows themselves (22,201 more big
+ints on a 150 x 150 box).  Window rows are eliminated in plan order,
+unsorted: each anchor's rows meet few earlier pivots, and the sort that
+``code_from_generators`` needs for arbitrary generator rows only slows
+the planar elimination down.
+
 Sampling draws one mask of free_dim = sites - rank random bits and
 forms the combination of the kernel basis rows it selects.  Kernel row f
 is e_f plus every pivot column whose reduced row has bit f set, so the
 combination is also the mask expanded onto the free columns, OR the
-parities of (reduced row on the free columns) & mask expanded onto the
-pivot columns.  Reduced rows are sparse: at d = 8 on [0, 3)^8 the
-code's 977 rows hold 6,973 set bits over 5,584 free columns (7.1 a row,
-at most 25) and the product code's 256 rows 3,136 over 6,305 (12.2 a
-row, at most 19).  So a parity draw gathers just those mask bits, row
-by row, out of the mask's binary string, and reads every row's parity
+parities of (reduced row) & (expanded mask) expanded onto the pivot
+columns.  Reduced rows are sparse: at d = 8 on [0, 3)^8 the code's 977
+rows hold 6,973 free bits over 5,584 free columns (7.1 a row, at most
+25) and the product code's 256 rows 3,136 over 6,305 (12.2 a row, at
+most 19).  So a parity draw gathers just those bits of the expanded
+mask, row by row, out of its binary string, and reads every row's parity
 off one prefix XOR: a fixed number of C-level big-int and string calls
-over about nnz + free_dim bits, nnz being the set bits of all rows,
-with no Python loop per row.  There a draw takes 0.106 ms and
-0.053 ms where an AND-and-count of every row took 0.296 ms and
-0.082 ms, and the set-up of a space 11.0 ms and 1.98 ms where it took
-6.1 ms and 0.83 ms (medians of 7 alternated runs, each the best of
-7 x 200 draws, on a shared 2-vCPU host).  On the box-2 spaces, of
-rank 1 to 4, the fixed cost of formatting the mask (3.5 us at 4,095
-free columns) makes a draw 1 to 5 us slower than that loop.  A row
-with more than ``_HEAVY_ROW`` = 64 set bits keeps the AND-and-count,
-which bounds the gather at 64 x rank entries.  The XOR of kernel rows
-costs about free_dim / 2 x sites bits, so a space draws by parities
-only when rank < free_dim.  Both give the same bits from the same
-random call, so seeded streams do not depend on the choice.
+over about nnz + sites bits, nnz being the free bits of all rows, with
+no Python loop per row.  On the box-2 spaces, of rank 1 to 4, the fixed
+cost of formatting the mask (about 3.5 us at 4,096 sites) outweighs the
+few bits gathered, and an AND-and-count of every row would draw a few
+microseconds faster.  A row with more than ``_HEAVY_ROW`` = 64 free bits
+keeps the AND-and-count, which bounds the gather at 64 x rank entries.
+The XOR of kernel rows costs about free_dim / 2 x sites bits, so a space
+draws by parities only when rank < free_dim.  Both give the same bits
+from the same random call, so seeded streams do not depend on the
+choice.
 """
 
 from __future__ import annotations
@@ -347,45 +353,43 @@ def _expand(x: int, mask: int, moves: Sequence[tuple[int, int]]) -> int:
     return x & mask
 
 
-# A row with more set free bits than this keeps the AND-and-count loop,
+# A row with more free bits than this keeps the AND-and-count loop,
 # so the tap list of a space holds at most _HEAVY_ROW x rank entries.
 _HEAVY_ROW = 64
 
 
 class _PivotParities:
-    """Kernel combinations read off the reduced pivot rows of a matrix.
+    """Kernel combinations read off the reduced rows of a window system.
 
-    Built once per space.  Each reduced row, compressed to the free
-    columns, is listed by its set bits, lowest first, as taps: positions
-    in ``format(mask, spec)``, where free column f is character
-    free_dim - f and character 0 is a padding '0'.  Rows follow one
-    another from the lowest bit of the gathered int up; a row with no
-    set bit, or with more than ``_HEAVY_ROW``, has the one tap on the
-    padding, and a heavy row is kept whole in ``heavy``.  ``starts`` and
-    ``ends`` mark the lowest and highest bit of every row, each with its
-    moves.
+    Built once per space from its reduced rows and their pivot columns.
+    A reduced row has no pivot bit but its own, so each row without that
+    bit is listed by its set bits, lowest first, as taps: positions in
+    ``format(free_bits, spec)``, where column f is character cols - f and
+    character 0 is a padding '0'.  Rows follow one another from the
+    lowest bit of the gathered int up; a row with no set bit, or with
+    more than ``_HEAVY_ROW``, has the one tap on the padding, and a heavy
+    row is kept whole in ``heavy``.  ``starts`` and ``ends`` mark the
+    lowest and highest bit of every row, each with its moves.
 
-    A draw is one ``format``, one gather, one ``join`` and one
-    ``int(s, 2)``, then a prefix XOR P in ceil(log2 taps) doublings.
-    Row k's parity is P[end_k] ^ P[start_k - 1], and two compresses read
-    it for every row at once.  Each heavy row is ANDed with the mask and
-    counted instead.  The parities expand onto the pivot columns and
-    the mask onto the free columns, as the module docstring derives.
+    A draw expands the mask onto the free columns, then is one
+    ``format``, one gather, one ``join`` and one ``int(s, 2)``, then a
+    prefix XOR P in ceil(log2 taps) doublings.  Row k's parity is
+    P[end_k] ^ P[start_k - 1], and two compresses read it for every row
+    at once.  Each heavy row is ANDed with the free bits and counted
+    instead.  The parities expand onto the pivot columns, as the module
+    docstring derives.
     """
 
-    def __init__(self, m: F2Matrix):
-        rref, pivot_cols = gf2.reduced_rows(m.rows)
+    def __init__(self, rref: Sequence[int], pivot_cols: Sequence[int], cols: int):
         pivot_mask = functools.reduce(operator.or_, (1 << p for p in pivot_cols), 0)
-        free_mask = ((1 << m.cols) - 1) ^ pivot_mask
-        free_dim = m.cols - len(pivot_cols)
-        self.pivots = pivot_mask, _moves(pivot_mask, m.cols)
-        self.free = free_mask, _moves(free_mask, m.cols)
-        # a reduced row has no pivot bit but its own, which the compress drops
-        rows = [_compress(row, *self.free) for row in rref]
+        free_mask = ((1 << cols) - 1) ^ pivot_mask
+        self.pivots = pivot_mask, _moves(pivot_mask, cols)
+        self.free = free_mask, _moves(free_mask, cols)
         self.heavy = []
         taps = []
         starts = ends = 0
-        for k, row in enumerate(rows):
+        for k, (row, pivot) in enumerate(zip(rref, pivot_cols)):
+            row ^= 1 << pivot
             starts |= 1 << len(taps)
             if row.bit_count() > _HEAVY_ROW:
                 self.heavy.append((k, row))
@@ -395,10 +399,10 @@ class _PivotParities:
             # one step per set bit, not per column
             while row:
                 low = row & -row
-                taps.append(free_dim + 1 - low.bit_length())
+                taps.append(cols + 1 - low.bit_length())
                 row ^= low
             ends |= 1 << (len(taps) - 1)
-        self.spec = f"0{free_dim + 1}b"
+        self.spec = f"0{cols + 1}b"
         # int(s, 2) reads the string from its highest bit down; a padding
         # '0' on top keeps the string nonempty at rank 0
         self.gather = operator.itemgetter(0, *reversed(taps))
@@ -407,40 +411,48 @@ class _PivotParities:
         self.ends = ends, _moves(ends, len(taps))
 
     def combine(self, mask: int) -> int:
-        p = int("".join(self.gather(format(mask, self.spec))), 2)
+        free_bits = _expand(mask, *self.free)
+        p = int("".join(self.gather(format(free_bits, self.spec))), 2)
         for s in self.doublings:
             p ^= p << s
         parities = _compress(p, *self.ends) ^ _compress(p << 1, *self.starts)
         for k, row in self.heavy:
-            parities |= ((row & mask).bit_count() & 1) << k
-        return _expand(mask, *self.free) | _expand(parities, *self.pivots)
+            parities |= ((row & free_bits).bit_count() & 1) << k
+        return free_bits | _expand(parities, *self.pivots)
 
 
 @dataclass(eq=False, repr=False)
 class WindowSpace:
     """The exact solution space of a code's local rule on a box.
 
-    ``plan`` is the stencil plan of the rule; ``constraint_matrix``, of
-    rank ``rank``, has one bit-packed row per (anchor, dual-basis word).
-    ``solution_basis`` spans its kernel, computed on first use.  A space
-    with rank < free_dim draws from pivot parities, set up on its first
-    draw at a cost proportional to the set bits of its reduced rows, any
-    other space by combining ``solution_basis`` rows.
+    ``plan`` is the stencil plan of the rule; ``constraint_matrix`` has
+    one bit-packed row per (anchor, dual-basis word).  ``echelon`` is the
+    one elimination of those rows, pivot column to echelon row as
+    :func:`gf2.echelon_pivots` returns it, and ``rank`` is its size.
+    Sampling and ``solution_basis`` back-substitute it on first use and
+    keep only what they derive: a space with rank < free_dim draws from
+    pivot parities, set up at a cost proportional to the set bits of the
+    reduced rows, any other space by combining ``solution_basis`` rows.
     """
 
     box: Box
     code: BinaryCode
     plan: StencilPlan
     constraint_matrix: F2Matrix
-    rank: int
+    echelon: dict[int, int]
+
+    @property
+    def rank(self) -> int:
+        return len(self.echelon)
 
     @functools.cached_property
     def solution_basis(self) -> F2Matrix:
-        return gf2.kernel_basis(self.constraint_matrix)
+        cols = self.site_count
+        return F2Matrix(gf2.kernel_rows(*gf2.back_substitute(self.echelon), cols), cols)
 
     @functools.cached_property
     def _pivot_parities(self) -> _PivotParities:
-        return _PivotParities(self.constraint_matrix)
+        return _PivotParities(*gf2.back_substitute(self.echelon), self.site_count)
 
     @property
     def site_count(self) -> int:
@@ -511,9 +523,7 @@ def build_window_space(box: Box, code: BinaryCode, *, max_sites: int = MAX_SITES
             f"system has {n_rows} constraint rows, guard is {MAX_CONSTRAINT_ROWS}"
         )
     rows = plan.rows()
-    matrix = F2Matrix(tuple(rows), n_sites)
-    rank = len(gf2.echelon_pivots(rows))
-    return WindowSpace(box, code, plan, matrix, rank)
+    return WindowSpace(box, code, plan, F2Matrix(tuple(rows), n_sites), gf2.echelon_pivots(rows))
 
 
 def log2_count(space: WindowSpace) -> int:

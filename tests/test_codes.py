@@ -139,6 +139,15 @@ class TestConstruction:
         c = code_from_generators(["110", "110"])
         assert c.dim == 1
 
+    def test_rows_sharing_a_low_pivot_take_one_step_each(self):
+        # e_0 + e_j in increasing j: row j would walk the j - 1 pivots found
+        # before it, unless the rows are taken in decreasing bit length
+        n = 8000
+        rows = F2Matrix(tuple(1 | 1 << j for j in range(1, n)), n)
+        expected = codes.even_weight_code(n)
+        with budget("code_from_generators on e_0 + e_j, n = 8000", 1.0):
+            assert code_from_generators(rows) == expected
+
     def test_even_weight_code(self):
         for d in range(2, 9):
             e = codes.even_weight_code(d)
@@ -220,6 +229,16 @@ class TestDuality:
         expected = codes.even_weight_code(8000)
         with budget("dual of repetition_code(8000)", 1.0):
             assert codes.dual(codes.repetition_code(8000)) == expected
+
+    def test_dual_eliminates_only_its_kernel_rows(self, eliminations):
+        # the canonical basis is already reduced: its kernel rows are read
+        # straight off it, and only they are eliminated
+        c = code_from_generators(["110100", "011010", "000111"])
+        eliminations.clear()
+        d = codes.dual(c)
+        assert len(eliminations) == 1 and eliminations[0] != list(c.basis.rows)
+        assert d.dim == 3
+        assert all(gf2.dot(v, w) == 0 for v in c.basis.row_vectors() for w in d.basis.row_vectors())
 
     def test_dual_of_full_is_zero(self):
         z = codes.dual(codes.full_code(4))

@@ -62,6 +62,11 @@ class TestF2Vector:
         with pytest.raises(ValueError):
             F2Vector(3, 1) + F2Vector(4, 1)
 
+    def test_non_integer_bits_rejected(self):
+        # 0 <= 1.5 < 2^3 holds, so a range test alone would let it through
+        with pytest.raises(ValueError):
+            F2Vector(3, 1.5)
+
     @given(vector_pairs())
     def test_addition_is_xor(self, pair):
         v, w = pair
@@ -149,6 +154,14 @@ class TestRowReduce:
         residue = gf2.reduce_bits(probe, pivots)
         assert (residue == 0) == (probe in span_words(m.rows))
 
+    @given(matrices())
+    def test_back_substitution_leaves_the_echelon_as_it_was(self, m):
+        # a window space keeps its echelon and back-substitutes it on demand
+        pivots = gf2.echelon_pivots(m.rows)
+        before = dict(pivots)
+        assert gf2.back_substitute(pivots) == gf2.reduced_rows(m.rows)
+        assert pivots == before
+
 
 class TestKernel:
     @given(matrices())
@@ -208,6 +221,12 @@ class TestMatrixConstruction:
             F2Matrix.from_strings(["10", "100"])
         with pytest.raises(ValueError):
             F2Matrix((4,), 2)
+
+    def test_non_integer_rows_rejected(self):
+        with pytest.raises(ValueError):
+            F2Matrix((2.5,), 3)
+        with pytest.raises(ValueError):
+            F2Matrix((1, -1), 3)
 
     def test_oracle_solver_agrees_with_library(self):
         # sanity-check the test-side span solver against known spans

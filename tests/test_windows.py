@@ -20,7 +20,7 @@ from oracles import (
     window_log2_count,
     window_rule_holds,
 )
-from starshift import codes, rigidity, windows
+from starshift import codes, gf2, rigidity, windows
 from starshift.codes import code_from_generators
 from starshift.errors import GuardExceededError
 from starshift.gf2 import F2Matrix, F2Vector
@@ -534,6 +534,39 @@ class TestSampling:
         assert 0.45 <= hits / 10_000 <= 0.55
 
 
+class TestOneElimination:
+    """A space eliminates its constraint rows once; rank, draws and kernel share it."""
+
+    @pytest.mark.parametrize(
+        "box, code, parities",
+        [
+            (cube(3, 3), codes.even_weight_code(3), True),  # rank 8, free 19
+            (cube(2, 4), E2, False),  # rank 9, free 7
+        ],
+    )
+    def test_build_sample_and_kernel(self, eliminations, box, code, parities):
+        space = build_window_space(box, code)
+        sample(space, 0)
+        basis = space.solution_basis
+        rows = list(space.constraint_matrix.rows)
+        assert eliminations.count(rows) == 1
+        assert ("_pivot_parities" in vars(space)) == parities
+        # back-substitution leaves the echelon of the rank as it was
+        assert space.echelon == gf2.echelon_pivots(rows)
+        assert basis.num_rows == space.free_dim
+
+    def test_verify_at_box_3(self, eliminations):
+        system = rigidity.construct_system(8)
+        spaces = [build_window_space(cube(8, 3), c) for c in (system.code, system.product_code)]
+        eliminations.clear()
+        report = rigidity.run_full_verification(8, box_size=3)
+        assert report.passed
+        for space, n_rows in zip(spaces, (1024, 256)):
+            rows = list(space.constraint_matrix.rows)
+            assert len(rows) == n_rows
+            assert eliminations.count(rows) == 1
+
+
 def _row(*bits):
     return sum(1 << b for b in bits)
 
@@ -558,7 +591,7 @@ class TestPivotParities:
     def _assert_kernel_element(m, seed):
         free = free_column_mask(m.rows, m.cols)
         mask = random.Random(seed).getrandbits(free.bit_count())
-        x = windows._PivotParities(m).combine(mask)
+        x = windows._PivotParities(*gf2.reduced_rows(m.rows), m.cols).combine(mask)
         # the free bits fix a kernel element; every row meets it evenly
         assert 0 <= x < 1 << m.cols
         assert x & free == expand_bits(mask, free)
@@ -577,7 +610,7 @@ class TestPivotParities:
         # reduced rows with 64 and 65 free bits: the second takes the loop
         m = F2Matrix((_row(0, *range(2, 66)), _row(1, *range(70, 135))), 200)
         assert windows._HEAVY_ROW == 64
-        assert [k for k, _ in windows._PivotParities(m).heavy] == [1]
+        assert [k for k, _ in windows._PivotParities(*gf2.reduced_rows(m.rows), m.cols).heavy] == [1]
         for seed in range(20):
             self._assert_kernel_element(m, seed)
 

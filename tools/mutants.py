@@ -38,6 +38,7 @@ HYPOTHESIS_SEED = 0
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", f"--hypothesis-seed={HYPOTHESIS_SEED}"]
 
+G = "src/starshift/gf2.py"
 W = "src/starshift/windows.py"
 R = "src/starshift/rigidity.py"
 C = "src/starshift/cli.py"
@@ -77,10 +78,21 @@ MUTANTS = [
         "def _gather_plan_for(",
     ),
     (
-        # taps listed from the reduced rows before their compress to the free columns
-        "parities_over_full_width_rows", W,
-        "        rows = [_compress(row, *self.free) for row in rref]\n",
-        "        rows = list(rref)\n",
+        # a pivot bit reads as '0' in the free bits, so only the heavy cut sees it
+        "taps_keep_the_rows_own_pivot_bit", W,
+        "            row ^= 1 << pivot\n",
+        "",
+    ),
+    (
+        # back-substitution writing the reduced rows into the space's echelon
+        "back_substitution_in_place", G,
+        "    reduced: dict[int, int] = {}\n",
+        "    reduced = pivots\n",
+    ),
+    (
+        "parities_eliminate_the_rows_again", W,
+        "        return _PivotParities(*gf2.back_substitute(self.echelon), self.site_count)\n",
+        "        return _PivotParities(*gf2.reduced_rows(self.constraint_matrix.rows), self.site_count)\n",
     ),
     (
         "prefix_xor_one_doubling_short", W,
@@ -95,7 +107,7 @@ MUTANTS = [
     (
         "heavy_rows_dropped", W,
         "        for k, row in self.heavy:\n"
-        "            parities |= ((row & mask).bit_count() & 1) << k\n",
+        "            parities |= ((row & free_bits).bit_count() & 1) << k\n",
         "",
     ),
     (
@@ -196,9 +208,9 @@ MUTANTS = [
         " for v in rows):\n",
     ),
     (
-        "dual_rows_in_increasing_order", K,
-        "code_from_generators(F2Matrix(kernel.rows[::-1], c.length))",
-        "code_from_generators(F2Matrix(kernel.rows, c.length))",
+        "generators_reduced_unsorted", K,
+        "gf2.reduced_rows(sorted(m.rows, key=int.bit_length, reverse=True))",
+        "gf2.reduced_rows(m.rows)",
     ),
     (
         "collapse_exponent_negated", L,
