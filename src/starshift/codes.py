@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -373,13 +374,17 @@ def nondegeneracy_witness(c: BinaryCode, n: Sequence[int]) -> F2Vector:
     once, otherwise the stream is extended until the witness appears.
 
     Raises:
-        ValueError: if ``n`` is zero or has the wrong length.
+        ValueError: if an entry of ``n`` is not an integer, or ``n`` is
+            zero or has the wrong length.
         DegenerateCodeError: if no codeword separates ``n``; the error
             carries the integer kernel witness of the code.
         GuardExceededError: if the witness lies beyond the candidates the
             enumeration guard allows.
     """
-    n = tuple(map(int, n))
+    try:
+        n = tuple(map(operator.index, n))
+    except TypeError:
+        raise ValueError("entries of n must be integers") from None
     if len(n) != c.length:
         raise ValueError("length mismatch")
     if not any(n):

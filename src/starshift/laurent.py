@@ -390,7 +390,8 @@ def mixing_certificate(c: BinaryCode, n: Sequence[int]) -> F2Vector:
     collapse along w sends u^n + 1 to a nonzero binomial.
 
     Raises:
-        ValueError: when the code misses the all-ones vector or n is zero.
+        ValueError: when the code misses the all-ones vector, or an entry
+            of n is not an integer, or n is zero.
         DegenerateCodeError: when the code is integrally degenerate.
     """
     if not codes_mod.codewords_by_weight(c).has_all_ones:

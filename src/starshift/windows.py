@@ -30,9 +30,14 @@ lookups on 46 keys, all of them shifts: a fresh process builds the 46
 plans (about 1.4 ms in all, 0.14 ms for one ``verify -d 8 --box 2``) and
 hits 17,472 times, and a later pass hits every lookup.
 
-Every space is eliminated once, when it is built: ``echelon`` maps each
-pivot column to its echelon row, and the rank is its size.  Draws and
-``solution_basis`` back-substitute that echelon when first needed and keep
+A space is its box, code, plan and echelon.  It is eliminated once, when
+it is built: the plan streams its rows into the elimination one at a time,
+and ``echelon`` maps each pivot column to its echelon row, the rank being
+its size.  The raw rows are never stored: on [0, 27)^3 with the length-3
+repetition code they would add 47.0 MB to the 27.5 MB the space holds
+(tracemalloc).  That every row lies inside the box is checked once on
+the plan, from its highest anchor bit and largest offset.  Draws and
+``solution_basis`` back-substitute the echelon when first needed and keep
 only what they derive, not the reduced rows themselves (22,201 more big
 ints on a 150 x 150 box).  Window rows are eliminated in plan order,
 unsorted: each anchor's rows meet few earlier pivots, and the sort that
@@ -108,16 +113,27 @@ MAX_CONSTRAINT_ROWS = 200_000
 class Box:
     """A half-open integer box: sites with lower[a] <= i[a] < upper[a].
 
-    Equal boxes are those with equal ``lower`` and ``upper``.  The box
-    checks test identity first, since the configurations of one space
-    share its box and those gathered through one plan share its domain;
-    the hash, ``hash((lower, upper))``, is computed once per box.
+    The bounds are stored as tuples of ints, each read through
+    ``operator.index``; a float or other non-integer bound raises
+    ``ValueError``.  Equal boxes are those with equal ``lower`` and
+    ``upper``.  The box checks test identity first, since the
+    configurations of one space share its box and those gathered through
+    one plan share its domain; the hash, ``hash((lower, upper))``, is
+    computed once per box.
     """
 
     lower: IntVector
     upper: IntVector
 
     def __post_init__(self):
+        try:
+            lower = tuple(map(operator.index, self.lower))
+            upper = tuple(map(operator.index, self.upper))
+        except TypeError:
+            raise ValueError("box bounds must be integers") from None
+        # frozen: the normalised bounds replace the given ones in place
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         if len(self.lower) != len(self.upper) or not self.lower:
             raise ValueError("lower and upper must be nonempty and of equal arity")
         if any(u <= l for l, u in zip(self.lower, self.upper)):
@@ -281,12 +297,16 @@ class StencilPlan:
     anchor_mask: int
     taps: tuple[tuple[int, ...], ...]
 
-    def rows(self) -> list[int]:
-        """Constraint rows: anchors in site order, dual words within each."""
+    def rows(self) -> Iterator[int]:
+        """Constraint rows, one pass: anchors in site order, dual words within each.
+
+        Each anchor bit is read off the binary string of ``anchor_mask`` as
+        the pass reaches it, and each row is made when it is asked for, so
+        no list of anchors or rows is built.
+        """
         patterns = [functools.reduce(operator.xor, (1 << o for o in t), 0) for t in self.taps]
-        s = format(self.anchor_mask, "b")[::-1]
-        bases = [k for k, ch in enumerate(s) if ch == "1"]
-        return [p << base for base in bases for p in patterns]
+        bits = format(self.anchor_mask, "b")[::-1]
+        return (p << base for base, ch in enumerate(bits) if ch == "1" for p in patterns)
 
 
 def _strides(shape: IntVector) -> list[int]:
@@ -425,21 +445,26 @@ class _PivotParities:
 class WindowSpace:
     """The exact solution space of a code's local rule on a box.
 
-    ``plan`` is the stencil plan of the rule; ``constraint_matrix`` has
-    one bit-packed row per (anchor, dual-basis word).  ``echelon`` is the
-    one elimination of those rows, pivot column to echelon row as
-    :func:`gf2.echelon_pivots` returns it, and ``rank`` is its size.
-    Sampling and ``solution_basis`` back-substitute it on first use and
-    keep only what they derive: a space with rank < free_dim draws from
-    pivot parities, set up at a cost proportional to the set bits of the
+    A space holds the stencil plan of the rule and ``echelon``, the one
+    elimination of the plan's rows, pivot column to echelon row as
+    :func:`gf2.echelon_pivots` returns it; ``rank`` is its size.  The
+    rows themselves are not kept: ``constraint_matrix`` rebuilds them
+    from the plan on each access, one bit-packed row per (anchor,
+    dual-basis word), for callers that want to see them.  Sampling and
+    ``solution_basis`` back-substitute the echelon on first use and keep
+    only what they derive: a space with rank < free_dim draws from pivot
+    parities, set up at a cost proportional to the set bits of the
     reduced rows, any other space by combining ``solution_basis`` rows.
     """
 
     box: Box
     code: BinaryCode
     plan: StencilPlan
-    constraint_matrix: F2Matrix
     echelon: dict[int, int]
+
+    @property
+    def constraint_matrix(self) -> F2Matrix:
+        return F2Matrix(tuple(self.plan.rows()), self.site_count)
 
     @property
     def rank(self) -> int:
@@ -502,14 +527,20 @@ def guarded_site_count(widths: Iterable[int], max_sites: int) -> int:
 
 
 def build_window_space(box: Box, code: BinaryCode, *, max_sites: int = MAX_SITES) -> WindowSpace:
-    """Assemble the constraint system of a code's local rule on a box.
+    """Eliminate the constraint system of a code's local rule on a box.
 
     Row (i, w) is the pattern of the dual word w in the stencil plan,
     the XOR of ``1 << o_j`` over its offsets, shifted to anchor bit idx(i) + 1.
     Anchors run in site order and the dual basis in canonical order
-    within each anchor, so the matrix is deterministic.
+    within each anchor, so the echelon is deterministic.  The rows stream
+    from the plan into :func:`gf2.echelon_pivots` and are not stored.
+    Every row lies inside the box when the highest anchor bit plus the
+    largest tap offset is below the site count, which is checked once on
+    the plan rather than row by row.
 
     Raises:
+        ValueError: when the box and code lengths disagree, or the plan
+            reaches past the box.
         GuardExceededError: when the box exceeds ``max_sites`` or the
             constraint count exceeds ``MAX_CONSTRAINT_ROWS``.
     """
@@ -522,8 +553,10 @@ def build_window_space(box: Box, code: BinaryCode, *, max_sites: int = MAX_SITES
         raise GuardExceededError(
             f"system has {n_rows} constraint rows, guard is {MAX_CONSTRAINT_ROWS}"
         )
-    rows = plan.rows()
-    return WindowSpace(box, code, plan, F2Matrix(tuple(rows), n_sites), gf2.echelon_pivots(rows))
+    reach = max((o for taps in plan.taps for o in taps), default=0)
+    if plan.anchor_mask.bit_length() + reach > n_sites:
+        raise ValueError("stencil plan reaches past the box")
+    return WindowSpace(box, code, plan, gf2.echelon_pivots(plan.rows()))
 
 
 def log2_count(space: WindowSpace) -> int:

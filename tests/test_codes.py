@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -472,6 +473,15 @@ class TestNondegeneracy:
         with pytest.raises(DegenerateCodeError) as exc:
             codes.nondegeneracy_witness(codes.even_weight_code(2), (1, -1))
         assert exc.value.kernel_witness == (1, -1)
+
+    @pytest.mark.parametrize(
+        "n",
+        [[1.5, 0], [0.5, 0], [Fraction(1, 2), 0], [1, Fraction(3, 2)], [0, 1.0], ["1", 0]],
+    )
+    def test_witness_rejects_non_integer_entries(self, n):
+        # int() would read 1.5 as 1 and 0.5 as 0, the zero vector
+        with pytest.raises(ValueError, match="^entries of n must be integers$"):
+            codes.nondegeneracy_witness(codes.full_code(2), n)
 
 
 def _oracle_order(c):

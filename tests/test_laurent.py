@@ -398,6 +398,11 @@ class TestMixingCertificate:
             laurent.mixing_certificate(E2, (1, -1))
         assert exc.value.kernel_witness == (1, -1)
 
+    @pytest.mark.parametrize("entry", [1.5, 0.5, Fraction(1, 2), Fraction(2, 1)])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="^entries of n must be integers$"):
+            laurent.mixing_certificate(C8, (entry,) + (0,) * 7)
+
     def test_missing_all_ones_rejected(self):
         c = code_from_generators(["1100", "0110"])
         assert not codes.contains_all_ones(c)

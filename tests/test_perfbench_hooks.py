@@ -9,6 +9,7 @@ test would notice.  The benchmark files are loaded, never edited.
 import importlib.util
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -64,3 +65,15 @@ def test_traced_operations_run_and_are_counted(tmp_path):
     assert metrics["laurent.ideal_contains.calls"] == 1
     assert metrics["laurent.membership_cofactors.calls"] == 1
     assert metrics["laurent.verify_cofactors.calls"] == 1
+
+
+def test_build_hook_counts_the_rows_the_plan_streams():
+    # a space keeps no rows: the hook counts the ones constraint_matrix rebuilds from the plan
+    windows = workloads.MODULES["windows"]
+    space = windows.build_window_space(windows.cube(2, 6), workloads.MODULES["codes"].even_weight_code(2))
+    counts = Counter()
+    tracing.Tracer(workloads.MODULES)._note_windows_build_window_space(counts, 0, (), space, True)
+    assert counts["windows.build_window_space.rows"] == 25
+    assert counts["windows.build_window_space.sites"] == 36
+    assert counts["windows.build_window_space.rank"] == 25
+    assert counts["windows.build_window_space.free_dim"] == 11

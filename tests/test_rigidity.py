@@ -425,6 +425,14 @@ class TestFullVerification:
         b = rigidity.run_full_verification(8, box_size=2, samples=15, seed=9).to_dict()
         assert strip(a) == strip(b)
 
+    def test_non_integer_box_size_rejected_before_the_code_pair(self, monkeypatch):
+        def unreachable(d):
+            raise AssertionError("built the code pair for a non-integer box")
+
+        monkeypatch.setattr(rigidity, "construct_system", unreachable)
+        with pytest.raises(ValueError, match="^box bounds must be integers$"):
+            rigidity.run_full_verification(8, box_size=2.5)
+
     @pytest.mark.parametrize("box_size", [2, 3])
     def test_each_window_space_is_built_once(self, monkeypatch, box_size):
         built = collections.Counter()

@@ -1,7 +1,11 @@
+import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +32,7 @@ from starshift.laurent import LaurentPoly, annihilator_ideal, linear_form
 from starshift.windows import (
     Box,
     WindowConfig,
+    WindowSpace,
     build_window_space,
     contains,
     cube,
@@ -111,6 +116,32 @@ class TestBox:
         assert (b == ((0, 0), (2, 2))) is False
         assert b != ((0, 0), (2, 2))
         assert (((0, 0), (2, 2)) == b) is False
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [((0,), (2.5,)), ((0.0, 0), (2, 2)), ((0,), (Fraction(5, 2),)), ((0,), ("2",))],
+    )
+    def test_non_integer_bounds_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="^box bounds must be integers$"):
+            Box(lower, upper)
+
+    def test_cube_of_a_non_integer_side_rejected(self):
+        with pytest.raises(ValueError, match="^box bounds must be integers$"):
+            cube(8, 2.5)
+
+    def test_bounds_are_normalised_to_tuples_of_ints(self):
+        class Index:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        b = Box([Index(0), -1], [Index(2), 3])
+        assert b.lower == (0, -1) and b.upper == (2, 3)
+        assert all(type(v) is int for v in b.lower + b.upper)
+        assert b == Box((0, -1), (2, 3)) and hash(b) == hash(Box((0, -1), (2, 3)))
+        assert b.site_count == 8
 
 
 class TestWindowConfig:
@@ -317,6 +348,90 @@ class TestWindowSpace:
         assert basis.num_rows == log2_count(space)
         for r in basis.rows:
             assert contains(space, WindowConfig(space.box, r))
+
+
+class TestStreamedRows:
+    """A space keeps its plan and echelon; the rows stream into the elimination."""
+
+    def test_a_space_holds_box_code_plan_and_echelon(self):
+        assert [f.name for f in dataclasses.fields(WindowSpace)] == ["box", "code", "plan", "echelon"]
+        space = build_window_space(cube(2, 4), E2)
+        assert "constraint_matrix" not in vars(space)
+        # rebuilt from the plan on each access, for callers that read it
+        assert space.constraint_matrix == space.constraint_matrix
+        assert space.constraint_matrix is not space.constraint_matrix
+
+    def test_plan_rows_are_a_one_pass_iterator(self):
+        plan = build_window_space(cube(2, 4), E2).plan
+        rows = plan.rows()
+        assert iter(rows) is rows
+        assert list(rows) == window_constraint_rows(cube(2, 4), E2)
+        assert list(rows) == []
+
+    def test_build_hands_the_elimination_an_iterator(self, monkeypatch):
+        code = codes.repetition_code(3)
+        seen = []
+        echelon_pivots = gf2.echelon_pivots
+
+        def recording(rows):
+            seen.append(rows)
+            return echelon_pivots(rows)
+
+        monkeypatch.setattr(gf2, "echelon_pivots", recording)
+        space = build_window_space(cube(3, 4), code)
+        # the last elimination is the window rows; the dual code's come first
+        rows = seen[-1]
+        assert not isinstance(rows, (list, tuple))
+        assert iter(rows) is rows
+        # consumed by the one elimination
+        assert next(rows, None) is None
+        assert space.echelon == echelon_pivots(window_constraint_rows(space.box, space.code))
+
+    def test_build_peak_memory_is_near_the_echelon(self):
+        box, code = cube(3, 12), codes.repetition_code(3)
+        build_window_space(cube(3, 2), code)  # the dual code and its caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            space = build_window_space(box, code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        echelon = sys.getsizeof(space.echelon) + sum(map(sys.getsizeof, space.echelon.values()))
+        # storing the raw rows as well would put the peak at 2.45 times the echelon
+        assert peak <= 1.5 * echelon, (peak, echelon)
+
+    @pytest.mark.parametrize("reach", ["anchor", "tap"])
+    def test_a_plan_reaching_past_the_box_is_refused(self, monkeypatch, reach):
+        stencil_plan = windows._stencil_plan
+
+        def past_the_box(box, dual_rows):
+            plan = stencil_plan(box, dual_rows)
+            if reach == "anchor":
+                return windows.StencilPlan(plan.anchor_mask | 1 << (box.site_count - 1), plan.taps)
+            return windows.StencilPlan(plan.anchor_mask, ((box.site_count,),) + plan.taps)
+
+        monkeypatch.setattr(windows, "_stencil_plan", past_the_box)
+        with pytest.raises(ValueError, match="^stencil plan reaches past the box$"):
+            build_window_space(cube(2, 3), E2)
+
+    def test_a_plan_reaching_the_top_site_is_accepted(self):
+        # the last anchor of [0, 4) reads site 3 through offset 0
+        space = build_window_space(Box((0,), (4,)), codes.dual(codes.full_code(1)))
+        assert space.plan.anchor_mask.bit_length() == 4
+        assert space.rank == 4
+
+    def test_src_never_reads_the_rebuilt_rows(self, monkeypatch):
+        def unread(space):
+            raise AssertionError("constraint_matrix read")
+
+        monkeypatch.setattr(WindowSpace, "constraint_matrix", property(unread))
+        assert rigidity.run_full_verification(8, box_size=2, samples=5).passed
+        space = build_window_space(cube(2, 5), E2)
+        x = sample(space, 0)
+        assert contains(space, x)
+        assert space.solution_basis.num_rows == log2_count(space)
+        assert windows.entropy_profile(E2, [1, 2, 3]) == [1, Fraction(3, 4), Fraction(5, 9)]
 
 
 def _random_space_case(rng, d):

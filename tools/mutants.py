@@ -95,6 +95,24 @@ MUTANTS = [
         "        return _PivotParities(*gf2.reduced_rows(self.constraint_matrix.rows), self.site_count)\n",
     ),
     (
+        # rows past the box go into the elimination unnoticed
+        "plan_reach_unchecked", W,
+        "    if plan.anchor_mask.bit_length() + reach > n_sites:\n"
+        "        raise ValueError(\"stencil plan reaches past the box\")\n",
+        "",
+    ),
+    (
+        "plan_reach_refuses_the_top_site", W,
+        "    if plan.anchor_mask.bit_length() + reach > n_sites:\n",
+        "    if plan.anchor_mask.bit_length() + reach >= n_sites:\n",
+    ),
+    (
+        # the highest anchor bit is the last character of the string
+        "row_stream_skips_the_top_anchor", W,
+        "for base, ch in enumerate(bits) if ch",
+        "for base, ch in enumerate(bits[:-1]) if ch",
+    ),
+    (
         "prefix_xor_one_doubling_short", W,
         "range(max(len(taps) - 1, 0).bit_length())]",
         "range(max(len(taps) - 1, 0).bit_length() - 1)]",
@@ -125,6 +143,19 @@ MUTANTS = [
         "box_eq_false_restored", W,
         "@dataclass(frozen=True)\nclass Box:\n",
         "@dataclass(frozen=True, eq=False)\nclass Box:\n",
+    ),
+    (
+        # Box((0,), (2.5,)) keeps its float bound and 2.5 sites
+        "box_bounds_not_normalised", W,
+        "        try:\n"
+        "            lower = tuple(map(operator.index, self.lower))\n"
+        "            upper = tuple(map(operator.index, self.upper))\n"
+        "        except TypeError:\n"
+        "            raise ValueError(\"box bounds must be integers\") from None\n"
+        "        # frozen: the normalised bounds replace the given ones in place\n"
+        "        object.__setattr__(self, \"lower\", lower)\n"
+        "        object.__setattr__(self, \"upper\", upper)\n",
+        "",
     ),
     (
         "box_hash_of_lower_only", W,
@@ -206,6 +237,12 @@ MUTANTS = [
         "weight_class_without_self_orthogonality", K,
         " for v in rows) and is_self_orthogonal(c):\n",
         " for v in rows):\n",
+    ),
+    (
+        # [1.5, 0] reads as (1, 0) and [0.5, 0, 0] as the zero vector
+        "witness_entries_truncated_by_int", K,
+        "        n = tuple(map(operator.index, n))\n",
+        "        n = tuple(map(int, n))\n",
     ),
     (
         "generators_reduced_unsorted", K,
