@@ -18,7 +18,6 @@ from .codes import (
     parse_generator_file,
     render_generator_file,
     repetition_code,
-    standard_code,
     star_closure_check,
     support_sum,
     weight_class,

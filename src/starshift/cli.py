@@ -93,7 +93,12 @@ def cmd_dual(args: argparse.Namespace) -> CommandResult:
 def cmd_check(args: argparse.Namespace) -> CommandResult:
     code = _load_code(args.codefile)
     with open(args.configfile, "r", encoding="utf-8") as fh:
-        config = WindowConfig.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # main reads RuntimeError, RecursionError's base, as a failed verification
+            raise ValueError("configuration JSON is nested too deeply") from None
+    config = WindowConfig.from_json_dict(data)
     space = windows_mod.build_window_space(config.box, code, max_sites=args.max_sites)
     ok = windows_mod.contains(space, config)
     payload = {

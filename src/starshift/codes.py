@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -55,7 +54,6 @@ __all__ = [
     "hamming8_code",
     "full_code",
     "repetition_code",
-    "standard_code",
     "parse_generator_file",
     "render_generator_file",
 ]
@@ -381,10 +379,7 @@ def nondegeneracy_witness(c: BinaryCode, n: Sequence[int]) -> F2Vector:
         GuardExceededError: if the witness lies beyond the candidates the
             enumeration guard allows.
     """
-    try:
-        n = tuple(map(operator.index, n))
-    except TypeError:
-        raise ValueError("entries of n must be integers") from None
+    n = gf2.int_tuple(n, "entries of n")
     if len(n) != c.length:
         raise ValueError("length mismatch")
     if not any(n):
@@ -449,23 +444,6 @@ def full_code(d: int) -> BinaryCode:
 def repetition_code(d: int) -> BinaryCode:
     """The code {0, all-ones} of length ``d``."""
     return code_from_generators(F2Matrix(((1 << d) - 1,), d))
-
-
-def standard_code(kind: str, d: int | None = None) -> BinaryCode:
-    """Named example codes: 'even', 'hamming8', 'full', 'repetition'."""
-    if kind == "hamming8":
-        if d not in (None, 8):
-            raise ValueError("the hamming8 code has length 8")
-        return hamming8_code()
-    if d is None:
-        raise ValueError(f"kind {kind!r} needs an explicit length")
-    if kind == "even":
-        return even_weight_code(d)
-    if kind == "full":
-        return full_code(d)
-    if kind == "repetition":
-        return repetition_code(d)
-    raise ValueError(f"unknown code kind {kind!r}")
 
 
 def parse_generator_file(text: str) -> BinaryCode:

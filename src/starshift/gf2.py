@@ -8,11 +8,13 @@ touches floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
     "IntVector",
+    "int_tuple",
     "F2Vector",
     "F2Matrix",
     "weight",
@@ -27,6 +29,18 @@ __all__ = [
 ]
 
 IntVector = tuple[int, ...]
+
+
+def int_tuple(values: Iterable[int], what: str) -> IntVector:
+    """The entries of ``values`` read through ``operator.index``.
+
+    A float, fraction, string or other non-integer entry raises
+    ``ValueError("<what> must be integers")``; it is never truncated.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 def _lowest_set_bit(x: int) -> int:
@@ -48,43 +62,15 @@ class F2Vector:
             raise ValueError("bits must be an int with no bit outside the declared length")
 
     @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> F2Vector:
-        coords = list(coords)
-        bits = 0
-        for j, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError("coordinates must be 0 or 1")
-            bits |= c << j
-        return cls(len(coords), bits)
-
-    @classmethod
     def from_string(cls, text: str) -> F2Vector:
         """Parse a row of '0'/'1' characters; character ``i`` is coordinate ``i``."""
         if not text or any(ch not in "01" for ch in text):
             raise ValueError(f"not a 0/1 row: {text!r}")
-        return cls.from_coords(int(ch) for ch in text)
-
-    @classmethod
-    def zero(cls, length: int) -> F2Vector:
-        return cls(length, 0)
+        return cls(len(text), int(text[::-1], 2))
 
     @classmethod
     def ones(cls, length: int) -> F2Vector:
         return cls(length, (1 << length) - 1)
-
-    @classmethod
-    def unit(cls, length: int, j: int) -> F2Vector:
-        if not 0 <= j < length:
-            raise ValueError("unit coordinate out of range")
-        return cls(length, 1 << j)
-
-    def coord(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError("coordinate out of range")
-        return (self.bits >> j) & 1
-
-    def coords(self) -> IntVector:
-        return tuple((self.bits >> j) & 1 for j in range(self.length))
 
     def support(self) -> IntVector:
         """Sorted indices of the nonzero coordinates."""

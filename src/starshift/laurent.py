@@ -16,14 +16,13 @@ returns explicit cofactors that re-expand to the queried polynomial.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import codes as codes_mod
 from .codes import BinaryCode, support_sum
 from .errors import DegenerateCodeError, GuardExceededError
-from .gf2 import F2Vector, IntVector
+from .gf2 import F2Vector, IntVector, int_tuple
 
 __all__ = [
     "MAX_EXPANSION_TERMS",
@@ -59,14 +58,6 @@ def _mono_add(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _exponents(t: Iterable[int]) -> Monomial:
-    """The entries of ``t`` as ints; a non-integer is refused, never truncated."""
-    try:
-        return tuple(operator.index(e) for e in t)
-    except TypeError:
-        raise ValueError("exponents must be integers") from None
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """A Laurent polynomial over GF(2): a finite set of exponent vectors.
@@ -95,7 +86,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exponents: Sequence[int]) -> LaurentPoly:
-        t = _exponents(exponents)
+        t = int_tuple(exponents, "exponents")
         return cls(len(t), frozenset({t}))
 
     @classmethod
@@ -108,7 +99,7 @@ class LaurentPoly:
     def from_terms(cls, arity: int, terms: Iterable[Sequence[int]]) -> LaurentPoly:
         acc: set[Monomial] = set()
         for t in terms:
-            acc ^= {_exponents(t)}
+            acc ^= {int_tuple(t, "exponents")}
         return cls(arity, frozenset(acc))
 
     @property
@@ -148,7 +139,7 @@ class LaurentPoly:
 
     def shifted(self, m: Sequence[int]) -> LaurentPoly:
         """Multiply by the monomial u^m."""
-        mm = _exponents(m)
+        mm = int_tuple(m, "exponents")
         if len(mm) != self.arity:
             raise ValueError("shift arity mismatch")
         return LaurentPoly(self.arity, frozenset(_mono_add(t, mm) for t in self.terms))

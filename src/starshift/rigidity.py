@@ -32,6 +32,7 @@ from . import laurent as laurent_mod
 from . import windows as windows_mod
 from .codes import BinaryCode
 from .errors import GuardExceededError, UnsupportedDimensionError
+from .gf2 import int_tuple
 from .windows import Box, WindowConfig, WindowSpace, cube
 
 __all__ = [
@@ -156,11 +157,13 @@ def construct_system(d: int) -> TripleSystem:
     premises, the table ``verify_premises`` reports from.
 
     Raises:
+        ValueError: when ``d`` is not an integer.
         UnsupportedDimensionError: for d < 8, where no such pair is
             provided by this construction.
         RuntimeError: when the constructed pair fails a premise; the
             message names every failed premise.
     """
+    (d,) = int_tuple((d,), "d")
     if d < 8:
         raise UnsupportedDimensionError(
             f"the code-pair construction is defined only for dimension 8 and above, got {d}"
@@ -324,10 +327,12 @@ def verify_dynamics(
     an error raised by the map fails the check, its message the witness.
 
     Raises:
-        ValueError: when ``samples`` < 1, before any draw.
+        ValueError: when ``samples`` is not an integer or is < 1, before
+            any draw.
         GuardExceededError: when ``samples`` times the box's site count
             exceeds ``MAX_SAMPLED_SITES``, before any draw.
     """
+    (samples,) = int_tuple((samples,), "samples")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if samples * space_xy.site_count > MAX_SAMPLED_SITES:
@@ -506,14 +511,16 @@ def run_full_verification(
     entropy stage builds only the smaller boxes of its profile.
 
     Raises:
-        ValueError: when ``box_size`` < 2 or is not an integer, before
-            the code pair is built, or from ``verify_dynamics`` when
-            ``samples`` < 1.
+        ValueError: when ``d`` or ``samples`` is not an integer, or when
+            ``box_size`` < 2 or is not an integer, before the code pair
+            is built, or from ``verify_dynamics`` when ``samples`` < 1.
         GuardExceededError: when the box exceeds ``max_sites``, before
             the code pair is built; when a window space of the box exceeds
             the constraint-row guard; or from ``verify_dynamics`` when the
             sampled sites exceed theirs.
     """
+    (d,) = int_tuple((d,), "d")
+    (samples,) = int_tuple((samples,), "samples")
     if box_size < 2:
         raise ValueError(f"need box size >= 2, got {box_size}")
     # the widths are never collected, so -d 10**9 costs a few multiplications

@@ -81,7 +81,7 @@ from . import codes as codes_mod
 from . import gf2
 from .codes import BinaryCode
 from .errors import GuardExceededError
-from .gf2 import F2Matrix, F2Vector, IntVector
+from .gf2 import F2Matrix, F2Vector, IntVector, int_tuple
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -114,7 +114,7 @@ class Box:
     """A half-open integer box: sites with lower[a] <= i[a] < upper[a].
 
     The bounds are stored as tuples of ints, each read through
-    ``operator.index``; a float or other non-integer bound raises
+    ``gf2.int_tuple``; a float or other non-integer bound raises
     ``ValueError``.  Equal boxes are those with equal ``lower`` and
     ``upper``.  The box checks test identity first, since the
     configurations of one space share its box and those gathered through
@@ -126,11 +126,8 @@ class Box:
     upper: IntVector
 
     def __post_init__(self):
-        try:
-            lower = tuple(map(operator.index, self.lower))
-            upper = tuple(map(operator.index, self.upper))
-        except TypeError:
-            raise ValueError("box bounds must be integers") from None
+        lower = int_tuple(self.lower, "box bounds")
+        upper = int_tuple(self.upper, "box bounds")
         # frozen: the normalised bounds replace the given ones in place
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -192,11 +189,9 @@ class Box:
 
 
 def cube(d: int, n: int) -> Box:
-    """The box [0, n)^d."""
+    """The box [0, n)^d; a non-integer ``d`` or ``n`` raises ``ValueError``."""
+    (d,) = int_tuple((d,), "d")
     return Box((0,) * d, (n,) * d)
-
-
-_BIT_CHARS = {0: "0", 1: "1"}
 
 
 def _bits_from_string(chars: str, box: Box) -> int:
@@ -231,15 +226,6 @@ class WindowConfig:
     @classmethod
     def zero(cls, box: Box) -> WindowConfig:
         return cls(box, 0)
-
-    @classmethod
-    def from_values(cls, box: Box, values: Iterable[int]) -> WindowConfig:
-        """Configuration from one value 0/1 per site, in site order; else ValueError."""
-        try:
-            chars = "".join([_BIT_CHARS[v] for v in values])
-        except (KeyError, TypeError):
-            raise ValueError("values must be 0 or 1") from None
-        return cls(box, _bits_from_string(chars, box))
 
     def value(self, site: Sequence[int]) -> int:
         return (self.bits >> self.box.index(site)) & 1
@@ -660,10 +646,7 @@ def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:
         ValueError: when an entry of ``m`` is not an integer, on an
             arity mismatch, or when the overlap is empty.
     """
-    try:
-        mm = tuple(map(operator.index, m))
-    except TypeError:
-        raise ValueError("shift entries must be integers") from None
+    mm = int_tuple(m, "shift entries")
     if len(mm) != x.box.dimension:
         raise ValueError("shift arity mismatch")
     plan = _gather_plan(x.box, None, mm)

@@ -191,6 +191,15 @@ class TestCheckPipeline:
         assert err.startswith("error:")
         assert field is None or field in err
 
+    def test_over_nested_json_is_a_usage_error(self, capsys, e2_file, tmp_path):
+        # the decoder's RecursionError is a RuntimeError, the verification-failure exit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["check", e2_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: configuration JSON is nested too deeply"]
+
 
 class TestConstruct:
     def test_reference_dimension_text(self, capsys):

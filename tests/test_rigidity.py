@@ -47,7 +47,7 @@ class TestConstruction:
         assert system.code.length == 10
         # the padded block is free in both codes
         for j in (8, 9):
-            assert codes.contains_vector(system.code, F2Vector.unit(10, j))
+            assert codes.contains_vector(system.code, F2Vector(10, 1 << j))
 
     def test_premises_pass_for_a_dimension_sweep(self):
         for d in range(8, 13):

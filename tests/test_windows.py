@@ -24,7 +24,7 @@ from oracles import (
     window_log2_count,
     window_rule_holds,
 )
-from starshift import codes, gf2, rigidity, windows
+from starshift import codes, gf2, laurent, rigidity, windows
 from starshift.codes import code_from_generators
 from starshift.errors import GuardExceededError
 from starshift.gf2 import F2Matrix, F2Vector
@@ -42,6 +42,16 @@ from starshift.windows import (
 
 C8 = codes.hamming8_code()
 E2 = codes.even_weight_code(2)
+
+
+class Index:
+    """An integer that is not an int: readable only through ``__index__``."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
 
 
 class TestBox:
@@ -130,13 +140,6 @@ class TestBox:
             cube(8, 2.5)
 
     def test_bounds_are_normalised_to_tuples_of_ints(self):
-        class Index:
-            def __init__(self, v):
-                self.v = v
-
-            def __index__(self):
-                return self.v
-
         b = Box([Index(0), -1], [Index(2), 3])
         assert b.lower == (0, -1) and b.upper == (2, 3)
         assert all(type(v) is int for v in b.lower + b.upper)
@@ -144,10 +147,72 @@ class TestBox:
         assert b.site_count == 8
 
 
+def _dynamics(samples):
+    space = build_window_space(cube(2, 2), E2)
+    return rigidity.verify_dynamics(space, space, samples=samples)
+
+
+# (entry point, its call with one integer argument v, the argument named in
+# the refusal of a non-integer v, an integer v the call accepts)
+INTEGER_ENTRY_POINTS = [
+    ("Box", lambda v: Box((0, 0), (v, 3)), "box bounds", 3),
+    ("cube_d", lambda v: cube(v, 2), "d", 3),
+    ("cube_n", lambda v: cube(2, v), "box bounds", 3),
+    ("shift_restrict", lambda v: windows.shift_restrict(WindowConfig(cube(2, 4), 6), (v, 0)),
+     "shift entries", 1),
+    ("nondegeneracy_witness", lambda v: codes.nondegeneracy_witness(C8, (v,) + (0,) * 7),
+     "entries of n", 3),
+    ("mixing_certificate", lambda v: laurent.mixing_certificate(C8, (0,) * 7 + (v,)),
+     "entries of n", 3),
+    ("monomial", lambda v: LaurentPoly.monomial([1, v]), "exponents", 3),
+    ("from_terms", lambda v: LaurentPoly.from_terms(2, [(0, 0), (v, 1)]), "exponents", 3),
+    ("shifted", lambda v: LaurentPoly.one(2).shifted((v, -1)), "exponents", 3),
+    ("construct_system", rigidity.construct_system, "d", 9),
+    ("run_full_verification_d", lambda v: rigidity.run_full_verification(v, samples=3), "d", 8),
+    ("run_full_verification_samples", lambda v: rigidity.run_full_verification(8, samples=v),
+     "samples", 3),
+    ("verify_dynamics", _dynamics, "samples", 3),
+]
+_IDS = [e[0] for e in INTEGER_ENTRY_POINTS]
+
+
+class TestIntegerArguments:
+    """One rule at every entry point: an integer passes, anything else is a ValueError."""
+
+    @pytest.mark.parametrize("value", [2.5, Fraction(5, 2), "3"])
+    @pytest.mark.parametrize("call, what", [e[1:3] for e in INTEGER_ENTRY_POINTS], ids=_IDS)
+    def test_non_integer_refused(self, call, what, value):
+        with pytest.raises(ValueError, match=f"^{what} must be integers$"):
+            call(value)
+
+    @pytest.mark.parametrize("call, good", [e[1::2] for e in INTEGER_ENTRY_POINTS], ids=_IDS)
+    def test_index_accepted(self, call, good):
+        def untimed(result):
+            if isinstance(result, rigidity.VerificationReport):
+                return result.system, [(c.name, c.passed, c.witness) for c in result.checks]
+            return result
+
+        assert untimed(call(Index(good))) == untimed(call(good))
+
+    @pytest.mark.parametrize("kwargs", [{"d": 8.0}, {"d": 8, "samples": 10.0}])
+    def test_verification_reads_its_integers_before_the_code_pair(self, monkeypatch, kwargs):
+        def unreachable(d):
+            raise AssertionError("built the code pair for a non-integer argument")
+
+        monkeypatch.setattr(rigidity, "construct_system", unreachable)
+        with pytest.raises(ValueError, match="must be integers$"):
+            rigidity.run_full_verification(**kwargs)
+
+    def test_construct_system_refuses_an_integral_float(self):
+        # 8.0 == 8, so without the read the report would say "d": 8.0
+        with pytest.raises(ValueError, match="^d must be integers$"):
+            rigidity.construct_system(8.0)
+
+
 class TestWindowConfig:
     def test_values_and_bits(self):
         b = cube(2, 2)
-        x = WindowConfig.from_values(b, [1, 0, 1, 1])
+        x = WindowConfig(b, 0b1101)
         assert x.value((0, 0)) == 1
         assert x.value((0, 1)) == 0
         assert x.to_bit_string() == "1011"
@@ -157,14 +222,15 @@ class TestWindowConfig:
         with pytest.raises(ValueError):
             WindowConfig(b, 4)
         with pytest.raises(ValueError):
-            WindowConfig.from_values(b, [0, 2])
+            WindowConfig.from_json_dict({"box": {"lower": [0], "upper": [2]}, "values": "02"})
         with pytest.raises(ValueError):
             WindowConfig.zero(b) + WindowConfig.zero(cube(1, 3))
 
     @pytest.mark.parametrize("values", [[1, 0, 0, 0], [1, 0, 0], [1], []])
     def test_value_count_must_be_the_site_count(self, values):
+        data = {"box": {"lower": [0], "upper": [2]}, "values": "".join(map(str, values))}
         with pytest.raises(ValueError, match="disagrees with the box"):
-            WindowConfig.from_values(cube(1, 2), values)
+            WindowConfig.from_json_dict(data)
 
     def test_bits_bound_is_the_site_count(self):
         for box in (cube(1, 1), cube(1, 2), cube(2, 2), cube(3, 3)):
@@ -189,7 +255,7 @@ class TestWindowConfig:
 
     def test_json_round_trip(self):
         b = Box((-1, 0), (1, 2))
-        x = WindowConfig.from_values(b, [1, 0, 0, 1])
+        x = WindowConfig(b, 0b1001)
         data = json.loads(json.dumps(x.to_json_dict()))
         assert WindowConfig.from_json_dict(data) == x
 
@@ -205,7 +271,7 @@ class TestWindowConfig:
         s = x.to_bit_string()
         assert s == "".join(str((x.bits >> k) & 1) for k in range(box.site_count))
         assert WindowConfig.from_json_dict(json.loads(json.dumps(x.to_json_dict()))) == x
-        assert WindowConfig.from_values(box, [int(ch) for ch in s]) == x
+        assert WindowConfig(box, int(s[::-1], 2)) == x
 
     @pytest.mark.parametrize("values", ["01 1", " 101", "0121", "1_01", "+101", "01o1", "010\n"])
     def test_bad_characters_rejected(self, values):
@@ -222,7 +288,8 @@ class TestCountingOracle:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
     @pytest.mark.parametrize("kind", ["even", "repetition", "full"])
     def test_dimension_two_codes(self, kind, shape):
-        code = codes.standard_code(kind, 2)
+        code = {"even": codes.even_weight_code, "repetition": codes.repetition_code,
+                "full": codes.full_code}[kind](2)
         box = Box((0, 0), shape)
         space = build_window_space(box, code)
         assert log2_count(space) == window_log2_count(box, code)
@@ -738,7 +805,7 @@ class TestShiftRestrict:
 
     def test_values_move_correctly(self):
         b = cube(2, 3)
-        x = WindowConfig.from_values(b, [i % 2 for i in range(9)])
+        x = WindowConfig(b, sum((i % 2) << i for i in range(9)))
         y = windows.shift_restrict(x, (1, 0))
         assert y.box == Box((0, 0), (2, 3))
         for site in y.box.sites():
@@ -746,7 +813,7 @@ class TestShiftRestrict:
 
     def test_negative_shift(self):
         b = cube(2, 3)
-        x = WindowConfig.from_values(b, [(i * 5 + 3) % 2 for i in range(9)])
+        x = WindowConfig(b, sum(((i * 5 + 3) % 2) << i for i in range(9)))
         y = windows.shift_restrict(x, (-1, -2))
         assert y.box == Box((1, 2), (3, 3))
         for site in y.box.sites():
@@ -837,7 +904,7 @@ class TestRestrict:
 
     def test_values_preserved(self):
         b = cube(2, 3)
-        x = WindowConfig.from_values(b, [i % 2 for i in range(9)])
+        x = WindowConfig(b, sum((i % 2) << i for i in range(9)))
         sub = Box((1, 0), (3, 2))
         y = windows.restrict(x, sub)
         for site in sub.sites():

@@ -147,15 +147,18 @@ MUTANTS = [
     (
         # Box((0,), (2.5,)) keeps its float bound and 2.5 sites
         "box_bounds_not_normalised", W,
-        "        try:\n"
-        "            lower = tuple(map(operator.index, self.lower))\n"
-        "            upper = tuple(map(operator.index, self.upper))\n"
-        "        except TypeError:\n"
-        "            raise ValueError(\"box bounds must be integers\") from None\n"
+        "        lower = int_tuple(self.lower, \"box bounds\")\n"
+        "        upper = int_tuple(self.upper, \"box bounds\")\n"
         "        # frozen: the normalised bounds replace the given ones in place\n"
         "        object.__setattr__(self, \"lower\", lower)\n"
         "        object.__setattr__(self, \"upper\", upper)\n",
         "",
+    ),
+    (
+        # cube(2.5, 2) fails inside tuple repetition with a TypeError
+        "cube_without_its_d_read", W,
+        "    (d,) = int_tuple((d,), \"d\")\n    return Box(",
+        "    return Box(",
     ),
     (
         "box_hash_of_lower_only", W,
@@ -184,8 +187,8 @@ MUTANTS = [
     ),
     (
         "shift_entries_truncated_by_int", W,
-        "        mm = tuple(map(operator.index, m))\n",
-        "        mm = tuple(map(int, m))\n",
+        "    mm = int_tuple(m, \"shift entries\")\n",
+        "    mm = tuple(map(int, m))\n",
     ),
     (
         # the shift overlaps memoised per source box, whatever the shift
@@ -212,6 +215,30 @@ MUTANTS = [
         "samples_below_one_check_dropped", R,
         "    if samples < 1:\n        raise ValueError(f\"need samples >= 1, got {samples}\")\n",
         "",
+    ),
+    (
+        # Fraction(5, 2) samples fail inside range with a TypeError
+        "verify_dynamics_without_its_samples_read", R,
+        "    (samples,) = int_tuple((samples,), \"samples\")\n    if samples < 1:\n",
+        "    if samples < 1:\n",
+    ),
+    (
+        # construct_system(8.0) returns a system whose report says "d": 8.0
+        "construct_system_without_its_d_read", R,
+        "    (d,) = int_tuple((d,), \"d\")\n    if d < 8:\n",
+        "    if d < 8:\n",
+    ),
+    (
+        # run_full_verification(8.0) fails inside itertools.repeat with a TypeError
+        "verification_without_its_d_read", R,
+        "    (d,) = int_tuple((d,), \"d\")\n    (samples,) = int_tuple(",
+        "    (samples,) = int_tuple(",
+    ),
+    (
+        # samples=10.0 is refused only after both window spaces are built
+        "verification_without_its_samples_read", R,
+        "    (samples,) = int_tuple((samples,), \"samples\")\n    if box_size < 2:\n",
+        "    if box_size < 2:\n",
     ),
     (
         "sampled_site_guard_doubled", R,
@@ -241,8 +268,8 @@ MUTANTS = [
     (
         # [1.5, 0] reads as (1, 0) and [0.5, 0, 0] as the zero vector
         "witness_entries_truncated_by_int", K,
-        "        n = tuple(map(operator.index, n))\n",
-        "        n = tuple(map(int, n))\n",
+        "    n = gf2.int_tuple(n, \"entries of n\")\n",
+        "    n = tuple(map(int, n))\n",
     ),
     (
         "generators_reduced_unsorted", K,
@@ -279,9 +306,25 @@ MUTANTS = [
         "    if deg >= MAX_EXPANSION_DEGREE:\n",
     ),
     (
-        "exponents_truncated_by_int", L,
-        "        return tuple(operator.index(e) for e in t)\n",
-        "        return tuple(int(e) for e in t)\n",
+        "monomial_exponents_truncated_by_int", L,
+        "t = int_tuple(exponents, \"exponents\")",
+        "t = tuple(map(int, exponents))",
+    ),
+    (
+        "term_exponents_truncated_by_int", L,
+        "acc ^= {int_tuple(t, \"exponents\")}",
+        "acc ^= {tuple(map(int, t))}",
+    ),
+    (
+        "shift_exponents_truncated_by_int", L,
+        "mm = int_tuple(m, \"exponents\")",
+        "mm = tuple(map(int, m))",
+    ),
+    (
+        # the one integer rule: 2.5 reads as 2 at every entry point
+        "integer_rule_truncates_by_int", G,
+        "        return tuple(map(operator.index, values))\n",
+        "        return tuple(map(int, values))\n",
     ),
     (
         "entropy_guard_dropped", C,
@@ -297,6 +340,15 @@ MUTANTS = [
         "verify_constructs_before_the_site_guard", R,
         "    windows_mod.guarded_site_count(itertools.repeat(box_size, d), max_sites)\n",
         "",
+    ),
+    (
+        # the decoder's RecursionError reaches main as a RuntimeError: exit 1
+        "over_nested_json_read_as_a_verification_failure", C,
+        "        try:\n"
+        "            data = json.load(fh)\n"
+        "        except RecursionError:\n",
+        "        data = json.load(fh)\n"
+        "        if False:\n",
     ),
     (
         "render_drops_the_file_newline", C,
