@@ -123,27 +123,15 @@ class NondegeneracyCertificate:
     kernel_witness: IntVector | None = None
 
 
-def code_from_generators(
-    rows: F2Matrix | Iterable[F2Vector] | Iterable[str],
-    length: int | None = None,
-) -> BinaryCode:
+def code_from_generators(rows: F2Matrix | Iterable[str]) -> BinaryCode:
     """Canonicalize arbitrary generator rows into a code.
 
-    Accepts a matrix, vectors, or '0'/'1' strings.  Dependent and zero
-    rows are dropped by the reduction.  The rows are reduced in order of
+    Accepts a matrix or '0'/'1' strings.  Dependent and zero rows are
+    dropped by the reduction.  The rows are reduced in order of
     decreasing ``bit_length``, so rows that share a low pivot meet it
     once each: the rows e_0 + e_j take one XOR each, not a chain of j.
     """
-    if isinstance(rows, F2Matrix):
-        m = rows
-    else:
-        rows = list(rows)
-        if rows and isinstance(rows[0], str):
-            m = F2Matrix.from_strings(rows)  # type: ignore[arg-type]
-        else:
-            m = F2Matrix.from_vectors(rows, cols=length)  # type: ignore[arg-type]
-    if length is not None and m.cols != length:
-        raise ValueError("declared length disagrees with the generator rows")
+    m = rows if isinstance(rows, F2Matrix) else F2Matrix.from_strings(rows)
     rref, _ = gf2.reduced_rows(sorted(m.rows, key=int.bit_length, reverse=True))
     return BinaryCode(m.cols, F2Matrix(tuple(rref), m.cols))
 

@@ -114,22 +114,14 @@ class F2Matrix:
                 raise ValueError("rows must be ints with no bit outside the declared width")
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[F2Vector], cols: int | None = None) -> F2Matrix:
-        vecs = list(vectors)
+    def from_strings(cls, rows: Iterable[str]) -> F2Matrix:
+        vecs = [F2Vector.from_string(s) for s in rows]
         if not vecs:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            return cls((), cols)
+            raise ValueError("empty matrix needs an explicit column count")
         width = vecs[0].length
         if any(v.length != width for v in vecs):
             raise ValueError("rows have mixed lengths")
-        if cols is not None and cols != width:
-            raise ValueError("declared column count disagrees with the rows")
         return cls(tuple(v.bits for v in vecs), width)
-
-    @classmethod
-    def from_strings(cls, rows: Iterable[str]) -> F2Matrix:
-        return cls.from_vectors([F2Vector.from_string(s) for s in rows])
 
     @classmethod
     def identity(cls, n: int) -> F2Matrix:

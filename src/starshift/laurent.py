@@ -91,6 +91,7 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, arity: int, j: int) -> LaurentPoly:
+        arity, j = int_tuple((arity, j), "arity and variable index")
         if not 0 <= j < arity:
             raise ValueError("variable index out of range")
         return cls(arity, frozenset({tuple(1 if i == j else 0 for i in range(arity))}))

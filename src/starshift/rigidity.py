@@ -521,6 +521,7 @@ def run_full_verification(
     """
     (d,) = int_tuple((d,), "d")
     (samples,) = int_tuple((samples,), "samples")
+    (box_size,) = int_tuple((box_size,), "box bounds")
     if box_size < 2:
         raise ValueError(f"need box size >= 2, got {box_size}")
     # the widths are never collected, so -d 10**9 costs a few multiplications

@@ -688,9 +688,14 @@ def apply_poly(p: LaurentPoly, x: WindowConfig) -> WindowConfig:
 def entropy_profile(
     code: BinaryCode, sizes: Sequence[int], *, max_sites: int = MAX_SITES
 ) -> list[Fraction]:
-    """Exact rationals log2_count / N^d for cubic boxes [0, N)^d."""
+    """Exact rationals log2_count / N^d for cubic boxes [0, N)^d.
+
+    Raises:
+        ValueError: when a size is not an integer, before any space is
+            built, or is less than 1.
+    """
     out = []
-    for n in sizes:
+    for n in int_tuple(sizes, "box bounds"):
         if n < 1:
             raise ValueError("box size must be at least 1")
         space = build_window_space(cube(code.length, n), code, max_sites=max_sites)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from starshift.codes import BinaryCode, code_from_generators, dual
-from starshift.gf2 import F2Vector
+from starshift.gf2 import F2Matrix, F2Vector
 from starshift.laurent import LaurentPoly
 from starshift.windows import Box, WindowConfig
 
@@ -313,7 +313,7 @@ def random_code(rng: random.Random, d: int, max_dim: int | None = None) -> Binar
     rows = [rng.getrandbits(d) for _ in range(k)]
     if not any(rows):
         rows[0] = 1 | (1 << (d - 1)) if d > 1 else 1
-    return code_from_generators([F2Vector(d, r) for r in rows if r])
+    return code_from_generators(F2Matrix(tuple(rows), d))
 
 
 def random_poly(

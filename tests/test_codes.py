@@ -77,7 +77,7 @@ def small_codes(max_len=10, max_gens=4):
     return st.integers(1, max_len).flatmap(
         lambda d: st.lists(
             st.integers(1, (1 << d) - 1), min_size=1, max_size=max_gens
-        ).map(lambda rows: code_from_generators([F2Vector(d, r) for r in rows]))
+        ).map(lambda rows: code_from_generators(F2Matrix(tuple(rows), d)))
     )
 
 
@@ -139,6 +139,11 @@ class TestConstruction:
     def test_dependent_rows_collapse(self):
         c = code_from_generators(["110", "110"])
         assert c.dim == 1
+
+    @pytest.mark.parametrize("rows", [[F2Vector(2, 3)], [3], 3])
+    def test_rows_are_a_matrix_or_strings(self, rows):
+        with pytest.raises(TypeError):
+            code_from_generators(rows)
 
     def test_rows_sharing_a_low_pivot_take_one_step_each(self):
         # e_0 + e_j in increasing j: row j would walk the j - 1 pivots found
@@ -394,8 +399,8 @@ class TestNondegeneracy:
     def test_pinned_verdicts_and_witnesses(self):
         signs = {"+": 1, "-": -1, "0": 0}
         for length, rows, witness in PINNED_NONDEGENERACY:
-            vectors = [F2Vector.from_string(r) for r in rows.split()]
-            c = code_from_generators(F2Matrix.from_vectors(vectors, cols=length))
+            bits = tuple(F2Vector.from_string(r).bits for r in rows.split())
+            c = code_from_generators(F2Matrix(bits, length))
             assert [str(v) for v in c.basis.row_vectors()] == rows.split()
             cert = codes.is_integrally_nondegenerate(c)
             expected = None if witness is None else tuple(signs[ch] for ch in witness)
@@ -483,7 +488,7 @@ def long_thin_codes():
     """Length 16..24 and dimension at most 3, so the stream falls back at weight 1."""
     random_rows = st.integers(16, 24).flatmap(
         lambda d: st.lists(st.integers(1, (1 << d) - 1), min_size=1, max_size=3).map(
-            lambda rows: code_from_generators([F2Vector(d, r) for r in rows])
+            lambda rows: code_from_generators(F2Matrix(tuple(rows), d))
         )
     )
     repetitions = st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
@@ -598,7 +603,7 @@ class TestStarClosure:
             rows = [r for r in inner.basis.rows if rng.random() < 0.9]
             rows += [a & b for a in inner.basis.rows for b in inner.basis.rows if rng.random() < 0.6]
             rows += [rng.getrandbits(length) for _ in range(rng.randint(0, 2))]
-            outer = code_from_generators([F2Vector(length, r) for r in rows if r] or [F2Vector(length, 1)])
+            outer = code_from_generators(F2Matrix(tuple(r for r in rows if r) or (1,), length))
             inner_words = span_words(inner.basis.rows)
             outer_words = span_words(outer.basis.rows)
             subcode = inner_words <= outer_words

@@ -202,19 +202,19 @@ class TestKernel:
 
 
 class TestMatrixConstruction:
-    def test_from_vectors_and_strings(self):
+    def test_from_strings(self):
         m = F2Matrix.from_strings(["101", "010"])
         assert m.cols == 3 and m.num_rows == 2
         assert str(m.row(0)) == "101"
         assert m.row_vectors()[1] == F2Vector.from_string("010")
 
     def test_empty_needs_width(self):
-        with pytest.raises(ValueError):
-            F2Matrix.from_vectors([])
-        assert F2Matrix.from_vectors([], cols=4).num_rows == 0
+        with pytest.raises(ValueError, match="^empty matrix needs an explicit column count$"):
+            F2Matrix.from_strings([])
+        assert F2Matrix((), 4).num_rows == 0
 
     def test_mixed_lengths_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rows have mixed lengths$"):
             F2Matrix.from_strings(["10", "100"])
         with pytest.raises(ValueError):
             F2Matrix((4,), 2)

@@ -27,7 +27,7 @@ from oracles import (
 from starshift import codes, gf2, laurent, rigidity, windows
 from starshift.codes import code_from_generators
 from starshift.errors import GuardExceededError
-from starshift.gf2 import F2Matrix, F2Vector
+from starshift.gf2 import F2Matrix
 from starshift.laurent import LaurentPoly, annihilator_ideal, linear_form
 from starshift.windows import (
     Box,
@@ -171,7 +171,12 @@ INTEGER_ENTRY_POINTS = [
     ("run_full_verification_d", lambda v: rigidity.run_full_verification(v, samples=3), "d", 8),
     ("run_full_verification_samples", lambda v: rigidity.run_full_verification(8, samples=v),
      "samples", 3),
+    ("run_full_verification_box_size",
+     lambda v: rigidity.run_full_verification(8, box_size=v, samples=3), "box bounds", 2),
     ("verify_dynamics", _dynamics, "samples", 3),
+    ("entropy_profile", lambda v: windows.entropy_profile(E2, [2, v]), "box bounds", 3),
+    ("variable_index", lambda v: LaurentPoly.variable(3, v), "arity and variable index", 1),
+    ("variable_arity", lambda v: LaurentPoly.variable(v, 0), "arity and variable index", 3),
 ]
 _IDS = [e[0] for e in INTEGER_ENTRY_POINTS]
 
@@ -207,6 +212,19 @@ class TestIntegerArguments:
         # 8.0 == 8, so without the read the report would say "d": 8.0
         with pytest.raises(ValueError, match="^d must be integers$"):
             rigidity.construct_system(8.0)
+
+    def test_variable_refuses_an_integral_float(self):
+        # 0.0 == 0, so without the read the index would select u1
+        with pytest.raises(ValueError, match="^arity and variable index must be integers$"):
+            LaurentPoly.variable(2, 0.0)
+
+    def test_entropy_profile_reads_every_size_before_building(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a window space before reading every size")
+
+        monkeypatch.setattr(windows, "build_window_space", unreachable)
+        with pytest.raises(ValueError, match="^box bounds must be integers$"):
+            windows.entropy_profile(E2, [2, "3"])
 
 
 class TestWindowConfig:
@@ -529,7 +547,7 @@ def small_space_cases(draw):
     if kind == "full":
         return box, codes.full_code(d)
     rows = draw(st.lists(st.integers(1, (1 << d) - 1), min_size=1, max_size=d))
-    return box, code_from_generators([F2Vector(d, r) for r in rows])
+    return box, code_from_generators(F2Matrix(tuple(rows), d))
 
 
 class TestStencilPlan:

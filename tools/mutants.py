@@ -15,7 +15,9 @@ tree give the same verdicts.  A run that outlives five times the
 unmutated run (plus 30 s) is stopped and counts as killed by the
 timeout.  A survivor is a finding to fix in the program or the tests,
 never a reason to loosen a test.  Standard library only; not part of
-Tier-1.
+Tier-1, but ``tests/test_mutant_catalogue.py`` checks there that every
+old text still occurs once and that ``tools/mutants.json`` records every
+mutant killed under ``HYPOTHESIS_SEED``.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ MUTANTS = [
         # a pivot bit reads as '0' in the free bits, so only the heavy cut sees it
         "taps_keep_the_rows_own_pivot_bit", W,
         "            row ^= 1 << pivot\n",
+        "",
+    ),
+    (
+        # ["10", "100"] builds a 2-column matrix whose second row reads "10"
+        "from_strings_without_its_width_check", G,
+        "        if any(v.length != width for v in vecs):\n"
+        "            raise ValueError(\"rows have mixed lengths\")\n",
         "",
     ),
     (
@@ -161,6 +170,12 @@ MUTANTS = [
         "    return Box(",
     ),
     (
+        # a size "3" fails in the comparison with 1 with a TypeError
+        "entropy_profile_without_its_size_read", W,
+        "    for n in int_tuple(sizes, \"box bounds\"):\n",
+        "    for n in sizes:\n",
+    ),
+    (
         "box_hash_of_lower_only", W,
         "        return hash((self.lower, self.upper))\n",
         "        return hash((self.lower,))\n",
@@ -237,8 +252,14 @@ MUTANTS = [
     (
         # samples=10.0 is refused only after both window spaces are built
         "verification_without_its_samples_read", R,
-        "    (samples,) = int_tuple((samples,), \"samples\")\n    if box_size < 2:\n",
-        "    if box_size < 2:\n",
+        "    (samples,) = int_tuple((samples,), \"samples\")\n    (box_size,) = int_tuple(",
+        "    (box_size,) = int_tuple(",
+    ),
+    (
+        # box_size="3" fails in the comparison with 2 with a TypeError
+        "verification_without_its_box_size_read", R,
+        "    (box_size,) = int_tuple((box_size,), \"box bounds\")\n",
+        "",
     ),
     (
         "sampled_site_guard_doubled", R,
@@ -304,6 +325,12 @@ MUTANTS = [
         "degree_budget_refuses_the_bound", L,
         "    if deg > MAX_EXPANSION_DEGREE:\n",
         "    if deg >= MAX_EXPANSION_DEGREE:\n",
+    ),
+    (
+        # variable(2, 1.5) is the constant 1 and variable(2, 0.0) is u1
+        "variable_without_its_read", L,
+        "        arity, j = int_tuple((arity, j), \"arity and variable index\")\n",
+        "",
     ),
     (
         "monomial_exponents_truncated_by_int", L,
