@@ -73,7 +73,8 @@ class BinaryCode:
     Build instances through :func:`code_from_generators`; the constructor
     validates that the supplied basis really is canonical and derives
     ``pivots``, the lowest set bit of each row, which equality, hashing
-    and repr ignore.
+    and repr ignore.  The dual code is derived on first use and held,
+    so :func:`dual` reduces a code's kernel rows once.
     """
 
     length: int
@@ -102,6 +103,13 @@ class BinaryCode:
     @property
     def dim(self) -> int:
         return self.basis.num_rows
+
+    # cached_property writes to the instance __dict__, outside the fields
+    # that equality, hashing and repr read
+    @functools.cached_property
+    def _dual(self) -> BinaryCode:
+        kernel = gf2.kernel_rows(self.basis.rows, self.pivots, self.length)
+        return code_from_generators(F2Matrix(kernel, self.length))
 
     def __str__(self) -> str:
         if self.dim == 0:
@@ -140,10 +148,10 @@ def dual(c: BinaryCode) -> BinaryCode:
     """The dual code, every vector orthogonal to all of ``c``.
 
     The kernel rows are read straight off the canonical basis, which is
-    already reduced, and then canonicalized.
+    already reduced, and then canonicalized, once per code: later calls
+    return the dual held on ``c``.
     """
-    kernel = gf2.kernel_rows(c.basis.rows, c.pivots, c.length)
-    return code_from_generators(F2Matrix(kernel, c.length))
+    return c._dual
 
 
 def is_self_orthogonal(c: BinaryCode) -> bool:

@@ -11,10 +11,12 @@ yet fails the affine second-difference test.  This module builds the
 standard family of such pairs, checks the premises exactly, and runs the
 dynamical checks on sampled windows plus one exhaustive toy sweep.  A
 verification builds each window space of its box once and hands it to
-every stage that reads it.  The
-sweep calls the library's own ``shear``, ``contains`` and
-``shift_restrict``; since the shear moves only z and the solutions form
-a linear space, sweeping the pairs (x, y, 0) decides every triple.
+every stage that reads it.  The sweep calls the library's own ``shear``,
+``contains`` and ``shift_restrict``; since the shear moves only z and
+the solutions form a linear space, sweeping the pairs (x, y, 0) decides
+every triple.  The involution sweep tiles all pairs into one
+configuration on a larger box and makes one double-shear call, which
+decides every pair at once because ``star`` and ``+`` act site by site.
 """
 
 from __future__ import annotations
@@ -411,15 +413,22 @@ def exhaustive_toy_report() -> VerificationReport:
     x * y + z is a solution exactly when x * y is, and on the z component
     the sides of equivariance differ by shift(x) * shift(y) against
     shift(x * y).  Each check thus sweeps the 64^2 pairs (x, y, 0), and
-    its verdict covers the 64^3 triples its witness counts.  Closure
-    reads ``contains`` and equivariance ``shift_restrict`` once per
-    configuration of the box (and shift), then looks up x * y.  The
-    shifts are the sampled check's at d = 3: the unit shifts and (1, 1, 1).
+    its verdict covers the 64^3 triples its witness counts.  The shifts
+    are the sampled check's at d = 3: the unit shifts and (1, 1, 1).
 
-    A pair of the involution sweep builds one triple and two shears,
-    seven validated values whose box checks end at the identity test,
-    and costs about 2.8 us on a shared 2-vCPU host: the sweep is about
-    12 ms of the report's 14.
+    The sweep is tiled: a toy configuration is one byte, since the box
+    has 8 sites, so pair k goes to block k of the box
+    [0, 4096) x [0, 2)^3, whose site order puts that block at bits
+    8k .. 8k + 7 in the toy's own site order.  ``star`` and ``+`` act
+    site by site, so one double shear of the tiled triple equals the
+    tiled triple exactly when every pair's does, and one call decides
+    all 4,096.  Closure and equivariance still read ``contains`` once per
+    configuration of the toy box and ``shift_restrict`` once per
+    configuration and shift, as byte tables; only the lookup of x * y
+    and of the shifted x, y and x * y runs over the tiled bytes.
+    ``shift_restrict`` is not tiled itself: a fault at one site of its
+    output, such as a flipped bit 0, would then touch only block 0, the
+    pair (0, 0), where it cancels.
     """
     code = codes_mod.repetition_code(3)
     system = TripleSystem(3, code, code)
@@ -429,27 +438,34 @@ def exhaustive_toy_report() -> VerificationReport:
     for row in space.solution_basis.rows:
         sols.extend([s ^ row for s in sols])
     sols.sort()
-    pairs = [(x, y) for x in sols for y in sols]
+    # pair k = (sols[k // 64], sols[k % 64]) is byte k of xs and ys
+    xs = bytes(x for x in sols for _ in sols)
+    ys = bytes(sols) * len(sols)
+    x_bits, y_bits = int.from_bytes(xs, "little"), int.from_bytes(ys, "little")
+    xys = (x_bits & y_bits).to_bytes(len(xs), "little")
     every = [WindowConfig(box, b) for b in range(1 << space.site_count)]
     shifts = _shifts(3)
     witness = {"solutions": len(sols), "triples": len(sols) ** 3, "shifts": len(shifts)}
     zero = WindowConfig.zero(box)
 
     def involution() -> tuple[bool, object]:
-        for x, y in pairs:
-            t = TripleConfig(every[x], every[y], zero)
-            if shear(shear(t)) != t:
-                return False, witness
-        return True, witness
+        tiled = Box((0,) * 4, (len(xs),) + box.shape)
+        t = TripleConfig(
+            WindowConfig(tiled, x_bits),
+            WindowConfig(tiled, y_bits),
+            WindowConfig.zero(tiled),
+        )
+        return shear(shear(t)) == t, witness
 
     def closure() -> tuple[bool, object]:
-        valid = [windows_mod.contains(space, c) for c in every]
-        return all(valid[x & y] for x, y in pairs), witness
+        valid = bytes(windows_mod.contains(space, c) for c in every)
+        return 0 not in xys.translate(valid), witness
 
     def equivariance() -> tuple[bool, object]:
         for m in shifts:
-            t = [windows_mod.shift_restrict(c, m).bits for c in every]
-            if any(t[x] & t[y] != t[x & y] for x, y in pairs):
+            t = bytes(windows_mod.shift_restrict(c, m).bits for c in every)
+            sx, sy, sxy = (int.from_bytes(b.translate(t), "little") for b in (xs, ys, xys))
+            if sx & sy != sxy:
                 return False, witness
         return True, witness
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from starshift.codes import BinaryCode, code_from_generators, dual
 from starshift.gf2 import F2Matrix, F2Vector
 from starshift.laurent import LaurentPoly
+from starshift.rigidity import TripleConfig
 from starshift.windows import Box, WindowConfig
 
 
@@ -249,6 +250,29 @@ def window_log2_count(box: Box, code: BinaryCode) -> int:
     count = window_solution_count(box, code)
     assert count > 0 and count & (count - 1) == 0, "solution set must be a subgroup"
     return count.bit_length() - 1
+
+
+def toy_involution_per_pair(shear) -> bool:
+    """The toy sweep's involution verdict, one double shear per pair.
+
+    The window solutions of the length-3 repetition code on the 2x2x2
+    box are found by the local rule, as in :func:`window_rule_holds`;
+    for every pair (x, y) of them the triple (x, y, 0) must come back
+    from two applications of ``shear``.  This is the sweep the tiled
+    check replaced, with the map passed in so a patched one is judged
+    the same way.
+    """
+    box = Box((0, 0, 0), (2, 2, 2))
+    code = code_from_generators(["111"])
+    configs = [WindowConfig(box, b) for b in range(1 << box.site_count)]
+    sols = [x for x in configs if window_rule_holds(box, code, x)]
+    zero = configs[0]
+    for x in sols:
+        for y in sols:
+            t = TripleConfig(x, y, zero)
+            if shear(shear(t)) != t:
+                return False
+    return True
 
 
 def _monomials_up_to(d: int, degree: int) -> list[tuple[int, ...]]:

@@ -283,13 +283,15 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
         assert not path.exists()
 
-    def test_matches_the_golden_report(self, capsys):
+    @pytest.mark.parametrize("d, box", [(8, 2), (12, 2), (8, 3)], ids=["d8b2", "d12b2", "d8b3"])
+    def test_matches_the_golden_report(self, capsys, d, box):
         # a pinned report catches a change to any verdict or witness,
         # which two runs of the same code cannot
-        argv = ["verify", "-d", "8", "--box", "2", "--samples", "100", "--seed", "3", "--json"]
+        argv = ["verify", "-d", str(d), "--box", str(box), "--samples", "100", "--seed", "3",
+                "--json"]
         assert main(argv) == 0
         text = json.dumps(_strip_millis(json.loads(capsys.readouterr().out)), indent=2) + "\n"
-        assert text.encode() == (DATA / "verify_d8_box2_seed3.json").read_bytes()
+        assert text.encode() == (DATA / f"verify_d{d}_box{box}_seed3.json").read_bytes()
 
     def test_seeded_json_reports_identical_modulo_timing(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

@@ -233,6 +233,13 @@ class TestDuality:
         assert d.dim == 3
         assert all(gf2.dot(v, w) == 0 for v in c.basis.row_vectors() for w in d.basis.row_vectors())
 
+    def test_a_code_reduces_its_dual_once(self, eliminations):
+        c = code_from_generators(["110100", "011010", "000111"])
+        eliminations.clear()
+        first = codes.dual(c)
+        assert codes.dual(c) is first
+        assert len(eliminations) == 1
+
     def test_dual_of_full_is_zero(self):
         z = codes.dual(codes.full_code(4))
         assert z.dim == 0

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import toy_involution_per_pair
 
 from starshift import codes, rigidity, windows
 from starshift.errors import GuardExceededError, UnsupportedDimensionError
@@ -373,6 +374,77 @@ class TestExhaustiveToyMutants:
             return x.bits != (1 << x.box.site_count) - 1 and original(space, x)
 
         assert toy_mutant(windows, "contains", mutant) == {"toy_exhaustive_closure"}
+
+
+def _flip_bit_zero(original):
+    def mutant(x, m):
+        y = original(x, m)
+        return WindowConfig(y.box, y.bits ^ 1)
+
+    return mutant
+
+
+def _reject_all_ones(original):
+    def mutant(space, x):
+        return x.bits != (1 << x.box.site_count) - 1 and original(space, x)
+
+    return mutant
+
+
+def _stuck_where_only_y_is_set(t):
+    # acts site by site, and fails to be an involution only where x = 0 and y = 1
+    x, y, z = t.x.bits, t.y.bits, t.z.bits
+    return TripleConfig(t.x, t.y, WindowConfig(t.z.box, (x & y ^ z) | (y & ~x)))
+
+
+def _wrong_on_one_toy_pair(original):
+    # keyed on a whole 2x2x2 configuration: a tiled sweep never shows it one
+    def mutant(t):
+        image = original(t)
+        if t.x.bits == t.y.bits == 0xFF:
+            return TripleConfig(image.x, image.y + t.x, image.z)
+        return image
+
+    return mutant
+
+
+class TestTiledToyInvolution:
+    """The tiled involution verdict against the per-pair sweep it replaced."""
+
+    @pytest.mark.parametrize(
+        "module, name, make",
+        [
+            (rigidity, "shear", lambda f: f),
+            (
+                rigidity,
+                "shear",
+                lambda _: lambda t: TripleConfig(t.x, t.x + t.y, windows.star(t.x, t.y) + t.z),
+            ),
+            (rigidity, "shear", lambda _: affine_impostor),
+            (rigidity, "shear", lambda _: _stuck_where_only_y_is_set),
+            (windows, "shift_restrict", _flip_bit_zero),
+            (windows, "contains", _reject_all_ones),
+        ],
+        ids=[
+            "library",
+            "non_involutive",
+            "affine",
+            "stuck_where_only_y_is_set",
+            "shift_flips_bit_zero",
+            "contains_all_ones",
+        ],
+    )
+    def test_tiled_verdict_equals_the_per_pair_verdict(self, toy_mutant, module, name, make):
+        failed = toy_mutant(module, name, make(getattr(module, name)))
+        tiled = "toy_exhaustive_involution" not in failed
+        assert tiled == toy_involution_per_pair(rigidity.shear)
+
+    def test_a_map_keyed_on_one_toy_pair_needs_the_per_pair_sweep(self, toy_mutant):
+        # the tiling premise holds only for a map that acts site by site;
+        # the per-pair oracle is what catches one that does not
+        failed = toy_mutant(rigidity, "shear", _wrong_on_one_toy_pair(rigidity.shear))
+        assert "toy_exhaustive_involution" not in failed
+        assert toy_involution_per_pair(rigidity.shear) is False
 
 
 class TestNonAffineWitness:

@@ -472,6 +472,14 @@ class TestStreamedRows:
         assert next(rows, None) is None
         assert space.echelon == echelon_pivots(window_constraint_rows(space.box, space.code))
 
+    def test_builds_of_one_code_reduce_its_dual_once(self, eliminations):
+        code = codes.repetition_code(3)
+        eliminations.clear()
+        for n in (2, 3, 4):
+            build_window_space(cube(3, n), code)
+        # one elimination per box, and one for the dual code
+        assert len(eliminations) == 4
+
     def test_build_peak_memory_is_near_the_echelon(self):
         box, code = cube(3, 12), codes.repetition_code(3)
         build_window_space(cube(3, 2), code)  # the dual code and its caches

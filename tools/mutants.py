@@ -13,11 +13,13 @@ hypothesis seed of every run, and per mutant ``killed`` with the first
 failing test, or ``survived``.  The seed is fixed, so two runs on one
 tree give the same verdicts.  A run that outlives five times the
 unmutated run (plus 30 s) is stopped and counts as killed by the
-timeout.  A survivor is a finding to fix in the program or the tests,
-never a reason to loosen a test.  Standard library only; not part of
-Tier-1, but ``tests/test_mutant_catalogue.py`` checks there that every
-old text still occurs once and that ``tools/mutants.json`` records every
-mutant killed under ``HYPOTHESIS_SEED``.
+timeout.  A SIGTERM to the script stops the current run's process group
+and removes the copies before it exits.  A survivor is a finding to fix
+in the program or the tests, never a reason to loosen a test.  Standard
+library only; not part of Tier-1, but ``tests/test_mutant_catalogue.py``
+checks there that every old text still occurs once and that
+``tools/mutants.json`` records every mutant killed under
+``HYPOTHESIS_SEED``.
 """
 
 from __future__ import annotations
@@ -262,6 +264,18 @@ MUTANTS = [
         "",
     ),
     (
+        # a double shear that moves only z passes
+        "toy_involution_compares_only_x_and_y", R,
+        "        return shear(shear(t)) == t, witness\n",
+        "        s = shear(shear(t))\n        return (s.x, s.y) == (t.x, t.y), witness\n",
+    ),
+    (
+        # every tiled pair reads (x, x), so no pair with x != y is swept
+        "toy_tiles_x_in_place_of_y", R,
+        "            WindowConfig(tiled, y_bits),\n",
+        "            WindowConfig(tiled, x_bits),\n",
+    ),
+    (
         "sampled_site_guard_doubled", R,
         "MAX_SAMPLED_SITES = 1 << 24\n",
         "MAX_SAMPLED_SITES = 1 << 25\n",
@@ -291,6 +305,12 @@ MUTANTS = [
         "witness_entries_truncated_by_int", K,
         "    n = gf2.int_tuple(n, \"entries of n\")\n",
         "    n = tuple(map(int, n))\n",
+    ),
+    (
+        # every call of dual reduces the kernel rows again
+        "dual_derived_on_every_call", K,
+        "    return c._dual\n",
+        "    return BinaryCode._dual.func(c)\n",
     ),
     (
         "generators_reduced_unsorted", K,
@@ -422,7 +442,14 @@ def _tier1(tree: Path, timeout: float | None) -> tuple[str, str]:
     return "failed", failed.group(1) if failed else f"exit code {proc.returncode}"
 
 
+def _stop(signum, frame) -> None:
+    # an exception, so that _tier1's finally kills the current run's process
+    # group and the temporary directory is removed on the way out
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _stop)
     with tempfile.TemporaryDirectory(prefix="starshift-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy(base)
