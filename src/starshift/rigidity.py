@@ -483,23 +483,19 @@ def exhaustive_toy_report() -> VerificationReport:
     return report
 
 
-def non_affine_witness(space: WindowSpace, *, seed: int = 0) -> dict:
-    """A nonzero window solution certifying the shear map is not affine.
+def non_affine_witness(space: WindowSpace) -> dict:
+    """The constant all-ones point, certifying the shear map is not affine.
 
-    The solution x is drawn from ``space``, the window space of the
-    system's code.  The second difference of an affine map vanishes;
-    for the shear it equals (0, 0, x * x) = (0, 0, x), so any nonzero
-    solution x is a witness.
-
-    Raises:
-        ValueError: when the window solution space is trivial.
+    All-ones lies in the code by the premise ``code_contains_all_ones``,
+    so every stencil pattern of the all-ones configuration on Z^d is a
+    codeword and that configuration is a point of X_C.  x is its
+    restriction to the box of ``space``, the code's window space, and
+    the record says whether x lies in ``space``.  An affine map's second
+    difference vanishes; the shear's is (0, 0, x * x) = (0, 0, x), since
+    x * x = x sitewise, and x is nonzero on a box with a site.
     """
-    if windows_mod.log2_count(space) == 0:
-        raise ValueError("the window solution space is trivial; no nonzero witness exists")
     box = space.box
-    x = windows_mod.sample(space, seed)
-    if x.is_zero:
-        x = WindowConfig(box, space.solution_basis.rows[0])
+    x = WindowConfig(box, (1 << space.site_count) - 1)
     diff = second_difference(x)
     return {
         "x": x.to_bit_string(),
@@ -509,6 +505,9 @@ def non_affine_witness(space: WindowSpace, *, seed: int = 0) -> dict:
         "second_difference_z": diff.z.to_bit_string(),
         "z_equals_star_square": diff.z == windows_mod.star(x, x),
         "nonzero": not diff.z.is_zero,
+        "constant": True,
+        "in_window_space": windows_mod.contains(space, x),
+        "premise": "code_contains_all_ones",
     }
 
 
@@ -556,14 +555,10 @@ def run_full_verification(
         report.checks.extend(replace(c, name=prefix + c.name) for c in stage.checks)
 
     def witness_check() -> tuple[bool, object]:
-        record = non_affine_witness(space_xy, seed=seed)
-        ok = (
-            record["second_difference_x_zero"]
-            and record["second_difference_y_zero"]
-            and record["z_equals_star_square"]
-            and record["nonzero"]
-        )
-        return ok, record
+        record = non_affine_witness(space_xy)
+        verdicts = ("in_window_space", "second_difference_x_zero", "second_difference_y_zero",
+                    "z_equals_star_square", "nonzero")
+        return all(record[k] for k in verdicts), record
 
     report.checks.append(_timed_check("non_affine_witness", witness_check))
 

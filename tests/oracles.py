@@ -252,6 +252,52 @@ def window_log2_count(box: Box, code: BinaryCode) -> int:
     return count.bit_length() - 1
 
 
+def extension_constraints(box: Box, code: BinaryCode) -> list[int]:
+    """Rows over the sites of ``box`` that cut out the patterns that extend one step.
+
+    A configuration x on ``box`` (bit k for site k of ``box.sites()``)
+    is the restriction of a window solution on the box one site longer
+    on every upper side exactly when every returned row meets x.bits in
+    an even number of bits; the rows are independent, so the restriction
+    image has dimension ``box.site_count - len(rows)``.
+
+    The larger box's rule is read off the explicit codeword set: one row
+    per anchor stencil (as in :func:`window_rule_holds`) and per word of
+    an independent set of words orthogonal to every codeword.  Each row
+    packs the sites outside ``box`` above the sites of ``box``, and one
+    elimination on highest set bits leaves the rows that vanish outside
+    ``box`` spanning every such combination: x extends exactly when the
+    image of its constraints lies in the span of the outer columns.
+    """
+    words = span_words(code.basis.rows)
+    independent = SpanSolver()
+    dual_words = []
+    for w in range(1, 1 << code.length):
+        if all((w & c).bit_count() % 2 == 0 for c in words) and not independent.member(w):
+            independent.add(w)
+            dual_words.append(w)
+    big = Box(box.lower, tuple(u + 1 for u in box.upper))
+    inner = {s: k for k, s in enumerate(box.sites())}
+    outer = {s: k for k, s in enumerate(s for s in big.sites() if s not in inner)}
+    column = [
+        1 << inner[s] if s in inner else 1 << (len(inner) + outer[s]) for s in big.sites()
+    ]
+    pivots: dict[int, int] = {}
+    for stencil in _anchor_stencils(big):
+        for w in dual_words:
+            row = 0
+            for j, k in enumerate(stencil):
+                if (w >> j) & 1:
+                    row ^= column[k]
+            while row:
+                top = row.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = row
+                    break
+                row ^= pivots[top]
+    return [r for top, r in pivots.items() if top < len(inner)]
+
+
 def toy_involution_per_pair(shear) -> bool:
     """The toy sweep's involution verdict, one double shear per pair.
 

@@ -293,6 +293,20 @@ class TestVerify:
         text = json.dumps(_strip_millis(json.loads(capsys.readouterr().out)), indent=2) + "\n"
         assert text.encode() == (DATA / f"verify_d{d}_box{box}_seed3.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["inspect", "{c8}", "--json"], "inspect_hamming8.json"),
+            (["dual", "{c8}", "--json"], "dual_hamming8.json"),
+            (["construct", "-d", "8", "--json"], "construct_d8.json"),
+        ],
+        ids=["inspect", "dual", "construct"],
+    )
+    def test_code_command_matches_its_golden(self, capsys, c8_file, argv, golden):
+        # these reports carry no timing, so stdout is compared byte for byte
+        assert main([a.format(c8=c8_file) for a in argv]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
     def test_seeded_json_reports_identical_modulo_timing(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

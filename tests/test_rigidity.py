@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import toy_involution_per_pair
+from oracles import extension_constraints, toy_involution_per_pair
 
 from starshift import codes, rigidity, windows
 from starshift.errors import GuardExceededError, UnsupportedDimensionError
@@ -447,20 +447,55 @@ class TestTiledToyInvolution:
         assert toy_involution_per_pair(rigidity.shear) is False
 
 
+def _extends(rows, x):
+    return all((r & x.bits).bit_count() % 2 == 0 for r in rows)
+
+
 class TestNonAffineWitness:
     def test_reference_witness(self):
         space = build_window_space(cube(8, 2), construct_system(8).code)
-        record = rigidity.non_affine_witness(space, seed=0)
+        record = rigidity.non_affine_witness(space)
+        assert record["x"] == "1" * space.site_count
+        assert record["constant"]
+        assert record["in_window_space"]
+        assert record["premise"] == "code_contains_all_ones"
         assert record["second_difference_x_zero"]
         assert record["second_difference_y_zero"]
         assert record["z_equals_star_square"]
         assert record["nonzero"]
-        assert "1" in record["x"]
 
-    def test_trivial_space_rejected(self):
+    def test_code_without_all_ones_fails_the_check(self, monkeypatch):
+        # the zero code of length 1 admits only the zero configuration on
+        # [0, 4), so all-ones is no window solution; every other field of
+        # the record still holds
         zero = codes.dual(codes.full_code(1))
-        with pytest.raises(ValueError):
-            rigidity.non_affine_witness(build_window_space(cube(1, 4), zero), seed=0)
+        record = rigidity.non_affine_witness(build_window_space(cube(1, 4), zero))
+        assert record["in_window_space"] is False
+        assert record["nonzero"] and record["z_equals_star_square"]
+        monkeypatch.setattr(rigidity, "construct_system", lambda d: TripleSystem(d, zero, zero))
+        report = rigidity.run_full_verification(1, box_size=4, samples=5)
+        (check,) = [c for c in report.checks if c.name == "non_affine_witness"]
+        assert not check.passed
+        assert check.witness == record
+
+    def test_witness_extends_and_the_old_draw_does_not(self):
+        # d8b2: the code's window space has dimension 252, but only 149 of
+        # them are restrictions of box-3 solutions.  All-ones extends; the
+        # seed-3 draw the witness used to be does not, so it was a pattern
+        # of no point of X_C
+        box = cube(8, 2)
+        space = build_window_space(box, construct_system(8).code)
+        rows = extension_constraints(box, space.code)
+        assert (space.free_dim, box.site_count - len(rows)) == (252, 149)
+        x = WindowConfig(box, int(rigidity.non_affine_witness(space)["x"][::-1], 2))
+        assert _extends(rows, x)
+        assert not _extends(rows, windows.sample(space, 3))
+
+    def test_product_code_space_extends_fully(self):
+        box = cube(8, 2)
+        space = build_window_space(box, construct_system(8).product_code)
+        assert box.site_count - len(extension_constraints(box, space.code)) == 255
+        assert space.free_dim == 255
 
 
 class TestFullVerification:

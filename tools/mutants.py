@@ -281,6 +281,18 @@ MUTANTS = [
         "MAX_SAMPLED_SITES = 1 << 25\n",
     ),
     (
+        # the witness drawn from the window space, a locally admissible
+        # pattern that need not extend to a point of X_C
+        "non_affine_witness_drawn", R,
+        "    x = WindowConfig(box, (1 << space.site_count) - 1)\n",
+        "    x = windows_mod.sample(space, 0)\n",
+    ),
+    (
+        "non_affine_witness_skips_membership", R,
+        "verdicts = (\"in_window_space\", \"second_difference_x_zero\",",
+        "verdicts = (\"second_difference_x_zero\",",
+    ),
+    (
         "weight_stream_skips_the_zero_word", K,
         "    for k in range(length + 1):\n        tested += math.comb(length, k)\n",
         "    for k in range(1, length + 1):\n        tested += math.comb(length, k)\n",
