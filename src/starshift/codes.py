@@ -108,7 +108,8 @@ class BinaryCode:
     # that equality, hashing and repr read
     @functools.cached_property
     def _dual(self) -> BinaryCode:
-        kernel = gf2.kernel_rows(self.basis.rows, self.pivots, self.length)
+        shifted = {p: r >> p for p, r in zip(self.pivots, self.basis.rows)}
+        kernel = gf2.kernel_rows(*gf2.back_substitute(shifted), self.length)
         return code_from_generators(F2Matrix(kernel, self.length))
 
     def __str__(self) -> str:

@@ -8,6 +8,7 @@ touches floating point.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,6 +19,7 @@ __all__ = [
     "F2Vector",
     "F2Matrix",
     "weight",
+    "bits_at",
     "dot",
     "cw_product",
     "kernel_basis",
@@ -160,18 +162,30 @@ def cw_product(v: F2Vector, w: F2Vector) -> F2Vector:
     return F2Vector(v.length, v.bits & w.bits)
 
 
-def echelon_pivots(rows: Iterable[int]) -> dict[int, int]:
-    """Row-echelon pivots of bit-packed rows.
+def bits_at(positions: Sequence[int]) -> int:
+    """The int whose set bits are ``positions``, each written once into a byte buffer."""
+    buf = bytearray((max(positions, default=-1) >> 3) + 1)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
 
-    Returns a map from pivot column to an echelon row whose lowest set
-    bit is that column.  Rows are inserted in order, each reduced against
-    the pivots found so far, so the result is deterministic.
+
+def echelon_pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Row-echelon pivots of bit-packed rows, each row shifted to its pivot.
+
+    Returns a map from pivot column c to an echelon row with lowest set
+    bit c, stored as ``row >> c``.  Rows are inserted in order, each
+    reduced against the pivots found so far, so the result is
+    deterministic.  A row under reduction is kept shifted to its lowest
+    set bit too, so an XOR costs the span of two rows, not their column.
     """
     pivots: dict[int, int] = {}
     for r in rows:
-        cur = r
+        c, cur = 0, r
         while cur:
-            c = _lowest_set_bit(cur)
+            k = _lowest_set_bit(cur)
+            cur >>= k
+            c += k
             p = pivots.get(c)
             if p is None:
                 pivots[c] = cur
@@ -181,10 +195,11 @@ def echelon_pivots(rows: Iterable[int]) -> dict[int, int]:
 
 
 def reduce_bits(bits: int, pivots: dict[int, int]) -> int:
-    """Residue of a bit-packed row after elimination against echelon pivots.
+    """Residue of a bit-packed row after elimination against pivot rows.
 
-    The residue is zero exactly when ``bits`` lies in the row space of the
-    pivot rows.
+    ``pivots`` maps each pivot column to an unshifted row whose lowest set
+    bit is that column, such as a canonical basis keyed by its pivots.
+    The residue is zero exactly when ``bits`` lies in their row space.
     """
     cur = scan = bits
     while scan:
@@ -201,30 +216,31 @@ def reduce_bits(bits: int, pivots: dict[int, int]) -> int:
 
 
 def back_substitute(pivots: dict[int, int]) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon rows and their pivot columns, from echelon pivots.
+    """Reduced rows in free coordinates and their pivot columns, from echelon pivots.
 
-    ``pivots`` maps pivot column to an echelon row whose lowest set bit is
-    that column, as :func:`echelon_pivots` returns; it is left unchanged.
-    Returns ``(rref_rows, pivot_cols)``, both sorted by pivot column.
-
-    The pivots are walked from the highest column down.  Each echelon row
-    XORs in the already reduced row of every other pivot column it has
-    set, found as ``row & pivot_mask``; those rows carry no other pivot
-    bit, so the XORs commute and the cost is the number of pivot bits
-    actually set rather than rank squared.
+    ``pivots`` is left unchanged.  Returns ``(parts, pivot_cols)``, both
+    sorted by pivot column.  The part of pivot c is its reduced row without
+    bit c, packed onto the free columns: bit j is the j-th free column.
+    The pivots are walked from the highest column down, each over the set
+    bits of its shifted echelon row.  A bit on another pivot XORs in that
+    pivot's part, and one on free column f sets bit f - (number of pivots
+    below f), so the cost is the set bits of the echelon, not its width.
     """
     cols = sorted(pivots)
-    pivot_mask = sum(1 << c for c in cols)
-    reduced: dict[int, int] = {}
+    parts: dict[int, int] = {}
     for c in reversed(cols):
-        row = pivots[c]
-        hits = (row & pivot_mask) ^ (1 << c)
-        while hits:
-            low = hits & -hits
-            row ^= reduced[low.bit_length() - 1]
-            hits ^= low
-        reduced[c] = row
-    return [reduced[c] for c in cols], cols
+        row, part = pivots[c] ^ 1, 0
+        while row:
+            b = row.bit_length() - 1
+            row ^= 1 << b
+            col = c + b
+            other = parts.get(col)
+            if other is None:
+                part ^= 1 << (col - bisect.bisect_left(cols, col))
+            else:
+                part ^= other
+        parts[c] = part
+    return [parts[c] for c in cols], cols
 
 
 def reduced_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -234,38 +250,43 @@ def reduced_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     column; zero rows are dropped.  Pivot choice is the lowest column
     index with a nonzero entry, which makes the output the canonical
     reduced basis of the row space.  One :func:`echelon_pivots` pass,
-    then :func:`back_substitute`.
+    then :func:`back_substitute`, whose parts are spread back onto the
+    free columns.
     """
-    return back_substitute(echelon_pivots(rows))
+    pivots = echelon_pivots(rows)
+    parts, cols = back_substitute(pivots)
+    width = max((c + r.bit_length() for c, r in pivots.items()), default=0)
+    free = sorted(set(range(width)).difference(cols))
+    # character j of the reversed binary string is bit j of the part
+    bits = (zip(free, reversed(format(part, "b"))) for part in parts)
+    spread = (sum(1 << f for f, bit in pairs if bit == "1") for pairs in bits)
+    return [1 << c | s for c, s in zip(cols, spread)], cols
 
 
-def kernel_rows(rref: Sequence[int], pivot_cols: Sequence[int], cols: int) -> tuple[int, ...]:
+def kernel_rows(parts: Sequence[int], pivot_cols: Sequence[int], cols: int) -> tuple[int, ...]:
     """Basis rows of the right kernel of reduced rows over ``cols`` columns.
 
-    ``rref`` and ``pivot_cols`` are a reduced row-echelon form, as
+    ``parts`` and ``pivot_cols`` are reduced rows in free coordinates, as
     :func:`back_substitute` returns.  One row per free column, in
-    increasing free-column order.  The row of free column ``f`` is ``f``
-    itself plus the pivot column of every reduced row with bit ``f`` set,
-    so the rows are read off the free bits of the reduced rows in one
-    pass over them.
+    increasing order: the row of the j-th free column f is f plus the
+    pivot of every part with bit j set.  The parts are transposed in one
+    pass over their set bits, and each row is written once.
     """
-    pivot_set = set(pivot_cols)
-    basis = {f: 1 << f for f in range(cols) if f not in pivot_set}
-    free_mask = sum(basis.values())
-    for prow, pcol in zip(rref, pivot_cols):
-        scan = prow & free_mask
-        while scan:
-            low = scan & -scan
-            basis[low.bit_length() - 1] |= 1 << pcol
-            scan ^= low
-    return tuple(basis.values())
+    free = sorted(set(range(cols)).difference(pivot_cols))
+    hits: list[list[int]] = [[] for _ in free]
+    for part, p in zip(parts, pivot_cols):
+        while part:
+            j = part.bit_length() - 1
+            part ^= 1 << j
+            hits[j].append(p)
+    return tuple(1 << f | bits_at(h) if h else 1 << f for h, f in zip(hits, free))
 
 
 def kernel_basis(m: F2Matrix) -> F2Matrix:
     """A basis of the right kernel ``{x : m x = 0}`` as matrix rows.
 
     One basis row per free column, in increasing free-column order; a
-    full-rank matrix yields a matrix with no rows.  :func:`reduced_rows`,
-    then :func:`kernel_rows`.
+    full-rank matrix yields a matrix with no rows.  :func:`echelon_pivots`,
+    :func:`back_substitute`, then :func:`kernel_rows`.
     """
-    return F2Matrix(kernel_rows(*reduced_rows(m.rows), m.cols), m.cols)
+    return F2Matrix(kernel_rows(*back_substitute(echelon_pivots(m.rows)), m.cols), m.cols)

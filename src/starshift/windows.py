@@ -32,39 +32,38 @@ hits 17,472 times, and a later pass hits every lookup.
 
 A space is its box, code, plan and echelon.  It is eliminated once, when
 it is built: the plan streams its rows into the elimination one at a time,
-and ``echelon`` maps each pivot column to its echelon row, the rank being
-its size.  The raw rows are never stored: on [0, 27)^3 with the length-3
-repetition code they would add 47.0 MB to the 27.5 MB the space holds
+and ``echelon`` maps each pivot column c to its echelon row shifted down
+by c, the rank being its size.  The raw rows are never stored.  On
+[0, 27)^3 with the length-3 repetition code they would take 47.0 MB, and
+the space holds 2.0 MB, where rows kept at their sites took 27.5 MB
 (tracemalloc).  That every row lies inside the box is checked once on
 the plan, from its highest anchor bit and largest offset.  Draws and
-``solution_basis`` back-substitute the echelon when first needed and keep
-only what they derive, not the reduced rows themselves (22,201 more big
-ints on a 150 x 150 box).  Window rows are eliminated in plan order,
-unsorted: each anchor's rows meet few earlier pivots, and the sort that
-``code_from_generators`` needs for arbitrary generator rows only slows
-the planar elimination down.
+``solution_basis`` back-substitute the echelon when first needed into
+reduced rows in free coordinates, and keep only what they derive.  Window
+rows are eliminated in plan order, unsorted: each anchor's rows meet few
+earlier pivots, and the sort that ``code_from_generators`` needs for
+arbitrary generator rows only slows the planar elimination down.
 
 Sampling draws one mask of free_dim = sites - rank random bits and
-forms the combination of the kernel basis rows it selects.  Kernel row f
-is e_f plus every pivot column whose reduced row has bit f set, so the
-combination is also the mask expanded onto the free columns, OR the
-parities of (reduced row) & (expanded mask) expanded onto the pivot
-columns.  Reduced rows are sparse: at d = 8 on [0, 3)^8 the code's 977
-rows hold 6,973 free bits over 5,584 free columns (7.1 a row, at most
-25) and the product code's 256 rows 3,136 over 6,305 (12.2 a row, at
-most 19).  So a parity draw gathers just those bits of the expanded
-mask, row by row, out of its binary string, and reads every row's parity
-off one prefix XOR: a fixed number of C-level big-int and string calls
-over about nnz + sites bits, nnz being the free bits of all rows, with
-no Python loop per row.  On the box-2 spaces, of rank 1 to 4, the fixed
-cost of formatting the mask (about 3.5 us at 4,096 sites) outweighs the
-few bits gathered, and an AND-and-count of every row would draw a few
-microseconds faster.  A row with more than ``_HEAVY_ROW`` = 64 free bits
-keeps the AND-and-count, which bounds the gather at 64 x rank entries.
-The XOR of kernel rows costs about free_dim / 2 x sites bits, so a space
-draws by parities only when rank < free_dim.  Both give the same bits
-from the same random call, so seeded streams do not depend on the
-choice.
+forms the combination of the kernel basis rows it selects.  Kernel row j
+is e_f, f the j-th free column, plus every pivot column whose reduced
+row's part has bit j set, so the combination is also the mask expanded
+onto the free columns, OR the parities of (part) & (mask) expanded onto
+the pivot columns.  Parts are sparse: at d = 8 on [0, 3)^8 the code's
+977 parts hold 6,973 bits over 5,584 free columns (7.1 a part, at most
+25) and the product code's 256 parts 3,136 over 6,305 (12.2 a part, at
+most 19).  So a parity draw gathers just those bits of the mask, part by
+part, out of its binary string, and reads every part's parity off one
+prefix XOR: a fixed number of C-level big-int and string calls over
+about nnz + free_dim bits, nnz being the bits of all parts, with no
+Python loop per part.  On the box-2 spaces, of rank 1 to 4, the fixed
+cost of formatting the mask outweighs the few bits gathered, and an
+AND-and-count of every part would draw a few microseconds faster.  A
+part with more than ``_HEAVY_ROW`` = 64 bits keeps the AND-and-count,
+which bounds the gather at 64 x rank entries.  The XOR of kernel rows
+costs about free_dim / 2 x sites bits, so a space draws by parities only
+when rank < free_dim.  Both give the same bits from the same random
+call, so seeded streams do not depend on the choice.
 """
 
 from __future__ import annotations
@@ -367,48 +366,47 @@ _HEAVY_ROW = 64
 class _PivotParities:
     """Kernel combinations read off the reduced rows of a window system.
 
-    Built once per space from its reduced rows and their pivot columns.
-    A reduced row has no pivot bit but its own, so each row without that
-    bit is listed by its set bits, lowest first, as taps: positions in
-    ``format(free_bits, spec)``, where column f is character cols - f and
-    character 0 is a padding '0'.  Rows follow one another from the
-    lowest bit of the gathered int up; a row with no set bit, or with
+    Built once per space from the parts and pivot columns that
+    :func:`gf2.back_substitute` returns.  Each part is listed by its set
+    bits, highest first, as taps: positions in ``format(mask, spec)`` of
+    the drawn mask itself, where free bit j is character free_dim - j and
+    character 0 is a padding '0'.  Parts follow one another from the
+    lowest bit of the gathered int up; a part with no set bit, or with
     more than ``_HEAVY_ROW``, has the one tap on the padding, and a heavy
-    row is kept whole in ``heavy``.  ``starts`` and ``ends`` mark the
-    lowest and highest bit of every row, each with its moves.
+    part is kept whole in ``heavy``.  ``starts`` and ``ends`` mark the
+    first and last tap of every part, each with its moves.
 
-    A draw expands the mask onto the free columns, then is one
-    ``format``, one gather, one ``join`` and one ``int(s, 2)``, then a
-    prefix XOR P in ceil(log2 taps) doublings.  Row k's parity is
-    P[end_k] ^ P[start_k - 1], and two compresses read it for every row
-    at once.  Each heavy row is ANDed with the free bits and counted
-    instead.  The parities expand onto the pivot columns, as the module
-    docstring derives.
+    A draw is one ``format`` of the mask, one gather, one ``join`` and one
+    ``int(s, 2)``, then a prefix XOR P in ceil(log2 taps) doublings.  Row
+    k's parity is P[end_k] ^ P[start_k - 1], and two compresses read it
+    for every row at once.  Each heavy part is ANDed with the mask and
+    counted instead.  The mask expands onto the free columns and the
+    parities onto the pivot columns, as the module docstring derives.
     """
 
-    def __init__(self, rref: Sequence[int], pivot_cols: Sequence[int], cols: int):
-        pivot_mask = functools.reduce(operator.or_, (1 << p for p in pivot_cols), 0)
+    def __init__(self, parts: Sequence[int], pivot_cols: Sequence[int], cols: int):
+        pivot_mask = gf2.bits_at(pivot_cols)
         free_mask = ((1 << cols) - 1) ^ pivot_mask
+        free_dim = cols - len(pivot_cols)
         self.pivots = pivot_mask, _moves(pivot_mask, cols)
         self.free = free_mask, _moves(free_mask, cols)
         self.heavy = []
         taps = []
         starts = ends = 0
-        for k, (row, pivot) in enumerate(zip(rref, pivot_cols)):
-            row ^= 1 << pivot
+        for k, part in enumerate(parts):
             starts |= 1 << len(taps)
-            if row.bit_count() > _HEAVY_ROW:
-                self.heavy.append((k, row))
-                row = 0
-            if not row:
+            if part.bit_count() > _HEAVY_ROW:
+                self.heavy.append((k, part))
+                part = 0
+            if not part:
                 taps.append(0)
             # one step per set bit, not per column
-            while row:
-                low = row & -row
-                taps.append(cols + 1 - low.bit_length())
-                row ^= low
+            while part:
+                j = part.bit_length() - 1
+                part ^= 1 << j
+                taps.append(free_dim - j)
             ends |= 1 << (len(taps) - 1)
-        self.spec = f"0{cols + 1}b"
+        self.spec = f"0{free_dim + 1}b"
         # int(s, 2) reads the string from its highest bit down; a padding
         # '0' on top keeps the string nonempty at rank 0
         self.gather = operator.itemgetter(0, *reversed(taps))
@@ -417,14 +415,13 @@ class _PivotParities:
         self.ends = ends, _moves(ends, len(taps))
 
     def combine(self, mask: int) -> int:
-        free_bits = _expand(mask, *self.free)
-        p = int("".join(self.gather(format(free_bits, self.spec))), 2)
+        p = int("".join(self.gather(format(mask, self.spec))), 2)
         for s in self.doublings:
             p ^= p << s
         parities = _compress(p, *self.ends) ^ _compress(p << 1, *self.starts)
-        for k, row in self.heavy:
-            parities |= ((row & free_bits).bit_count() & 1) << k
-        return free_bits | _expand(parities, *self.pivots)
+        for k, part in self.heavy:
+            parities |= ((part & mask).bit_count() & 1) << k
+        return _expand(mask, *self.free) | _expand(parities, *self.pivots)
 
 
 @dataclass(eq=False, repr=False)
@@ -432,15 +429,16 @@ class WindowSpace:
     """The exact solution space of a code's local rule on a box.
 
     A space holds the stencil plan of the rule and ``echelon``, the one
-    elimination of the plan's rows, pivot column to echelon row as
-    :func:`gf2.echelon_pivots` returns it; ``rank`` is its size.  The
-    rows themselves are not kept: ``constraint_matrix`` rebuilds them
-    from the plan on each access, one bit-packed row per (anchor,
-    dual-basis word), for callers that want to see them.  Sampling and
-    ``solution_basis`` back-substitute the echelon on first use and keep
-    only what they derive: a space with rank < free_dim draws from pivot
-    parities, set up at a cost proportional to the set bits of the
-    reduced rows, any other space by combining ``solution_basis`` rows.
+    elimination of the plan's rows, pivot column c to echelon row shifted
+    down by c, as :func:`gf2.echelon_pivots` returns it; ``rank`` is its
+    size.  The rows themselves are not kept: ``constraint_matrix``
+    rebuilds them from the plan on each access, one bit-packed row per
+    (anchor, dual-basis word), for callers that want to see them.
+    Sampling and ``solution_basis`` back-substitute the echelon on first
+    use into parts, the reduced rows in free coordinates, and keep only
+    what they derive: a space with rank < free_dim draws from pivot
+    parities, set up at a cost proportional to the set bits of the parts,
+    any other space by combining ``solution_basis`` rows.
     """
 
     box: Box

@@ -1,4 +1,5 @@
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,36 @@ settings.load_profile("starshift")
 # this checkout's sources, as pytest's own `pythonpath` setting does in-process
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "deadline(seconds): run first, failing past that wall time")
+
+
+def pytest_collection_modifyitems(items):
+    # a loop whose end rests on an invariant is tested first, under a
+    # deadline, so that breaking the invariant fails that test instead of
+    # hanging an earlier one that happens to run the loop
+    items.sort(key=lambda item: item.get_closest_marker("deadline") is None)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    marker = item.get_closest_marker("deadline")
+    if marker is None:
+        return (yield)
+    (seconds,) = marker.args
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

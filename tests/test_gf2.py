@@ -147,16 +147,35 @@ class TestRowReduce:
     @given(matrices(), st.integers(0, (1 << 12) - 1))
     def test_reduce_bits_decides_span_membership(self, m, probe_bits):
         probe = probe_bits & ((1 << m.cols) - 1)
-        pivots = gf2.echelon_pivots(m.rows)
-        residue = gf2.reduce_bits(probe, pivots)
+        rows, cols = gf2.reduced_rows(m.rows)
+        residue = gf2.reduce_bits(probe, dict(zip(cols, rows)))
         assert (residue == 0) == (probe in span_words(m.rows))
+
+    @pytest.mark.deadline(1.0)
+    def test_echelon_rows_are_shifted_to_their_pivots(self):
+        # seeded cases, not hypothesis: a reduction that never ends must
+        # fail at the deadline rather than on a replay with no timer
+        rng = random.Random(0)
+        for _ in range(300):
+            width = rng.randint(1, 40)
+            rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+            pivots = gf2.echelon_pivots(rows)
+            span = span_words(tuple(rows))
+            assert 1 << len(pivots) == len(span)
+            # bit 0 of a stored row is its pivot column c, and the row
+            # shifted back up by c lies in the span
+            assert all(r & 1 and r << c in span for c, r in pivots.items())
 
     @given(matrices())
     def test_back_substitution_leaves_the_echelon_as_it_was(self, m):
         # a window space keeps its echelon and back-substitutes it on demand
         pivots = gf2.echelon_pivots(m.rows)
         before = dict(pivots)
-        assert gf2.back_substitute(pivots) == gf2.reduced_rows(m.rows)
+        parts, cols = gf2.back_substitute(pivots)
+        # bit j of a part is the j-th free column
+        free = [f for f in range(m.cols) if f not in cols]
+        spread = [sum(1 << f for j, f in enumerate(free) if part >> j & 1) for part in parts]
+        assert ([1 << c | s for c, s in zip(cols, spread)], cols) == gf2.reduced_rows(m.rows)
         assert pivots == before
 
 

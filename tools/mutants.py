@@ -82,10 +82,11 @@ MUTANTS = [
         "def _gather_plan_for(",
     ),
     (
-        # a pivot bit reads as '0' in the free bits, so only the heavy cut sees it
-        "taps_keep_the_rows_own_pivot_bit", W,
-        "            row ^= 1 << pivot\n",
-        "",
+        # the own pivot bit of a row lands on a free bit of its part, so the
+        # taps of a draw gather it
+        "taps_keep_the_rows_own_pivot_bit", G,
+        "        row, part = pivots[c] ^ 1, 0\n",
+        "        row, part = pivots[c], 0\n",
     ),
     (
         # ["10", "100"] builds a 2-column matrix whose second row reads "10"
@@ -97,8 +98,20 @@ MUTANTS = [
     (
         # back-substitution writing the reduced rows into the space's echelon
         "back_substitution_in_place", G,
-        "    reduced: dict[int, int] = {}\n",
-        "    reduced = pivots\n",
+        "    parts: dict[int, int] = {}\n",
+        "    parts = pivots\n",
+    ),
+    (
+        # echelon rows kept where they stand, not shifted down to their pivots
+        "echelon_rows_unshifted", G,
+        "            cur >>= k\n",
+        "",
+    ),
+    (
+        # a free column counts one pivot too few below it
+        "free_index_off_by_one", G,
+        "part ^= 1 << (col - bisect.bisect_left(cols, col))",
+        "part ^= 1 << (col - bisect.bisect_left(cols, col) + 1)",
     ),
     (
         "parities_eliminate_the_rows_again", W,
@@ -135,8 +148,8 @@ MUTANTS = [
     ),
     (
         "heavy_rows_dropped", W,
-        "        for k, row in self.heavy:\n"
-        "            parities |= ((row & free_bits).bit_count() & 1) << k\n",
+        "        for k, part in self.heavy:\n"
+        "            parities |= ((part & mask).bit_count() & 1) << k\n",
         "",
     ),
     (
