@@ -97,7 +97,7 @@ class F2Vector:
         return self.length
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.length))
+        return format(self.bits, f"0{self.length}b")[::-1]
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,15 @@ forward stencil ``i + e_1 .. i + e_d`` lies inside the box.  The rule at
 anchor i for dual word w is that x(i + e_j) summed over j in supp(w)
 vanishes.
 
-Every space carries one stencil plan, built once with the space.  Sites
-are numbered in row-major order with strides s_j, so site i + e_j has
-index idx(i) + 1 + o_j with offset o_j = s_j - 1.  The plan holds the
-anchor mask, with bit idx(i) + 1 set for every anchor i, and for each
-dual word the offsets o_j over its support.  Membership shifts a whole
-configuration once per offset and masks the XOR with the anchor mask;
-the constraint rows are the word patterns shifted to every anchor bit.
-Solution counting is exact rank arithmetic.
+Sites have one numbering, row-major: on a box with lower corner l and
+strides s_a (``_strides``), site i is bit idx(i) = sum_a (i_a - l_a) s_a,
+the first axis most significant.  So site i + e_j is bit idx(i) + 1 + o_j
+with offset o_j = s_j - 1.  Every space carries one stencil plan, built
+once with the space: the anchor mask, with bit idx(i) + 1 set for every
+anchor i, and for each dual word the offsets o_j over its support.
+Membership shifts a whole configuration once per offset and masks the
+XOR with the anchor mask; the constraint rows are the word patterns
+shifted to every anchor bit.  Solution counting is exact rank arithmetic.
 
 Bits move by one primitive (Warren, *Hacker's Delight*, 7-4 and 7-5):
 ``_moves`` turns a mask into at most ceil(log2(sites)) (bits, shift)
@@ -159,26 +160,6 @@ class Box:
             n *= s
         return n
 
-    def sites(self) -> Iterator[IntVector]:
-        """All sites in lexicographic order (first axis most significant)."""
-        return itertools.product(*(range(l, u) for l, u in zip(self.lower, self.upper)))
-
-    def index(self, site: Sequence[int]) -> int:
-        """Lexicographic rank of a site; used as its variable/bit index."""
-        if len(site) != self.dimension:
-            raise ValueError("site arity mismatch")
-        idx = 0
-        for (l, u, x) in zip(self.lower, self.upper, site):
-            if not l <= x < u:
-                raise ValueError(f"site {tuple(site)} outside the box")
-            idx = idx * (u - l) + (x - l)
-        return idx
-
-    def contains_site(self, site: Sequence[int]) -> bool:
-        return len(site) == self.dimension and all(
-            l <= x < u for l, u, x in zip(self.lower, self.upper, site)
-        )
-
     def contains_box(self, other: Box) -> bool:
         return (
             self.dimension == other.dimension
@@ -225,9 +206,6 @@ class WindowConfig:
     @classmethod
     def zero(cls, box: Box) -> WindowConfig:
         return cls(box, 0)
-
-    def value(self, site: Sequence[int]) -> int:
-        return (self.bits >> self.box.index(site)) & 1
 
     @property
     def is_zero(self) -> bool:
@@ -610,8 +588,9 @@ def _gather_plan(
         domain = _overlap(source, (offset,))
         if domain is None:
             return None
-    start = source.index([lo + v for lo, v in zip(domain.lower, offset)])
-    mask = _sub_box_mask(_strides(source.shape), start, domain.shape)
+    strides = _strides(source.shape)
+    start = sum((i + v - l) * s for i, v, l, s in zip(domain.lower, offset, source.lower, strides))
+    mask = _sub_box_mask(strides, start, domain.shape)
     return domain, mask, _moves(mask, source.site_count)
 
 

@@ -4,7 +4,9 @@ Everything here recomputes answers from first principles: exhaustive
 enumeration, a self-contained GF(2) span solver, and plain ``Fraction``
 elimination for ranks over the rationals.  Nothing calls the
 elimination, substitution, or window pipelines these oracles exist to
-check.
+check, and sites are numbered here by :func:`sites` and
+:func:`site_index`, from the box bounds alone, so a fault in the
+library's numbering cannot be copied into its reference.
 """
 
 from __future__ import annotations
@@ -155,6 +157,29 @@ def gathered_shift(
     return lo, hi, out
 
 
+def sites(box: Box) -> list[tuple[int, ...]]:
+    """Every site of ``box`` in row-major order, the first axis most significant."""
+    return list(itertools.product(*(range(l, u) for l, u in zip(box.lower, box.upper))))
+
+
+def site_index(box: Box, site: tuple[int, ...]) -> int:
+    """The place of ``site`` in :func:`sites`, read as mixed-radix digits.
+
+    This is the bit that holds the site in a configuration on ``box``.
+    """
+    k = 0
+    for l, u, i in zip(box.lower, box.upper, site, strict=True):
+        if not l <= i < u:
+            raise ValueError(f"site {site} outside the box")
+        k = k * (u - l) + (i - l)
+    return k
+
+
+def value(x: WindowConfig, site: tuple[int, ...]) -> int:
+    """The value of configuration ``x`` at ``site``."""
+    return (x.bits >> site_index(x.box, site)) & 1
+
+
 def _anchor_stencils(box: Box) -> list[list[int]]:
     """Site indices of i + e_1 .. i + e_d for every anchor i.
 
@@ -164,7 +189,7 @@ def _anchor_stencils(box: Box) -> list[list[int]]:
     are found too.
     """
     d = box.dimension
-    index = {s: k for k, s in enumerate(box.sites())}
+    index = {s: k for k, s in enumerate(sites(box))}
     stencils: list[list[int]] = []
     for anchor in itertools.product(
         *(range(l - 1, u) for l, u in zip(box.lower, box.upper))
@@ -218,7 +243,7 @@ def window_rule_holds(box: Box, code: BinaryCode, x: WindowConfig) -> bool:
 
 
 def window_constraint_rows(box: Box, code: BinaryCode) -> list[int]:
-    """Constraint rows assembled one anchor at a time through ``box.index``.
+    """Constraint rows assembled one anchor at a time through :func:`site_index`.
 
     Anchor ranges are written out per axis (with a single axis the
     anchor may sit one step below the box); anchors run in lexicographic
@@ -235,7 +260,7 @@ def window_constraint_rows(box: Box, code: BinaryCode) -> list[int]:
     rows = []
     for anchor in itertools.product(*ranges):
         stencil = [
-            box.index(tuple(x + (1 if a == j else 0) for a, x in enumerate(anchor)))
+            site_index(box, tuple(x + (1 if a == j else 0) for a, x in enumerate(anchor)))
             for j in range(d)
         ]
         for w in dual_rows:
@@ -255,7 +280,7 @@ def window_log2_count(box: Box, code: BinaryCode) -> int:
 def extension_constraints(box: Box, code: BinaryCode) -> list[int]:
     """Rows over the sites of ``box`` that cut out the patterns that extend one step.
 
-    A configuration x on ``box`` (bit k for site k of ``box.sites()``)
+    A configuration x on ``box`` (bit k for site k of ``sites(box)``)
     is the restriction of a window solution on the box one site longer
     on every upper side exactly when every returned row meets x.bits in
     an even number of bits; the rows are independent, so the restriction
@@ -277,10 +302,10 @@ def extension_constraints(box: Box, code: BinaryCode) -> list[int]:
             independent.add(w)
             dual_words.append(w)
     big = Box(box.lower, tuple(u + 1 for u in box.upper))
-    inner = {s: k for k, s in enumerate(box.sites())}
-    outer = {s: k for k, s in enumerate(s for s in big.sites() if s not in inner)}
+    inner = {s: k for k, s in enumerate(sites(box))}
+    outer = {s: k for k, s in enumerate(s for s in sites(big) if s not in inner)}
     column = [
-        1 << inner[s] if s in inner else 1 << (len(inner) + outer[s]) for s in big.sites()
+        1 << inner[s] if s in inner else 1 << (len(inner) + outer[s]) for s in sites(big)
     ]
     pivots: dict[int, int] = {}
     for stencil in _anchor_stencils(big):

@@ -9,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import canonical_basis_error, random_code, rational_support_rank, span_words
+from shared_codes import c8
 from test_acceptance import budget
 from starshift import codes, gf2
 from starshift.codes import BinaryCode, code_from_generators
 from starshift.errors import CodeFileError, DegenerateCodeError, GuardExceededError
 from starshift.gf2 import F2Matrix, F2Vector
 
-C8 = codes.hamming8_code()
 
 # (length, canonical basis rows, kernel witness) for seeded random
 # generator matrices with planted zero and duplicated columns, plus the
@@ -110,26 +110,26 @@ def basis_candidates(draw):
 
 class TestReferenceCode:
     def test_dimension(self):
-        assert C8.length == 8
-        assert C8.dim == 4
+        assert c8().length == 8
+        assert c8().dim == 4
 
     def test_self_dual(self):
-        assert codes.dual(C8) == C8
+        assert codes.dual(c8()) == c8()
 
     def test_doubly_even_and_self_orthogonal(self):
-        assert codes.weight_class(C8) == "doubly-even"
-        assert codes.is_self_orthogonal(C8)
+        assert codes.weight_class(c8()) == "doubly-even"
+        assert codes.is_self_orthogonal(c8())
 
     def test_contains_all_ones(self):
-        assert codes.contains_all_ones(C8)
+        assert codes.contains_all_ones(c8())
 
     def test_every_codeword_weight_divisible_by_four(self):
-        for v in codes.codewords(C8):
+        for v in codes.codewords(c8()):
             assert gf2.weight(v) % 4 == 0
 
     def test_generator_rows_span_the_code(self):
         made = code_from_generators(codes.HAMMING8_GENERATORS)
-        assert made == C8
+        assert made == c8()
         assert span_words(made.basis.rows) == span_words(
             F2Matrix.from_strings(codes.HAMMING8_GENERATORS).rows
         )
@@ -201,11 +201,11 @@ class TestConstruction:
         assert c.pivots == tuple(min(j for j in range(c.length) if r >> j & 1) for r in c.basis.rows)
 
     def test_direct_sum(self):
-        s = codes.direct_sum(C8, codes.full_code(2))
+        s = codes.direct_sum(c8(), codes.full_code(2))
         assert s.length == 10
         assert s.dim == 6
         # first block stays the reference code, second block is free
-        for v in C8.basis.row_vectors():
+        for v in c8().basis.row_vectors():
             assert codes.contains_vector(s, F2Vector(10, v.bits))
         assert codes.contains_vector(s, F2Vector(10, 1 << 8))
         assert codes.contains_vector(s, F2Vector(10, 1 << 9))
@@ -260,16 +260,16 @@ class TestDuality:
 
 class TestMembership:
     def test_contains_vector(self):
-        assert codes.contains_vector(C8, F2Vector.from_string("11111111"))
-        assert not codes.contains_vector(C8, F2Vector.from_string("10000000"))
+        assert codes.contains_vector(c8(), F2Vector.from_string("11111111"))
+        assert not codes.contains_vector(c8(), F2Vector.from_string("10000000"))
         with pytest.raises(ValueError):
-            codes.contains_vector(C8, F2Vector(7, 0))
+            codes.contains_vector(c8(), F2Vector(7, 0))
 
     def test_is_subcode(self):
         rep = codes.repetition_code(8)
-        assert codes.is_subcode(rep, C8)
-        assert codes.is_subcode(C8, codes.even_weight_code(8))
-        assert not codes.is_subcode(codes.full_code(8), C8)
+        assert codes.is_subcode(rep, c8())
+        assert codes.is_subcode(c8(), codes.even_weight_code(8))
+        assert not codes.is_subcode(codes.full_code(8), c8())
         with pytest.raises(ValueError):
             codes.is_subcode(rep, codes.full_code(4))
 
@@ -287,7 +287,7 @@ class TestMembership:
 
 class TestWeightClass:
     def test_examples(self):
-        assert codes.weight_class(C8) == "doubly-even"
+        assert codes.weight_class(c8()) == "doubly-even"
         assert codes.weight_class(codes.even_weight_code(5)) == "even"
         assert codes.weight_class(code_from_generators(["1110"])) == "neither"
 
@@ -312,9 +312,9 @@ class TestWeightClass:
         # a doubly even pairwise-orthogonal basis forces every codeword
         # to doubly even weight and the code to be self-orthogonal
         cases = [
-            C8,
+            c8(),
             code_from_generators(["11110000", "00001111"]),
-            codes.direct_sum(C8, C8),
+            codes.direct_sum(c8(), c8()),
             codes.repetition_code(4),
         ]
         for c in cases:
@@ -332,9 +332,9 @@ class TestWeightClass:
             raise AssertionError("codeword enumeration")
 
         monkeypatch.setattr(codes, "codewords", refuse)
-        assert codes.weight_class(C8) == "doubly-even"
+        assert codes.weight_class(c8()) == "doubly-even"
         assert codes.weight_class(codes.even_weight_code(26)) == "even"
-        assert codes.weight_class(codes.direct_sum(C8, code_from_generators(["1100"]))) == "even"
+        assert codes.weight_class(codes.direct_sum(c8(), code_from_generators(["1100"]))) == "even"
         assert codes.weight_class(codes.full_code(30)) == "neither"
         assert codes.weight_class(codes.dual(codes.full_code(3))) == "doubly-even"
 
@@ -377,7 +377,7 @@ class TestSupportSum:
 
 class TestNondegeneracy:
     def test_reference_code_is_nondegenerate(self):
-        cert = codes.is_integrally_nondegenerate(C8)
+        cert = codes.is_integrally_nondegenerate(c8())
         assert cert.verdict and cert.kernel_witness is None
 
     def test_even2_is_degenerate_with_witness(self):
@@ -420,8 +420,8 @@ class TestNondegeneracy:
         monkeypatch.setattr(codes, "codewords", refuse)
         monkeypatch.setattr(codes, "codewords_by_weight", refuse)
         check = codes.is_integrally_nondegenerate.__wrapped__
-        assert check(C8).verdict
-        c = codes.direct_sum(C8, codes.even_weight_code(2))
+        assert check(c8()).verdict
+        c = codes.direct_sum(c8(), codes.even_weight_code(2))
         assert check(c).kernel_witness == (0,) * 8 + (1, -1)
 
     def test_verdict_above_the_enumeration_guard(self):
@@ -433,13 +433,13 @@ class TestNondegeneracy:
         assert cert.kernel_witness == (0,) * 26 + (1, -1)
 
     def test_witness_for_unit_vector(self):
-        w = codes.nondegeneracy_witness(C8, (1, 0, 0, 0, 0, 0, 0, 0))
+        w = codes.nondegeneracy_witness(c8(), (1, 0, 0, 0, 0, 0, 0, 0))
         assert str(w) == "11110000"
         assert codes.support_sum((1, 0, 0, 0, 0, 0, 0, 0), w) == 1
 
     def test_witness_separates_sign_pair(self):
         n = (1, -1, 0, 0, 0, 0, 0, 0)
-        w = codes.nondegeneracy_witness(C8, n)
+        w = codes.nondegeneracy_witness(c8(), n)
         hits = len({0, 1} & set(w.support()))
         assert hits == 1
         assert codes.support_sum(n, w) in (1, -1)
@@ -456,19 +456,19 @@ class TestNondegeneracy:
             n = tuple(rng.randint(-50, 50) for _ in range(8))
             if not any(n):
                 continue
-            w = codes.nondegeneracy_witness(C8, n)
+            w = codes.nondegeneracy_witness(c8(), n)
             b = codes.support_sum(n, w)
             assert b != 0
-            for v in codes.codewords_by_weight(C8):
+            for v in codes.codewords_by_weight(c8()):
                 if v == w:
                     break
                 assert codes.support_sum(n, v) == 0
 
     def test_witness_errors(self):
         with pytest.raises(ValueError):
-            codes.nondegeneracy_witness(C8, (0,) * 8)
+            codes.nondegeneracy_witness(c8(), (0,) * 8)
         with pytest.raises(ValueError):
-            codes.nondegeneracy_witness(C8, (1, 2))
+            codes.nondegeneracy_witness(c8(), (1, 2))
         with pytest.raises(DegenerateCodeError) as exc:
             codes.nondegeneracy_witness(codes.even_weight_code(2), (1, -1))
         assert exc.value.kernel_witness == (1, -1)
@@ -533,12 +533,12 @@ class TestWitnessStream:
 
     def test_iterations_share_one_stream(self):
         codes.codewords_by_weight.cache_clear()
-        words = codes.codewords_by_weight(C8)
+        words = codes.codewords_by_weight(c8())
         first = iter(words)
-        assert [next(first).bits for _ in range(3)] == _oracle_order(C8)[:3]
-        assert [v.bits for v in words] == _oracle_order(C8)
-        assert [v.bits for v in first] == _oracle_order(C8)[3:]
-        assert codes.codewords_by_weight(C8) is words
+        assert [next(first).bits for _ in range(3)] == _oracle_order(c8())[:3]
+        assert [v.bits for v in words] == _oracle_order(c8())
+        assert [v.bits for v in first] == _oracle_order(c8())[3:]
+        assert codes.codewords_by_weight(c8()) is words
 
     def test_benchmark_shaped_code_enumerates_nothing(self, monkeypatch):
         rng = random.Random(20)
@@ -560,7 +560,7 @@ class TestWitnessStream:
 
     def test_inseparable_n_raises_without_enumerating(self, monkeypatch):
         monkeypatch.setattr(codes, "codewords", _refuse)
-        for head in (C8, codes.full_code(26)):
+        for head in (c8(), codes.full_code(26)):
             c = codes.direct_sum(head, codes.even_weight_code(2))
             k = head.length
             with pytest.raises(DegenerateCodeError) as exc:
@@ -584,10 +584,10 @@ class TestWitnessStream:
 
 class TestStarClosure:
     def test_reference_pair(self):
-        assert codes.star_closure_check(C8, codes.even_weight_code(8))
+        assert codes.star_closure_check(c8(), codes.even_weight_code(8))
         assert not codes.star_closure_check(codes.full_code(2), codes.even_weight_code(2))
         with pytest.raises(ValueError):
-            codes.star_closure_check(C8, codes.even_weight_code(4))
+            codes.star_closure_check(c8(), codes.even_weight_code(4))
 
     @given(small_codes(max_len=8), st.randoms(use_true_random=False))
     def test_fast_path_agrees_with_exhaustive_pairs(self, c, rng):
@@ -635,9 +635,9 @@ class TestStarClosure:
 
 class TestGeneratorFiles:
     def test_round_trip(self):
-        text = codes.render_generator_file(C8, header="reference code")
+        text = codes.render_generator_file(c8(), header="reference code")
         assert text.startswith("# reference code\n")
-        assert codes.parse_generator_file(text) == C8
+        assert codes.parse_generator_file(text) == c8()
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n11\n# mid comment\n\n"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import laurent_ideal_member, random_code, random_poly
+from shared_codes import c8, e2
 from starshift import codes, laurent
 from starshift.codes import code_from_generators
 from starshift.errors import DegenerateCodeError, GuardExceededError
@@ -21,9 +22,6 @@ from starshift.laurent import (
     membership_cofactors,
     verify_cofactors,
 )
-
-C8 = codes.hamming8_code()
-E2 = codes.even_weight_code(2)
 
 
 def polys(max_arity=4, max_terms=8, exp_bound=3):
@@ -132,8 +130,8 @@ class TestLinearForms:
         assert p == LaurentPoly.from_terms(4, [(1, 0, 0, 0), (0, 0, 1, 0)])
 
     def test_annihilator_generators_are_dual_forms(self):
-        ideal = annihilator_ideal(C8)
-        assert ideal.generator_code == codes.dual(C8)
+        ideal = annihilator_ideal(c8())
+        assert ideal.generator_code == codes.dual(c8())
         gens = ideal.generators
         assert len(gens) == 4
         for g, row in zip(gens, ideal.generator_code.basis.row_vectors()):
@@ -216,38 +214,38 @@ class TestMembershipOracle:
         assert ideal_contains(unit, LaurentPoly.from_terms(2, [(3, -2)]))
 
     def test_monomials_never_members_of_proper_ideals(self):
-        ideal = annihilator_ideal(E2)
+        ideal = annihilator_ideal(e2())
         assert not ideal_contains(ideal, LaurentPoly.one(2))
         assert not ideal_contains(ideal, LaurentPoly.from_terms(2, [(5, -7)]))
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            ideal_contains(annihilator_ideal(E2), LaurentPoly.one(3))
+            ideal_contains(annihilator_ideal(e2()), LaurentPoly.one(3))
 
 
 class TestFrozenMembershipFacts:
     def test_laurent_binomial_in_even2_annihilator(self):
-        ideal = annihilator_ideal(E2)
+        ideal = annihilator_ideal(e2())
         q = LaurentPoly.from_terms(2, [(1, -1), (0, 0)])
         assert ideal_contains(ideal, q)
         cof = membership_cofactors(ideal, q)
         assert cof is not None and verify_cofactors(ideal, q, cof)
 
     def test_unit_shift_binomial_not_in_reference_annihilator(self):
-        ideal = annihilator_ideal(C8)
+        ideal = annihilator_ideal(c8())
         q = LaurentPoly.from_terms(8, [(1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8])
         assert not ideal_contains(ideal, q)
         assert membership_cofactors(ideal, q) is None
 
     def test_generator_forms_are_members(self):
-        ideal = annihilator_ideal(C8)
+        ideal = annihilator_ideal(c8())
         for g in ideal.generators:
             assert ideal_contains(ideal, g)
             cof = membership_cofactors(ideal, g)
             assert cof is not None and verify_cofactors(ideal, g, cof)
 
     def test_huge_exponent_binomials_fast(self):
-        ideal = annihilator_ideal(C8)
+        ideal = annihilator_ideal(c8())
         rng = random.Random(47)
         for _ in range(50):
             n = tuple(rng.randint(-(10**6), 10**6) for _ in range(8))
@@ -258,7 +256,7 @@ class TestFrozenMembershipFacts:
 
     def test_huge_member_binomial(self):
         # u1^k + u2^k collapses into the even-weight annihilator
-        ideal = annihilator_ideal(E2)
+        ideal = annihilator_ideal(e2())
         k = 10**6
         q = LaurentPoly.from_terms(2, [(k, 0), (0, k)])
         assert ideal_contains(ideal, q)
@@ -266,7 +264,7 @@ class TestFrozenMembershipFacts:
 
 class TestCofactors:
     def test_zero_poly_has_empty_certificate(self):
-        assert membership_cofactors(annihilator_ideal(E2), LaurentPoly.zero(2)) == []
+        assert membership_cofactors(annihilator_ideal(e2()), LaurentPoly.zero(2)) == []
 
     def test_zero_ideal_rejects_nonzero(self):
         zero_ideal = LinearFormIdeal(2, codes.dual(codes.full_code(2)))
@@ -280,7 +278,7 @@ class TestCofactors:
         assert verify_cofactors(unit, q, cof)
 
     def test_laurent_cofactors_carry_negative_exponents(self):
-        ideal = annihilator_ideal(E2)
+        ideal = annihilator_ideal(e2())
         q = LaurentPoly.from_terms(2, [(0, -3), (-3, 0)])
         cof = membership_cofactors(ideal, q)
         assert cof is not None and verify_cofactors(ideal, q, cof)
@@ -289,7 +287,7 @@ class TestCofactors:
         )
 
     def test_verify_rejects_wrong_certificate(self):
-        ideal = annihilator_ideal(E2)
+        ideal = annihilator_ideal(e2())
         q = LaurentPoly.from_terms(2, [(1, -1), (0, 0)])
         wrong = [(ideal.generator_code.basis.row_vectors()[0], LaurentPoly.one(2))]
         assert not verify_cofactors(ideal, q, wrong)
@@ -314,13 +312,13 @@ class TestCofactors:
 
 class TestBudgetGuards:
     def test_too_many_terms(self):
-        ideal = annihilator_ideal(E2)
+        ideal = annihilator_ideal(e2())
         terms = [(i, 0) for i in range(65)]
         with pytest.raises(GuardExceededError):
             ideal_contains(ideal, LaurentPoly.from_terms(2, terms))
 
     def test_degree_too_high_after_clearing(self):
-        ideal = annihilator_ideal(E2)
+        ideal = annihilator_ideal(e2())
         q = LaurentPoly.from_terms(2, [(100, 0), (0, 1), (0, 0)])
         with pytest.raises(GuardExceededError):
             ideal_contains(ideal, q)
@@ -330,7 +328,7 @@ class TestBudgetGuards:
     def test_the_budget_admits_its_bounds(self):
         # one query at the term bound (degree 63), one at the degree bound
         # (4 terms); both are members of (u1 + u2)
-        ideal = annihilator_ideal(E2)
+        ideal = annihilator_ideal(e2())
         g = linear_form(F2Vector.from_string("11"))
         half = laurent.MAX_EXPANSION_TERMS // 2
         at_terms = g * LaurentPoly.from_terms(2, [(2 * i, 0) for i in range(half)])
@@ -342,7 +340,7 @@ class TestBudgetGuards:
             assert verify_cofactors(ideal, q, membership_cofactors(ideal, q))
 
     def test_binomials_bypass_the_budget(self):
-        ideal = annihilator_ideal(C8)
+        ideal = annihilator_ideal(c8())
         q = LaurentPoly.from_terms(8, [(10**6,) + (0,) * 7, (0,) * 8])
         assert not ideal_contains(ideal, q)
 
@@ -368,7 +366,7 @@ class TestCollapse:
     def test_dual_forms_collapse_to_zero_on_codewords(self):
         # with the all-ones vector in the code, every codeword has even
         # overlap with every dual vector, so the collapse cancels pairwise
-        for c in (C8, codes.even_weight_code(6)):
+        for c in (c8(), codes.even_weight_code(6)):
             for v in codes.dual(c).basis.row_vectors():
                 p = linear_form(v)
                 for w in codes.codewords(c):
@@ -386,7 +384,7 @@ class TestCollapse:
 
 class TestMixingCertificate:
     def test_reference_code_unit_vector(self):
-        w = laurent.mixing_certificate(C8, (1, 0, 0, 0, 0, 0, 0, 0))
+        w = laurent.mixing_certificate(c8(), (1, 0, 0, 0, 0, 0, 0, 0))
         assert str(w) == "11110000"
 
     def test_even8_sign_pair(self):
@@ -395,13 +393,13 @@ class TestMixingCertificate:
 
     def test_degenerate_code_errors_with_witness(self):
         with pytest.raises(DegenerateCodeError) as exc:
-            laurent.mixing_certificate(E2, (1, -1))
+            laurent.mixing_certificate(e2(), (1, -1))
         assert exc.value.kernel_witness == (1, -1)
 
     @pytest.mark.parametrize("entry", [1.5, 0.5, Fraction(1, 2), Fraction(2, 1)])
     def test_non_integer_entries_rejected(self, entry):
         with pytest.raises(ValueError, match="^entries of n must be integers$"):
-            laurent.mixing_certificate(C8, (entry,) + (0,) * 7)
+            laurent.mixing_certificate(c8(), (entry,) + (0,) * 7)
 
     def test_missing_all_ones_rejected(self):
         c = code_from_generators(["1100", "0110"])
@@ -417,13 +415,13 @@ class TestMixingCertificate:
         missing = code_from_generators(["1100", "0110"])
         try:
             for n in [(1,) + (0,) * 7, (0, 1) + (0,) * 6, (1, 1) + (0,) * 5 + (-1,)]:
-                laurent.mixing_certificate(C8, n)
+                laurent.mixing_certificate(c8(), n)
             for _ in range(2):
                 with pytest.raises(ValueError):
                     laurent.mixing_certificate(missing, (1, 0, 0, 0))
         finally:
             codes.codewords_by_weight.cache_clear()
-        assert calls == [C8, missing]
+        assert calls == [c8(), missing]
 
     def test_certificate_collapses_to_nonzero_binomial(self):
         rng = random.Random(29)
@@ -431,7 +429,7 @@ class TestMixingCertificate:
             n = tuple(rng.randint(-(10**6), 10**6) for _ in range(8))
             if not any(n):
                 continue
-            w = laurent.mixing_certificate(C8, n)
+            w = laurent.mixing_certificate(c8(), n)
             q = LaurentPoly.from_terms(8, [n, (0,) * 8])
             img = collapse_to_univariate(q, w)
             assert not img.is_zero
@@ -440,6 +438,6 @@ class TestMixingCertificate:
 
 class TestEntropyVerdict:
     def test_verdicts(self):
-        assert laurent.entropy_verdict(C8) == laurent.ZERO_ENTROPY
+        assert laurent.entropy_verdict(c8()) == laurent.ZERO_ENTROPY
         assert laurent.entropy_verdict(codes.even_weight_code(5)) == laurent.ZERO_ENTROPY
         assert laurent.entropy_verdict(codes.full_code(5)) == laurent.POSITIVE_ENTROPY

@@ -2,9 +2,10 @@
 
 ``tools/mutants.py`` applies each mutant as a text replacement whose old
 text must occur exactly once, and ``tools/mutants.json`` records its last
-run.  Without this test a stale entry shows only when the whole catalogue
-runs, and then the run exits 2.  The catalogue's own copies of the tree
-hold no ``tools/``, so there this test skips and never kills a mutant.
+run, each mutant killed by a named test.  Without this test a stale
+entry shows only when the whole catalogue runs, and then the run exits 2.
+The catalogue's own copies of the tree hold no ``tools/``, so there this
+test skips and never kills a mutant.
 """
 
 import importlib.util
@@ -41,6 +42,13 @@ def test_record_kills_exactly_the_catalogue():
         (name, file) for name, file, _, _ in mutants.MUTANTS
     ]
     assert [r["name"] for r in record["mutants"] if r["verdict"] != "killed"] == []
+
+
+def test_record_names_the_test_that_kills_each_mutant():
+    # a file alone means the mutant broke its collection and none of its
+    # tests ran; "timeout" names no test either
+    record = json.loads(mutants.OUT.read_text(encoding="utf-8"))
+    assert [r["name"] for r in record["mutants"] if "::" not in r["by"]] == []
 
 
 def test_record_seed_is_the_catalogue_seed():

@@ -18,8 +18,9 @@ and removes the copies before it exits.  A survivor is a finding to fix
 in the program or the tests, never a reason to loosen a test.  Standard
 library only; not part of Tier-1, but ``tests/test_mutant_catalogue.py``
 checks there that every old text still occurs once and that
-``tools/mutants.json`` records every mutant killed under
-``HYPOTHESIS_SEED``.
+``tools/mutants.json`` records every mutant killed by a named test
+under ``HYPOTHESIS_SEED``; a kill by a collection error or a timeout
+names none.
 """
 
 from __future__ import annotations
@@ -80,6 +81,13 @@ MUTANTS = [
         "        _plans[source, domain] = _gather_plan_for(source, domain, offset)\n"
         "    return _plans[source, domain]\n\n\n"
         "def _gather_plan_for(",
+    ),
+    (
+        # the start bit read as if the source box had its lower corner at
+        # the origin, which only boxes that do can hide
+        "gather_start_without_the_source_corner", W,
+        "sum((i + v - l) * s for i, v, l, s in",
+        "sum((i + v) * s for i, v, l, s in",
     ),
     (
         # the own pivot bit of a row lands on a free bit of its part, so the
