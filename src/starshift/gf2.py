@@ -9,9 +9,10 @@ touches floating point.
 from __future__ import annotations
 
 import bisect
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "IntVector",
@@ -24,6 +25,7 @@ __all__ = [
     "cw_product",
     "kernel_basis",
     "kernel_rows",
+    "pivot_pairs",
     "echelon_pivots",
     "back_substitute",
     "reduced_rows",
@@ -170,27 +172,46 @@ def bits_at(positions: Sequence[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-def echelon_pivots(rows: Iterable[int]) -> dict[int, int]:
-    """Row-echelon pivots of bit-packed rows, each row shifted to its pivot.
+def pivot_pairs(rows: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Bit-packed rows in the pair form of :func:`echelon_pivots`.
 
-    Returns a map from pivot column c to an echelon row with lowest set
-    bit c, stored as ``row >> c``.  Rows are inserted in order, each
-    reduced against the pivots found so far, so the result is
-    deterministic.  A row under reduction is kept shifted to its lowest
-    set bit too, so an XOR costs the span of two rows, not their column.
+    A nonzero row r becomes ``(c, r >> c)``, c its lowest set bit, so the
+    short row is odd; a zero row is dropped.
+    """
+    for r in rows:
+        if r:
+            c = _lowest_set_bit(r)
+            yield c, r >> c
+
+
+def echelon_pivots(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Row-echelon pivots of rows given as pairs, each row shifted to its pivot.
+
+    Each row is a pair ``(c, r)`` that stands for ``r << c``, with r odd,
+    so that c is its lowest set bit; :func:`pivot_pairs` puts int rows in
+    that form, and ``StencilPlan.rows`` yields it.  Returns a map from
+    pivot column c to an echelon row with lowest set bit c, stored as
+    ``row >> c``.  Rows are inserted in order, each reduced against the
+    pivots found so far, so the result is deterministic.  A row under
+    reduction stays shifted to its lowest set bit: look up c, XOR, shift
+    down past the cleared low bits, repeat.  So an XOR costs the span of
+    two rows, not their column, and a row that is a new pivot at once
+    costs one lookup.
     """
     pivots: dict[int, int] = {}
-    for r in rows:
-        c, cur = 0, r
+    get = pivots.get
+    for c, cur in rows:
         while cur:
-            k = _lowest_set_bit(cur)
-            cur >>= k
-            c += k
-            p = pivots.get(c)
+            p = get(c)
             if p is None:
                 pivots[c] = cur
                 break
             cur ^= p
+            # cur ^ (cur - 1) sets the lowest set bit and those below it,
+            # and is -1, of bit length 1, once cur is zero
+            k = (cur ^ (cur - 1)).bit_length() - 1
+            cur >>= k
+            c += k
     return pivots
 
 
@@ -243,20 +264,31 @@ def back_substitute(pivots: dict[int, int]) -> tuple[list[int], list[int]]:
     return [parts[c] for c in cols], cols
 
 
+def _free_columns(pivot_cols: Iterable[int], cols: int) -> list[int]:
+    """The columns below ``cols`` that are no pivot, in increasing order.
+
+    One byte per column marks it free, so no set of every column is built.
+    """
+    free = bytearray(b"\x01") * cols
+    for p in pivot_cols:
+        free[p] = 0
+    return list(itertools.compress(range(cols), free))
+
+
 def reduced_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row-echelon rows and their pivot columns.
 
     Returns ``(rref_rows, pivot_cols)`` with both lists sorted by pivot
     column; zero rows are dropped.  Pivot choice is the lowest column
     index with a nonzero entry, which makes the output the canonical
-    reduced basis of the row space.  One :func:`echelon_pivots` pass,
-    then :func:`back_substitute`, whose parts are spread back onto the
-    free columns.
+    reduced basis of the row space.  One :func:`echelon_pivots` pass over
+    the rows' :func:`pivot_pairs`, then :func:`back_substitute`, whose
+    parts are spread back onto the free columns.
     """
-    pivots = echelon_pivots(rows)
+    pivots = echelon_pivots(pivot_pairs(rows))
     parts, cols = back_substitute(pivots)
     width = max((c + r.bit_length() for c, r in pivots.items()), default=0)
-    free = sorted(set(range(width)).difference(cols))
+    free = _free_columns(cols, width)
     # character j of the reversed binary string is bit j of the part
     bits = (zip(free, reversed(format(part, "b"))) for part in parts)
     spread = (sum(1 << f for f, bit in pairs if bit == "1") for pairs in bits)
@@ -272,7 +304,7 @@ def kernel_rows(parts: Sequence[int], pivot_cols: Sequence[int], cols: int) -> t
     pivot of every part with bit j set.  The parts are transposed in one
     pass over their set bits, and each row is written once.
     """
-    free = sorted(set(range(cols)).difference(pivot_cols))
+    free = _free_columns(pivot_cols, cols)
     hits: list[list[int]] = [[] for _ in free]
     for part, p in zip(parts, pivot_cols):
         while part:
@@ -286,7 +318,9 @@ def kernel_basis(m: F2Matrix) -> F2Matrix:
     """A basis of the right kernel ``{x : m x = 0}`` as matrix rows.
 
     One basis row per free column, in increasing free-column order; a
-    full-rank matrix yields a matrix with no rows.  :func:`echelon_pivots`,
-    :func:`back_substitute`, then :func:`kernel_rows`.
+    full-rank matrix yields a matrix with no rows.  :func:`echelon_pivots`
+    of the rows' :func:`pivot_pairs`, :func:`back_substitute`, then
+    :func:`kernel_rows`.
     """
-    return F2Matrix(kernel_rows(*back_substitute(echelon_pivots(m.rows)), m.cols), m.cols)
+    pivots = echelon_pivots(pivot_pairs(m.rows))
+    return F2Matrix(kernel_rows(*back_substitute(pivots), m.cols), m.cols)

@@ -33,12 +33,16 @@ hits 17,472 times, and a later pass hits every lookup.
 
 A space is its box, code, plan and echelon.  It is eliminated once, when
 it is built: the plan streams its rows into the elimination one at a time,
-and ``echelon`` maps each pivot column c to its echelon row shifted down
-by c, the rank being its size.  The raw rows are never stored.  On
-[0, 27)^3 with the length-3 repetition code they would take 47.0 MB, and
-the space holds 2.0 MB, where rows kept at their sites took 27.5 MB
-(tracemalloc).  That every row lies inside the box is checked once on
-the plan, from its highest anchor bit and largest offset.  Draws and
+each as a pair (c, r) standing for r << c, c its lowest set bit and r a
+short odd row at most the largest offset + 1 bits wide, and ``echelon``
+maps each pivot column c to its echelon row shifted down by c, the rank
+being its size.  So no row as wide as its anchor bit is made, and the raw
+rows are never stored.  Widened to ints, the rows of [0, 27)^3 with the
+length-3 repetition code would take 47.0 MB and those of the planar
+[0, 150)^2 even-weight space 34.1 MB; the spaces hold 1.95 MB and
+2.02 MB (tracemalloc), where rows streamed as wide ints left 2.04 MB and
+3.08 MB.  That every row lies inside the box is checked once on the plan,
+from its highest anchor bit and largest offset.  Draws and
 ``solution_basis`` back-substitute the echelon when first needed into
 reduced rows in free coordinates, and keep only what they derive.  Window
 rows are eliminated in plan order, unsorted: each anchor's rows meet few
@@ -260,16 +264,29 @@ class StencilPlan:
     anchor_mask: int
     taps: tuple[tuple[int, ...], ...]
 
-    def rows(self) -> Iterator[int]:
-        """Constraint rows, one pass: anchors in site order, dual words within each.
+    def rows(self) -> Iterator[tuple[int, int]]:
+        """Constraint row pairs, one pass: anchors in site order, dual words within each.
 
-        Each anchor bit is read off the binary string of ``anchor_mask`` as
-        the pass reaches it, and each row is made when it is asked for, so
-        no list of anchors or rows is built.
+        Row (i, w) is the word's pattern, the XOR of ``1 << o`` over its
+        offsets, shifted to anchor bit b = idx(i) + 1.  It comes as the
+        pair ``(c, r)`` of :func:`gf2.echelon_pivots`, standing for
+        ``r << c``: c = b + lo and r = pattern >> lo, lo the pattern's
+        lowest set bit.  So r is odd and at most the largest offset + 1
+        bits wide at every anchor, and no row is as wide as its anchor
+        bit.  Two offsets are equal, and their taps may cancel, only
+        beside a width-1 axis, and a box with one and d > 1 has no anchor.
+        Each anchor bit is read off the binary string of ``anchor_mask``
+        as the pass reaches it, and each pair is made when it is asked
+        for, so no list of anchors or rows is built.
         """
-        patterns = [functools.reduce(operator.xor, (1 << o for o in t), 0) for t in self.taps]
+        shifted = []
+        for t in self.taps:
+            p = functools.reduce(operator.xor, (1 << o for o in t), 0)
+            # a zero pattern has no anchor to reach; it only must not raise
+            lo = (p & -p).bit_length() - 1 if p else 0
+            shifted.append((lo, p >> lo))
         bits = format(self.anchor_mask, "b")[::-1]
-        return (p << base for base, ch in enumerate(bits) if ch == "1" for p in patterns)
+        return ((base + lo, r) for base, ch in enumerate(bits) if ch == "1" for lo, r in shifted)
 
 
 def _strides(shape: IntVector) -> list[int]:
@@ -410,7 +427,8 @@ class WindowSpace:
     elimination of the plan's rows, pivot column c to echelon row shifted
     down by c, as :func:`gf2.echelon_pivots` returns it; ``rank`` is its
     size.  The rows themselves are not kept: ``constraint_matrix``
-    rebuilds them from the plan on each access, one bit-packed row per
+    rebuilds them from the plan on each access, widening each pair
+    (c, r) of ``StencilPlan.rows`` to the bit-packed row r << c, one per
     (anchor, dual-basis word), for callers that want to see them.
     Sampling and ``solution_basis`` back-substitute the echelon on first
     use into parts, the reduced rows in free coordinates, and keep only
@@ -426,7 +444,8 @@ class WindowSpace:
 
     @property
     def constraint_matrix(self) -> F2Matrix:
-        return F2Matrix(tuple(self.plan.rows()), self.site_count)
+        """The plan's rows, each pair (c, r) widened to r << c, rebuilt on each access."""
+        return F2Matrix(tuple(r << c for c, r in self.plan.rows()), self.site_count)
 
     @property
     def rank(self) -> int:
@@ -495,7 +514,9 @@ def build_window_space(box: Box, code: BinaryCode, *, max_sites: int = MAX_SITES
     the XOR of ``1 << o_j`` over its offsets, shifted to anchor bit idx(i) + 1.
     Anchors run in site order and the dual basis in canonical order
     within each anchor, so the echelon is deterministic.  The rows stream
-    from the plan into :func:`gf2.echelon_pivots` and are not stored.
+    from the plan into :func:`gf2.echelon_pivots` as pairs (c, r) standing
+    for r << c, r the pattern shifted down to its lowest set bit, and are
+    not stored.
     Every row lies inside the box when the highest anchor bit plus the
     largest tap offset is below the site count, which is checked once on
     the plan rather than row by row.

@@ -52,13 +52,16 @@ def pytest_runtest_call(item):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The rows of every ``gf2.echelon_pivots`` call in the test, one list per call."""
+    """The rows of every ``gf2.echelon_pivots`` call in the test, one list per call.
+
+    Each pair (c, r) the call is handed is recorded widened to the int r << c.
+    """
     calls = []
     echelon_pivots = gf2.echelon_pivots
 
     def recording(rows):
         rows = list(rows)
-        calls.append(rows)
+        calls.append([r << c for c, r in rows])
         return echelon_pivots(rows)
 
     monkeypatch.setattr(gf2, "echelon_pivots", recording)

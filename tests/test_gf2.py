@@ -159,17 +159,32 @@ class TestRowReduce:
         for _ in range(300):
             width = rng.randint(1, 40)
             rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
-            pivots = gf2.echelon_pivots(rows)
+            pivots = gf2.echelon_pivots(gf2.pivot_pairs(rows))
             span = span_words(tuple(rows))
             assert 1 << len(pivots) == len(span)
             # bit 0 of a stored row is its pivot column c, and the row
             # shifted back up by c lies in the span
             assert all(r & 1 and r << c in span for c, r in pivots.items())
 
+    @given(st.lists(st.integers(0, (1 << 40) - 1), max_size=8), st.data())
+    def test_pivot_pairs_eliminate_to_the_span(self, rows, data):
+        # zero and repeated rows among the others, in any order
+        extra = data.draw(st.lists(st.sampled_from([0, *rows]), max_size=4))
+        rows = data.draw(st.permutations(rows + extra))
+        pairs = list(gf2.pivot_pairs(rows))
+        assert [r << c for c, r in pairs] == [row for row in rows if row]
+        assert all(r & 1 for _, r in pairs)
+        span = SpanSolver()
+        for row in rows:
+            span.add(row)
+        pivots = gf2.echelon_pivots(pairs)
+        assert len(pivots) == len(span.pivots)
+        assert all(r & 1 and span.member(r << c) for c, r in pivots.items())
+
     @given(matrices())
     def test_back_substitution_leaves_the_echelon_as_it_was(self, m):
         # a window space keeps its echelon and back-substitutes it on demand
-        pivots = gf2.echelon_pivots(m.rows)
+        pivots = gf2.echelon_pivots(gf2.pivot_pairs(m.rows))
         before = dict(pivots)
         parts, cols = gf2.back_substitute(pivots)
         # bit j of a part is the j-th free column

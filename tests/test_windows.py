@@ -448,7 +448,7 @@ class TestStreamedRows:
         plan = build_window_space(cube(2, 4), e2()).plan
         rows = plan.rows()
         assert iter(rows) is rows
-        assert list(rows) == window_constraint_rows(cube(2, 4), e2())
+        assert [r << c for c, r in rows] == window_constraint_rows(cube(2, 4), e2())
         assert list(rows) == []
 
     def test_build_hands_the_elimination_an_iterator(self, monkeypatch):
@@ -468,7 +468,8 @@ class TestStreamedRows:
         assert iter(rows) is rows
         # consumed by the one elimination
         assert next(rows, None) is None
-        assert space.echelon == echelon_pivots(window_constraint_rows(space.box, space.code))
+        oracle_rows = window_constraint_rows(space.box, space.code)
+        assert space.echelon == echelon_pivots(gf2.pivot_pairs(oracle_rows))
 
     def test_builds_of_one_code_reduce_its_dual_once(self, eliminations):
         code = codes.repetition_code(3)
@@ -488,7 +489,7 @@ class TestStreamedRows:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        raw = sum(map(sys.getsizeof, space.plan.rows()))
+        raw = sum(sys.getsizeof(r << c) for c, r in space.plan.rows())
         # storing the raw rows would put the peak above their own size; the
         # shifted echelon is a third of it
         assert peak <= raw, (peak, raw)
@@ -506,6 +507,34 @@ class TestStreamedRows:
         monkeypatch.setattr(windows, "_stencil_plan", past_the_box)
         with pytest.raises(ValueError, match="^stencil plan reaches past the box$"):
             build_window_space(cube(2, 3), e2())
+
+    @pytest.mark.parametrize(
+        "box, code",
+        [
+            (cube(2, 150), functools.partial(codes.even_weight_code, 2)),
+            (cube(8, 3), lambda: rigidity.construct_system(8).code),
+        ],
+        ids=["planar", "d8b3"],
+    )
+    def test_the_build_hands_the_elimination_short_odd_rows(self, monkeypatch, box, code):
+        code = code()
+        codes.dual(code)  # the dual's own elimination, before recording
+        calls = []
+        echelon_pivots = gf2.echelon_pivots
+
+        def recording(rows):
+            calls.append(list(rows))
+            return echelon_pivots(calls[-1])
+
+        monkeypatch.setattr(gf2, "echelon_pivots", recording)
+        space = build_window_space(box, code, max_sites=box.site_count)
+        (pairs,) = calls
+        reach = max(o for taps in space.plan.taps for o in taps)
+        assert all(r & 1 for _, r in pairs)
+        assert max(r.bit_length() for _, r in pairs) <= reach + 1
+        oracle_rows = window_constraint_rows(box, code)
+        assert [r << c for c, r in pairs] == oracle_rows
+        assert space.echelon == echelon_pivots(gf2.pivot_pairs(oracle_rows))
 
     def test_a_plan_reaching_the_top_site_is_accepted(self):
         # the last anchor of [0, 4) reads site 3 through offset 0
@@ -768,7 +797,7 @@ class TestOneElimination:
         assert eliminations.count(rows) == 1
         assert ("_pivot_parities" in vars(space)) == parities
         # back-substitution leaves the echelon of the rank as it was
-        assert space.echelon == gf2.echelon_pivots(rows)
+        assert space.echelon == gf2.echelon_pivots(gf2.pivot_pairs(rows))
         assert basis.num_rows == space.free_dim
 
     def test_planar_kernel_is_the_anti_diagonals(self):
@@ -823,7 +852,8 @@ def parity_systems(draw):
 
 
 def _parities(m):
-    return windows._PivotParities(*gf2.back_substitute(gf2.echelon_pivots(m.rows)), m.cols)
+    pivots = gf2.echelon_pivots(gf2.pivot_pairs(m.rows))
+    return windows._PivotParities(*gf2.back_substitute(pivots), m.cols)
 
 
 class TestPivotParities:

@@ -112,7 +112,17 @@ MUTANTS = [
     (
         # echelon rows kept where they stand, not shifted down to their pivots
         "echelon_rows_unshifted", G,
-        "            cur >>= k\n",
+        "            yield c, r >> c\n",
+        "            yield c, r\n",
+    ),
+    (
+        # a row whose XOR clears its low bit is not shifted down to its new
+        # lowest set bit, so it meets the same pivot again and undoes the
+        # XOR, forever
+        "echelon_skips_renormalising_after_an_xor", G,
+        "            k = (cur ^ (cur - 1)).bit_length() - 1\n"
+        "            cur >>= k\n"
+        "            c += k\n",
         "",
     ),
     (
@@ -137,6 +147,12 @@ MUTANTS = [
         "plan_reach_refuses_the_top_site", W,
         "    if plan.anchor_mask.bit_length() + reach > n_sites:\n",
         "    if plan.anchor_mask.bit_length() + reach >= n_sites:\n",
+    ),
+    (
+        # each row's pair names its anchor bit, not its lowest set bit
+        "row_pair_column_without_the_lowest_offset", W,
+        "return ((base + lo, r) for base",
+        "return ((base, r) for base",
     ),
     (
         # the highest anchor bit is the last character of the string
