@@ -12,10 +12,11 @@ Witness search reads codewords in (weight, bits) order from a stream
 that is memoised per code inside the ``codewords_by_weight`` cache
 entry.  The stream tests the vectors of each weight in increasing
 numeric order for membership and falls back to sorting the whole
-enumeration only once those tests would outnumber the codewords.  A
-query that the memoised prefix cannot answer first asks the classes of
-equal nonzero generator columns whether any codeword separates ``n`` at
-all, and raises without enumerating when none does.
+enumeration only once those tests would outnumber the codewords.  The
+classes of equal nonzero generator columns, read in one transpose, give
+the kernel of the support-sum pairing.  A query that the memoised prefix
+cannot answer asks them (:func:`separable`) whether any codeword
+separates ``n`` at all, and raises without enumerating when none does.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "codewords",
     "codewords_by_weight",
     "is_integrally_nondegenerate",
+    "separable",
     "nondegeneracy_witness",
     "star_closure_check",
     "direct_sum",
@@ -235,6 +237,7 @@ class WeightOrderedCodewords:
     sequence, extending ``prefix`` as it goes, so ``tuple(...)`` equals
     the sorted enumeration.  Instances come from :func:`codewords_by_weight`,
     whose cache keeps the stream and its prefix alive between queries.
+    It keeps no column classes; :func:`separable` reads the columns anew.
     """
 
     def __init__(self, c: BinaryCode):
@@ -265,30 +268,6 @@ class WeightOrderedCodewords:
     def has_all_ones(self) -> bool:
         """Whether the all-ones vector is a codeword, decided once per code."""
         return contains_all_ones(self.code)
-
-    @functools.cached_property
-    def _classes(self) -> list[list[int]]:
-        """The coordinates of each distinct nonzero generator column."""
-        by_column: dict[tuple[int, ...], list[int]] = {}
-        for j in range(self.code.length):
-            column = tuple((r >> j) & 1 for r in self.code.basis.rows)
-            if any(column):
-                by_column.setdefault(column, []).append(j)
-        return list(by_column.values())
-
-    def separable(self, n: Sequence[int]) -> bool:
-        """Whether some codeword has a nonzero support sum against ``n``.
-
-        The codeword supports span exactly the vectors constant on each
-        class of equal nonzero generator columns and zero on zero columns,
-        so some codeword separates ``n`` exactly when ``n`` has a nonzero
-        sum on some class.  With one class per coordinate the code is
-        non-degenerate and every nonzero ``n`` is separable.
-        """
-        if len(self._classes) == self.code.length:
-            return True
-        return any(sum(n[j] for j in cls) != 0 for cls in self._classes)
-
 
 # an entry grows to 2^dim words when its stream falls back to the sort
 @functools.lru_cache(maxsize=8)
@@ -327,6 +306,17 @@ def support_sum(n: Sequence[int], v: F2Vector) -> int:
     return sum(n[j] for j in v.support())
 
 
+def _columns(c: BinaryCode) -> Iterable[tuple[str, ...]]:
+    """Each column of the canonical generator matrix, in coordinate order.
+
+    One transpose of the reversed row strings gives every column, one
+    '0'/'1' per basis row; a zero code has ``length`` empty, zero, columns.
+    """
+    if c.dim == 0:
+        return itertools.repeat((), c.length)
+    return zip(*[format(r, f"0{c.length}b")[::-1] for r in c.basis.rows])
+
+
 @functools.lru_cache(maxsize=128)
 def is_integrally_nondegenerate(c: BinaryCode) -> NondegeneracyCertificate:
     """Exact non-degeneracy certificate for the support-sum pairing.
@@ -347,11 +337,9 @@ def is_integrally_nondegenerate(c: BinaryCode) -> NondegeneracyCertificate:
         equal to column j.  That is the normalized kernel vector at the
         lowest free column of the span's reduced row echelon form.
     """
-    rows = c.basis.rows
-    first: dict[tuple[int, ...], int] = {}
-    for j in range(c.length):
-        column = tuple((r >> j) & 1 for r in rows)
-        if not any(column):
+    first: dict[tuple[str, ...], int] = {}
+    for j, column in enumerate(_columns(c)):
+        if "1" not in column:
             return NondegeneracyCertificate(False, tuple(int(k == j) for k in range(c.length)))
         i = first.setdefault(column, j)
         if i != j:
@@ -360,13 +348,31 @@ def is_integrally_nondegenerate(c: BinaryCode) -> NondegeneracyCertificate:
     return NondegeneracyCertificate(True, None)
 
 
+def separable(c: BinaryCode, n: Sequence[int]) -> bool:
+    """Whether some codeword has a nonzero support sum against ``n``.
+
+    The codeword supports span exactly the vectors constant on each class
+    of equal nonzero generator columns and zero on zero columns, so this
+    asks whether ``n`` has a nonzero sum on some class.  A non-integer
+    entry or a wrong length raises ``ValueError``.
+    """
+    n = gf2.int_tuple(n, "entries of n")
+    if len(n) != c.length:
+        raise ValueError("length mismatch")
+    sums: dict[tuple[str, ...], int] = {}
+    for column, x in zip(_columns(c), n):
+        if "1" in column:
+            sums[column] = sums.get(column, 0) + x
+    return any(sums.values())
+
+
 def nondegeneracy_witness(c: BinaryCode, n: Sequence[int]) -> F2Vector:
     """First codeword (by increasing weight, then bit pattern) separating ``n``.
 
     The memoised prefix of :func:`codewords_by_weight` is scanned first.
-    Only when it holds no witness are the column classes asked whether
-    any codeword separates ``n``; if none does the error is raised at
-    once, otherwise the stream is extended until the witness appears.
+    Only when it holds no witness is :func:`separable` asked whether any
+    codeword separates ``n``; if none does the error is raised at once,
+    otherwise the stream is extended until the witness appears.
 
     Raises:
         ValueError: if an entry of ``n`` is not an integer, or ``n`` is
@@ -385,7 +391,7 @@ def nondegeneracy_witness(c: BinaryCode, n: Sequence[int]) -> F2Vector:
     for v in words.prefix:
         if support_sum(n, v) != 0:
             return v
-    if words.separable(n):
+    if separable(c, n):
         while (v := words.next_word()) is not None:
             if support_sum(n, v) != 0:
                 return v

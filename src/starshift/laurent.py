@@ -239,27 +239,14 @@ def _check_expansion_budget(p: LaurentPoly) -> None:
         )
 
 
-def _binomial_member(table: Sequence[LaurentPoly], p: LaurentPoly) -> bool:
-    # u^a + u^b lies in the ideal iff the product of the variable images
-    # raised to (a - b) is 1.  The images are irreducible linear
-    # polynomials in the free variables, so by unique factorization the
-    # exponents attached to each distinct image must cancel exactly.
-    a, b = sorted(p.terms)
-    diff = tuple(x - y for x, y in zip(a, b))
-    totals: dict[frozenset[Monomial], int] = {}
-    for i, e in enumerate(diff):
-        if e:
-            key = table[i].terms
-            totals[key] = totals.get(key, 0) + e
-    return all(v == 0 for v in totals.values())
-
-
 def ideal_contains(ideal: LinearFormIdeal, p: LaurentPoly) -> bool:
     """Exact Laurent-ideal membership.
 
     Monomials and binomials are decided in closed form; general queries
     are shifted to polynomial form and pushed through the quotient
-    substitution, whose result is zero exactly on members.
+    substitution, whose result is zero exactly on members.  Past the unit
+    screen, u^a + u^b is a member exactly when no codeword of the
+    generator code's dual separates a - b (:func:`codes.separable`).
 
     Raises:
         GuardExceededError: when a general query exceeds the expansion budget.
@@ -280,7 +267,13 @@ def ideal_contains(ideal: LinearFormIdeal, p: LaurentPoly) -> bool:
         # integral domain, never zero
         return False
     if len(p.terms) == 2:
-        return _binomial_member(table, p)
+        # u^a + u^b is a unit times u^(a - b) + 1.  The variable images are
+        # irreducible linear forms, equal for u_i and u_j exactly when
+        # e_i + e_j is in the generator code, that is, when columns i and j
+        # of its dual are equal.  By unique factorization a - b must sum to
+        # zero on each class of equal dual columns: no dual word separates it.
+        a, b = p.terms
+        return not codes_mod.separable(codes_mod.dual(gc), tuple(x - y for x, y in zip(a, b)))
     _check_expansion_budget(p)
     shift = tuple(max(0, -e) for e in p.min_exponents())
     shifted = p.shifted(shift)

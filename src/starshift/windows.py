@@ -40,9 +40,8 @@ being its size.  So no row as wide as its anchor bit is made, and the raw
 rows are never stored.  Widened to ints, the rows of [0, 27)^3 with the
 length-3 repetition code would take 47.0 MB and those of the planar
 [0, 150)^2 even-weight space 34.1 MB; the spaces hold 1.95 MB and
-2.02 MB (tracemalloc), where rows streamed as wide ints left 2.04 MB and
-3.08 MB.  That every row lies inside the box is checked once on the plan,
-from its highest anchor bit and largest offset.  Draws and
+2.02 MB (tracemalloc).  That every row lies inside the box is checked
+once on the plan, from its highest anchor bit and largest offset.  Draws and
 ``solution_basis`` back-substitute the echelon when first needed into
 reduced rows in free coordinates, and keep only what they derive.  Window
 rows are eliminated in plan order, unsorted: each anchor's rows meet few

@@ -81,6 +81,15 @@ def small_codes(max_len=10, max_gens=4):
     )
 
 
+def codes_with_zero(max_len=8, max_gens=4):
+    """Codes from any rows, zero rows and none at all included, so zero codes too."""
+    return st.integers(1, max_len).flatmap(
+        lambda d: st.lists(st.integers(0, (1 << d) - 1), max_size=max_gens).map(
+            lambda rows: code_from_generators(F2Matrix(tuple(rows), d))
+        )
+    )
+
+
 @st.composite
 def basis_candidates(draw):
     """(width, rows): canonical bases and random rows, then a few edits.
@@ -481,6 +490,48 @@ class TestNondegeneracy:
         # int() would read 1.5 as 1 and 0.5 as 0, the zero vector
         with pytest.raises(ValueError, match="^entries of n must be integers$"):
             codes.nondegeneracy_witness(codes.full_code(2), n)
+
+    def test_length_2000_codes(self):
+        # 2,000 columns of about 2,000 bits each, read in one transpose
+        even = codes.even_weight_code(2000)
+        assert codes.is_integrally_nondegenerate(even) == codes.NondegeneracyCertificate(True)
+        # no word has weight 1, and e_0 + e_1 is the first of weight 2
+        assert codes.nondegeneracy_witness(even, (1,) + (0,) * 1999).support() == (0, 1)
+        assert codes.nondegeneracy_witness(even, (1, -1) + (0,) * 1998).support() == (0, 2)
+        split = codes.direct_sum(codes.full_code(1998), codes.even_weight_code(2))
+        kernel = (0,) * 1998 + (1, -1)
+        assert codes.is_integrally_nondegenerate(split) == codes.NondegeneracyCertificate(False, kernel)
+        with pytest.raises(DegenerateCodeError) as exc:
+            codes.nondegeneracy_witness(split, kernel)
+        assert exc.value.kernel_witness == kernel
+        assert codes.nondegeneracy_witness(split, (3,) + (0,) * 1999).support() == (0,)
+
+
+class TestSeparable:
+    @given(
+        codes_with_zero().flatmap(
+            lambda c: st.tuples(st.just(c), st.lists(st.integers(-2, 2), min_size=c.length, max_size=c.length))
+        )
+    )
+    def test_agrees_with_every_codeword(self, case):
+        c, n = case
+        expected = any(_bits_support_sum(n, w) != 0 for w in span_words(c.basis.rows))
+        assert codes.separable(c, n) == expected
+
+    def test_zero_codes_and_length_one(self):
+        for length in (1, 3):
+            assert not codes.separable(code_from_generators(F2Matrix((), length)), (5,) * length)
+        assert codes.separable(codes.full_code(1), (-1,))
+        assert not codes.separable(codes.full_code(1), (0,))
+        # the even-weight code of length 2 has the one class {0, 1}; that of
+        # length 3 has the columns 10, 01 and 11, three classes
+        assert not codes.separable(codes.even_weight_code(2), (4, -4))
+        assert codes.separable(codes.even_weight_code(3), (4, -4, 0))
+
+    @pytest.mark.parametrize("n", [(1, 0, 0), (1,), [1.5, 0], [0, Fraction(1, 2)], ["1", 0]])
+    def test_refusals(self, n):
+        with pytest.raises(ValueError):
+            codes.separable(codes.full_code(2), n)
 
 
 def _oracle_order(c):

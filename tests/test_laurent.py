@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import laurent_ideal_member, random_code, random_poly
+from oracles import laurent_ideal_member, random_code, random_poly, span_words
 from shared_codes import c8, e2
 from starshift import codes, laurent
 from starshift.codes import code_from_generators
 from starshift.errors import DegenerateCodeError, GuardExceededError
-from starshift.gf2 import F2Vector
+from starshift.gf2 import F2Matrix, F2Vector
 from starshift.laurent import (
     LaurentPoly,
     LinearFormIdeal,
@@ -31,6 +31,22 @@ def polys(max_arity=4, max_terms=8, exp_bound=3):
             max_size=max_terms,
         ).map(lambda ts: LaurentPoly.from_terms(d, ts))
     )
+
+
+def generator_codes(d, max_gens=3):
+    """Codes of length d from any rows: zero codes and unit ideals included."""
+    rows = st.lists(st.integers(0, (1 << d) - 1), max_size=max_gens)
+    return rows.map(lambda rs: code_from_generators(F2Matrix(tuple(rs), d)))
+
+
+def binomial_cases(max_arity=4, exp_bound=2):
+    """(generator code, a, b) with a != b, for the binomial u^a + u^b."""
+
+    def build(d):
+        exps = st.tuples(*([st.integers(-exp_bound, exp_bound)] * d))
+        return st.tuples(generator_codes(d), exps, exps).filter(lambda t: t[1] != t[2])
+
+    return st.integers(1, max_arity).flatmap(build)
 
 
 def poly_triples(max_arity=3, max_terms=5, exp_bound=2):
@@ -221,6 +237,31 @@ class TestMembershipOracle:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             ideal_contains(annihilator_ideal(e2()), LaurentPoly.one(3))
+
+
+class TestBinomialRule:
+    """u^a + u^b against the cofactor-search oracle and the codeword span."""
+
+    @given(binomial_cases())
+    def test_binomials_agree_with_oracle(self, case):
+        gcode, a, b = case
+        q = LaurentPoly.from_terms(gcode.length, [a, b])
+        assert ideal_contains(LinearFormIdeal(gcode.length, gcode), q) == laurent_ideal_member(gcode, q)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda d: st.tuples(generator_codes(d, max_gens=4), st.tuples(*([st.integers(-2, 2)] * d)))
+        )
+    )
+    def test_annihilator_binomials_follow_the_codewords(self, case):
+        # u^n + 1 annihilates X_C exactly when c has a zero column (a unit
+        # generator in the dual) or no codeword of c separates n
+        c, n = case
+        words = span_words(c.basis.rows)
+        zero_column = any(not any((w >> j) & 1 for w in words) for j in range(c.length))
+        separated = any(sum(x for j, x in enumerate(n) if (w >> j) & 1) for w in words)
+        q = LaurentPoly.from_terms(c.length, [n, (0,) * c.length])
+        assert ideal_contains(annihilator_ideal(c), q) == (zero_column or not separated)
 
 
 class TestFrozenMembershipFacts:

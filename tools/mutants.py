@@ -340,9 +340,22 @@ MUTANTS = [
         "if gf2.weight(v) > k)",
     ),
     (
+        # each coordinate with a nonzero column is a class of its own
         "column_classes_keyed_by_coordinate", K,
-        "by_column.setdefault(column, []).append(j)",
-        "by_column.setdefault((j,), []).append(j)",
+        "            sums[column] = sums.get(column, 0) + x\n",
+        "            sums[len(sums)] = x\n",
+    ),
+    (
+        # column j is read off bit length - 1 - j
+        "columns_read_right_to_left", K,
+        "format(r, f\"0{c.length}b\")[::-1] for r in",
+        "format(r, f\"0{c.length}b\") for r in",
+    ),
+    (
+        # a zero code has no columns, so it reads as non-degenerate
+        "zero_code_has_no_columns", K,
+        "    if c.dim == 0:\n        return itertools.repeat((), c.length)\n",
+        "",
     ),
     (
         "weight_class_without_self_orthogonality", K,
@@ -352,8 +365,10 @@ MUTANTS = [
     (
         # [1.5, 0] reads as (1, 0) and [0.5, 0, 0] as the zero vector
         "witness_entries_truncated_by_int", K,
-        "    n = gf2.int_tuple(n, \"entries of n\")\n",
-        "    n = tuple(map(int, n))\n",
+        "    n = gf2.int_tuple(n, \"entries of n\")\n    if len(n) != c.length:\n"
+        "        raise ValueError(\"length mismatch\")\n    if not any(n):\n",
+        "    n = tuple(map(int, n))\n    if len(n) != c.length:\n"
+        "        raise ValueError(\"length mismatch\")\n    if not any(n):\n",
     ),
     (
         # every call of dual reduces the kernel rows again
@@ -372,11 +387,11 @@ MUTANTS = [
         "[(-support_sum(t, w),) for t in p.terms]",
     ),
     (
-        # negating the difference is an equivalent mutant: the totals only
-        # have to vanish, so the sum stands in for a sign error
+        # negating the difference is an equivalent mutant: its class sums
+        # only have to vanish, so the sum stands in for a sign error
         "binomial_exponents_added", L,
-        "    diff = tuple(x - y for x, y in zip(a, b))\n",
-        "    diff = tuple(x + y for x, y in zip(a, b))\n",
+        "tuple(x - y for x, y in zip(a, b))",
+        "tuple(x + y for x, y in zip(a, b))",
     ),
     (
         "unit_generator_screen_inverted", L,
