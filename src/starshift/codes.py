@@ -73,34 +73,34 @@ class BinaryCode:
     """A linear code, held as its canonical reduced-echelon basis.
 
     Build instances through :func:`code_from_generators`; the constructor
-    validates that the supplied basis really is canonical and derives
-    ``pivots``, the lowest set bit of each row, which equality, hashing
-    and repr ignore.  The dual code is derived on first use and held,
-    so :func:`dual` reduces a code's kernel rows once.
+    validates that the basis really is canonical and derives its width
+    ``length`` and ``echelon``, each row keyed by its pivot (its lowest
+    set bit) and shifted down to it, which equality, hashing and repr
+    ignore.  The dual code is derived on first use and held, so
+    :func:`dual` reduces a code's kernel rows once.
     """
 
-    length: int
     basis: F2Matrix
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    length: int = field(init=False, repr=False, compare=False)
+    echelon: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("code length must be at least 1")
-        if self.basis.cols != self.length:
-            raise ValueError("basis width disagrees with code length")
         rows = self.basis.rows
-        pivots: list[int] = []
+        echelon: dict[int, int] = {}
+        last = -1
         for r in rows:
             if r == 0:
                 raise ValueError("canonical basis cannot contain zero rows")
             pivot = (r & -r).bit_length() - 1
-            if pivots and pivot <= pivots[-1]:
+            if pivot <= last:
                 raise ValueError("basis rows must have strictly increasing pivots")
-            pivots.append(pivot)
-        mask = sum(1 << p for p in pivots)
-        if any(r & mask != 1 << p for r, p in zip(rows, pivots)):
+            echelon[pivot] = r >> pivot
+            last = pivot
+        mask = sum(1 << p for p in echelon)
+        if any(r & mask != 1 << p for r, p in zip(rows, echelon)):
             raise ValueError("basis is not fully reduced")
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "length", self.basis.cols)
+        object.__setattr__(self, "echelon", echelon)
 
     @property
     def dim(self) -> int:
@@ -110,8 +110,7 @@ class BinaryCode:
     # that equality, hashing and repr read
     @functools.cached_property
     def _dual(self) -> BinaryCode:
-        shifted = {p: r >> p for p, r in zip(self.pivots, self.basis.rows)}
-        kernel = gf2.kernel_rows(*gf2.back_substitute(shifted), self.length)
+        kernel = gf2.kernel_rows(*gf2.back_substitute(self.echelon), self.length)
         return code_from_generators(F2Matrix(kernel, self.length))
 
     def __str__(self) -> str:
@@ -124,14 +123,17 @@ class BinaryCode:
 class NondegeneracyCertificate:
     """Outcome of the integral non-degeneracy test.
 
-    ``kernel_witness`` is populated exactly when ``verdict`` is False: a
-    nonzero integer vector n with support_sum(n, v) = 0 for every
-    codeword v, either a unit vector e_j or a difference e_i - e_j with
-    i < j.
+    ``kernel_witness`` is None exactly for a non-degenerate code, whose
+    ``verdict`` is True.  Otherwise it is a nonzero integer vector n with
+    support_sum(n, v) = 0 for every codeword v: a unit vector e_j or a
+    difference e_i - e_j with i < j.
     """
 
-    verdict: bool
     kernel_witness: IntVector | None = None
+
+    @property
+    def verdict(self) -> bool:
+        return self.kernel_witness is None
 
 
 def code_from_generators(rows: F2Matrix | Iterable[str]) -> BinaryCode:
@@ -144,7 +146,7 @@ def code_from_generators(rows: F2Matrix | Iterable[str]) -> BinaryCode:
     """
     m = rows if isinstance(rows, F2Matrix) else F2Matrix.from_strings(rows)
     rref, _ = gf2.reduced_rows(sorted(m.rows, key=int.bit_length, reverse=True))
-    return BinaryCode(m.cols, F2Matrix(tuple(rref), m.cols))
+    return BinaryCode(F2Matrix(tuple(rref), m.cols))
 
 
 def dual(c: BinaryCode) -> BinaryCode:
@@ -164,10 +166,10 @@ def is_self_orthogonal(c: BinaryCode) -> bool:
 
 
 def contains_vector(c: BinaryCode, v: F2Vector) -> bool:
-    """Whether ``v`` is a codeword: its residue against the basis rows, keyed by pivot, is zero."""
+    """Whether ``v`` is a codeword: its residue against the code's echelon rows is zero."""
     if v.length != c.length:
         raise ValueError("length mismatch")
-    return gf2.reduce_bits(v.bits, dict(zip(c.pivots, c.basis.rows))) == 0
+    return gf2.reduce_bits(v.bits, c.echelon) == 0
 
 
 def contains_all_ones(c: BinaryCode) -> bool:
@@ -177,8 +179,7 @@ def contains_all_ones(c: BinaryCode) -> bool:
 def is_subcode(inner: BinaryCode, outer: BinaryCode) -> bool:
     if inner.length != outer.length:
         raise ValueError("length mismatch")
-    pivots = dict(zip(outer.pivots, outer.basis.rows))
-    return all(gf2.reduce_bits(r, pivots) == 0 for r in inner.basis.rows)
+    return all(gf2.reduce_bits(r, outer.echelon) == 0 for r in inner.basis.rows)
 
 
 def codewords(c: BinaryCode) -> Iterable[F2Vector]:
@@ -209,8 +210,7 @@ def _weight_order(c: BinaryCode) -> Iterator[F2Vector]:
     the sorted enumeration instead, so at most as many candidates are
     tested as the enumeration would visit.
     """
-    length = c.length
-    pivots = dict(zip(c.pivots, c.basis.rows))
+    length, echelon = c.length, c.echelon
     budget = 1 << min(c.dim, ENUMERATION_GUARD_DIM)
     tested = 0
     for k in range(length + 1):
@@ -221,7 +221,7 @@ def _weight_order(c: BinaryCode) -> Iterator[F2Vector]:
             return
         v = (1 << k) - 1
         while not v >> length:
-            if gf2.reduce_bits(v, pivots) == 0:
+            if gf2.reduce_bits(v, echelon) == 0:
                 yield F2Vector(length, v)
             if v == 0:
                 break
@@ -340,12 +340,12 @@ def is_integrally_nondegenerate(c: BinaryCode) -> NondegeneracyCertificate:
     first: dict[tuple[str, ...], int] = {}
     for j, column in enumerate(_columns(c)):
         if "1" not in column:
-            return NondegeneracyCertificate(False, tuple(int(k == j) for k in range(c.length)))
+            return NondegeneracyCertificate(tuple(int(k == j) for k in range(c.length)))
         i = first.setdefault(column, j)
         if i != j:
             witness = tuple((k == i) - (k == j) for k in range(c.length))
-            return NondegeneracyCertificate(False, witness)
-    return NondegeneracyCertificate(True, None)
+            return NondegeneracyCertificate(witness)
+    return NondegeneracyCertificate()
 
 
 def separable(c: BinaryCode, n: Sequence[int]) -> bool:
@@ -411,9 +411,8 @@ def star_closure_check(c: BinaryCode, c_prime: BinaryCode) -> bool:
     if c.length != c_prime.length:
         raise ValueError("length mismatch")
     rows = c.basis.rows
-    pivots = dict(zip(c_prime.pivots, c_prime.basis.rows))
     return all(
-        gf2.reduce_bits(rows[i] & rows[j], pivots) == 0
+        gf2.reduce_bits(rows[i] & rows[j], c_prime.echelon) == 0
         for i in range(len(rows))
         for j in range(i, len(rows))
     )

@@ -215,23 +215,24 @@ def echelon_pivots(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
     return pivots
 
 
-def reduce_bits(bits: int, pivots: dict[int, int]) -> int:
-    """Residue of a bit-packed row after elimination against pivot rows.
+def reduce_bits(bits: int, echelon: dict[int, int]) -> int:
+    """Residue of a bit-packed row after elimination against echelon rows.
 
-    ``pivots`` maps each pivot column to an unshifted row whose lowest set
-    bit is that column, such as a canonical basis keyed by its pivots.
-    The residue is zero exactly when ``bits`` lies in their row space.
+    ``echelon`` maps each pivot column c to a row with lowest set bit c,
+    shifted down to it, as :func:`echelon_pivots` returns; the residue
+    is zero exactly when ``bits`` lies in their row space.
     """
     cur = scan = bits
     while scan:
         low = scan & -scan
-        row = pivots.get(low.bit_length() - 1)
+        col = low.bit_length() - 1
+        row = echelon.get(col)
         if row is None:
             scan ^= low
         else:
             # clears this bit and toggles only columns above it, so the
             # scan resumes there instead of at the lowest bit
-            cur ^= row
+            cur ^= row << col
             scan = cur & -(low << 1)
     return cur
 

@@ -216,12 +216,11 @@ def _substitution_table(code: BinaryCode) -> tuple[LaurentPoly, ...] | None:
     basis row is a single variable, in which case the ideal is the whole
     Laurent ring and no proper quotient exists.
     """
-    d = code.length
-    rows = code.basis.rows
+    d, rows = code.length, code.basis.rows
     if any(r.bit_count() == 1 for r in rows):
         return None
     table = [LaurentPoly.variable(d, i) for i in range(d)]
-    for pivot, r in zip(code.pivots, rows):
+    for pivot, r in zip(code.echelon, rows):
         table[pivot] = linear_form(F2Vector(d, r ^ (1 << pivot)))
     return tuple(table)
 
@@ -305,9 +304,7 @@ def membership_cofactors(
     gc = ideal.generator_code
     if gc.dim == 0:
         return None
-    rows = gc.basis.rows
-    pivots = gc.pivots
-    d = gc.length
+    rows, pivots, d = gc.basis.rows, tuple(gc.echelon), gc.length
     for r, j in zip(rows, pivots):
         if r.bit_count() == 1:
             cof = p.shifted(tuple(-1 if i == j else 0 for i in range(d)))

@@ -58,15 +58,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TripleSystem:
-    """A code pair driving the triple product of window spaces."""
+    """A code pair driving the triple product of window spaces; ``d`` is their length."""
 
-    d: int
     code: BinaryCode
     product_code: BinaryCode
+    d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.code.length != self.d or self.product_code.length != self.d:
-            raise ValueError("code lengths disagree with the declared dimension")
+        if self.code.length != self.product_code.length:
+            raise ValueError("code and product code lengths disagree")
+        object.__setattr__(self, "d", self.code.length)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def construct_system(d: int) -> TripleSystem:
         tail = codes_mod.full_code(d - 8)
         code = codes_mod.direct_sum(base, tail)
         product_code = codes_mod.direct_sum(even8, tail)
-    system = TripleSystem(d, code, product_code)
+    system = TripleSystem(code, product_code)
     problems = _invariant_failures(system)
     if problems:
         raise RuntimeError("constructed system violates its invariants: " + "; ".join(problems))
@@ -329,11 +330,13 @@ def verify_dynamics(
     an error raised by the map fails the check, its message the witness.
 
     Raises:
-        ValueError: when ``samples`` is not an integer or is < 1, before
-            any draw.
+        ValueError: when the spaces lie on different boxes, or ``samples``
+            is not an integer or is < 1, before any draw.
         GuardExceededError: when ``samples`` times the box's site count
             exceeds ``MAX_SAMPLED_SITES``, before any draw.
     """
+    if space_xy.box != space_z.box:
+        raise ValueError(f"the spaces lie on different boxes: {space_xy.box} and {space_z.box}")
     (samples,) = int_tuple((samples,), "samples")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
@@ -341,8 +344,7 @@ def verify_dynamics(
         raise GuardExceededError(
             f"{samples} samples of {space_xy.site_count} sites pass the guard of {MAX_SAMPLED_SITES}"
         )
-    d = space_xy.box.dimension
-    system = TripleSystem(d, space_xy.code, space_z.code)
+    system = TripleSystem(space_xy.code, space_z.code)
     rng = random.Random(seed)
     triples = [
         TripleConfig(
@@ -352,7 +354,7 @@ def verify_dynamics(
         )
         for _ in range(samples)
     ]
-    shifts = _shifts(d)
+    shifts = _shifts(system.d)
     report = VerificationReport(describe_system(system))
 
     def involution() -> tuple[bool, object]:
@@ -431,7 +433,7 @@ def exhaustive_toy_report() -> VerificationReport:
     pair (0, 0), where it cancels.
     """
     code = codes_mod.repetition_code(3)
-    system = TripleSystem(3, code, code)
+    system = TripleSystem(code, code)
     box = cube(3, 2)
     space = windows_mod.build_window_space(box, code)
     sols = [0]

@@ -299,12 +299,20 @@ class TestVerify:
             (["inspect", "{c8}", "--json"], "inspect_hamming8.json"),
             (["dual", "{c8}", "--json"], "dual_hamming8.json"),
             (["construct", "-d", "8", "--json"], "construct_d8.json"),
+            (["entropy", "{c8}", "--box", "3", "--json"], "entropy_hamming8_box3.json"),
+            (["mixing-witness", "{c8}", "--n", "3,-1,4,1,-5,9,2,-6", "--json"],
+             "mixing_witness_hamming8.json"),
+            (["sample", "{c8}", "--box", "3", "--seed", "3", "--json"],
+             "sample_hamming8_box3_seed3.json"),
+            # the configuration checked is the sample golden above
+            (["check", "{c8}", "{data}/sample_hamming8_box3_seed3.json", "--json"],
+             "check_hamming8_box3_seed3.json"),
         ],
-        ids=["inspect", "dual", "construct"],
+        ids=["inspect", "dual", "construct", "entropy", "mixing-witness", "sample", "check"],
     )
     def test_code_command_matches_its_golden(self, capsys, c8_file, argv, golden):
         # these reports carry no timing, so stdout is compared byte for byte
-        assert main([a.format(c8=c8_file) for a in argv]) == 0
+        assert main([a.format(c8=c8_file, data=DATA) for a in argv]) == 0
         assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
     def test_seeded_json_reports_identical_modulo_timing(self, tmp_path, capsys):

@@ -178,11 +178,9 @@ class TestConstruction:
 
     def test_canonical_basis_enforced(self):
         with pytest.raises(ValueError):
-            BinaryCode(3, F2Matrix((0b011, 0b110), 3))  # not reduced
+            BinaryCode(F2Matrix((0b011, 0b110), 3))  # not reduced
         with pytest.raises(ValueError):
-            BinaryCode(3, F2Matrix((0,), 3))  # zero row
-        with pytest.raises(ValueError):
-            BinaryCode(2, F2Matrix((1,), 3))  # width mismatch
+            BinaryCode(F2Matrix((0,), 3))  # zero row
 
     @given(basis_candidates())
     def test_canonical_check_matches_the_pairwise_oracle(self, case):
@@ -191,13 +189,14 @@ class TestConstruction:
         error = canonical_basis_error(rows)
         if error is not None:
             with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-                BinaryCode(width, basis)
+                BinaryCode(basis)
             return
-        c = BinaryCode(width, basis)
-        # equality, hashing and repr read only the length and the basis
-        assert c == BinaryCode(width, F2Matrix(rows, width))
-        assert hash(c) == hash((width, basis))
-        assert repr(c) == f"BinaryCode(length={width}, basis={basis!r})"
+        c = BinaryCode(basis)
+        # equality, hashing and repr read only the basis
+        assert c == BinaryCode(F2Matrix(rows, width))
+        assert hash(c) == hash((basis,))
+        assert repr(c) == f"BinaryCode(basis={basis!r})"
+        assert c.length == width
 
     @given(st.integers(1, 12), st.lists(st.integers(0, (1 << 12) - 1)))
     def test_generator_output_is_canonical(self, width, rows):
@@ -207,7 +206,10 @@ class TestConstruction:
 
     @given(small_codes(max_len=12, max_gens=6))
     def test_pivots_are_the_lowest_set_bits(self, c):
-        assert c.pivots == tuple(min(j for j in range(c.length) if r >> j & 1) for r in c.basis.rows)
+        # the echelon keys each row by its lowest set bit and shifts it down there
+        pivots = [min(j for j in range(c.length) if r >> j & 1) for r in c.basis.rows]
+        assert list(c.echelon) == pivots
+        assert list(c.echelon.values()) == [r // (1 << p) for r, p in zip(c.basis.rows, pivots)]
 
     def test_direct_sum(self):
         s = codes.direct_sum(c8(), codes.full_code(2))
@@ -385,6 +387,11 @@ class TestSupportSum:
 
 
 class TestNondegeneracy:
+    @pytest.mark.parametrize("witness", [None, (1, -1), (0, 1), (0,) * 8 + (1, -1)])
+    def test_verdict_is_the_absence_of_a_witness(self, witness):
+        assert codes.NondegeneracyCertificate(witness).verdict is (witness is None)
+        assert codes.NondegeneracyCertificate().verdict is True
+
     def test_reference_code_is_nondegenerate(self):
         cert = codes.is_integrally_nondegenerate(c8())
         assert cert.verdict and cert.kernel_witness is None
@@ -494,13 +501,13 @@ class TestNondegeneracy:
     def test_length_2000_codes(self):
         # 2,000 columns of about 2,000 bits each, read in one transpose
         even = codes.even_weight_code(2000)
-        assert codes.is_integrally_nondegenerate(even) == codes.NondegeneracyCertificate(True)
+        assert codes.is_integrally_nondegenerate(even) == codes.NondegeneracyCertificate()
         # no word has weight 1, and e_0 + e_1 is the first of weight 2
         assert codes.nondegeneracy_witness(even, (1,) + (0,) * 1999).support() == (0, 1)
         assert codes.nondegeneracy_witness(even, (1, -1) + (0,) * 1998).support() == (0, 2)
         split = codes.direct_sum(codes.full_code(1998), codes.even_weight_code(2))
         kernel = (0,) * 1998 + (1, -1)
-        assert codes.is_integrally_nondegenerate(split) == codes.NondegeneracyCertificate(False, kernel)
+        assert codes.is_integrally_nondegenerate(split) == codes.NondegeneracyCertificate(kernel)
         with pytest.raises(DegenerateCodeError) as exc:
             codes.nondegeneracy_witness(split, kernel)
         assert exc.value.kernel_witness == kernel

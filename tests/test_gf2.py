@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import SpanSolver, span_words
 import starshift
 from starshift import gf2
+from starshift.codes import code_from_generators
 from starshift.gf2 import F2Matrix, F2Vector
 
 
@@ -146,10 +147,14 @@ class TestRowReduce:
 
     @given(matrices(), st.integers(0, (1 << 12) - 1))
     def test_reduce_bits_decides_span_membership(self, m, probe_bits):
+        # the rows may all be zero or absent, and the width 1, so zero
+        # codes and length 1 occur; the echelon of a code and that of
+        # echelon_pivots are the one shifted form reduce_bits reads
         probe = probe_bits & ((1 << m.cols) - 1)
-        rows, cols = gf2.reduced_rows(m.rows)
-        residue = gf2.reduce_bits(probe, dict(zip(cols, rows)))
-        assert (residue == 0) == (probe in span_words(m.rows))
+        c = code_from_generators(m)
+        member = probe in span_words(c.basis.rows)
+        assert (gf2.reduce_bits(probe, c.echelon) == 0) == member
+        assert (gf2.reduce_bits(probe, gf2.echelon_pivots(gf2.pivot_pairs(m.rows))) == 0) == member
 
     @pytest.mark.deadline(1.0)
     def test_echelon_rows_are_shifted_to_their_pivots(self):

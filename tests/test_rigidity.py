@@ -66,8 +66,12 @@ class TestConstruction:
             construct_system(8)
 
     def test_triple_system_validation(self):
-        with pytest.raises(ValueError):
-            TripleSystem(4, codes.hamming8_code(), codes.even_weight_code(8))
+        with pytest.raises(ValueError, match="^code and product code lengths disagree$"):
+            TripleSystem(codes.hamming8_code(), codes.even_weight_code(10))
+        with pytest.raises(ValueError, match="^code and product code lengths disagree$"):
+            TripleSystem(codes.full_code(3), codes.repetition_code(2))
+        assert TripleSystem(codes.hamming8_code(), codes.even_weight_code(8)).d == 8
+        assert TripleSystem(codes.full_code(1), codes.full_code(1)).d == 1
 
 
 class TestTripleConfig:
@@ -165,7 +169,7 @@ class TestShear:
 class TestVerifyPremises:
     def test_failure_reported_for_degenerate_code(self):
         e2 = codes.even_weight_code(2)
-        system = TripleSystem(2, e2, e2)
+        system = TripleSystem(e2, e2)
         report = rigidity.verify_premises(system, seed=0)
         assert not report.passed
         by_name = {c.name: c for c in report.checks}
@@ -175,7 +179,7 @@ class TestVerifyPremises:
 
     def test_failure_reported_for_improper_code(self):
         full = codes.full_code(2)
-        system = TripleSystem(2, full, full)
+        system = TripleSystem(full, full)
         report = rigidity.verify_premises(system, seed=0)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["code_proper"].passed
@@ -268,6 +272,19 @@ class TestVerifyDynamics:
         assert eq.passed
         assert eq.witness["tested"] == 175
         assert eq.witness["skipped_empty_overlap"] == 50
+
+    def test_spaces_on_different_boxes_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a draw began before the boxes were compared")
+
+        monkeypatch.setattr(windows, "sample_with", no_draw)
+        system = construct_system(8)
+        small, narrow = cube(8, 2), Box((0,) * 8, (2,) * 7 + (1,))
+        space_xy = build_window_space(small, system.code)
+        space_z = build_window_space(narrow, system.product_code)
+        with pytest.raises(ValueError, match="different boxes") as exc:
+            rigidity.verify_dynamics(space_xy, space_z, seed=0, samples=3)
+        assert str(small) in str(exc.value) and str(narrow) in str(exc.value)
 
     @pytest.mark.parametrize("samples", [0, -2])
     def test_samples_below_one_rejected(self, samples):
@@ -472,7 +489,7 @@ class TestNonAffineWitness:
         record = rigidity.non_affine_witness(build_window_space(cube(1, 4), zero))
         assert record["in_window_space"] is False
         assert record["nonzero"] and record["z_equals_star_square"]
-        monkeypatch.setattr(rigidity, "construct_system", lambda d: TripleSystem(d, zero, zero))
+        monkeypatch.setattr(rigidity, "construct_system", lambda d: TripleSystem(zero, zero))
         report = rigidity.run_full_verification(1, box_size=4, samples=5)
         (check,) = [c for c in report.checks if c.name == "non_affine_witness"]
         assert not check.passed

@@ -207,7 +207,7 @@ class TestIntegerArguments:
             rigidity.run_full_verification(**kwargs)
 
     def test_construct_system_refuses_an_integral_float(self):
-        # 8.0 == 8, so without the read the report would say "d": 8.0
+        # 8.0 == 8, so without the read the float would pass as the d = 8 pair
         with pytest.raises(ValueError, match="^d must be integers$"):
             rigidity.construct_system(8.0)
 

@@ -126,6 +126,12 @@ MUTANTS = [
         "",
     ),
     (
+        # echelon rows XORed in where they stand, not back at their pivots
+        "reduce_bits_ignores_the_pivot_shift", G,
+        "            cur ^= row << col\n",
+        "            cur ^= row\n",
+    ),
+    (
         # a free column counts one pivot too few below it
         "free_index_off_by_one", G,
         "part ^= 1 << (col - bisect.bisect_left(cols, col))",
@@ -277,7 +283,7 @@ MUTANTS = [
         "    if samples < 1:\n",
     ),
     (
-        # construct_system(8.0) returns a system whose report says "d": 8.0
+        # construct_system(8.0) passes as the d = 8 pair
         "construct_system_without_its_d_read", R,
         "    (d,) = int_tuple((d,), \"d\")\n    if d < 8:\n",
         "    if d < 8:\n",
@@ -380,6 +386,17 @@ MUTANTS = [
         "generators_reduced_unsorted", K,
         "gf2.reduced_rows(sorted(m.rows, key=int.bit_length, reverse=True))",
         "gf2.reduced_rows(m.rows)",
+    ),
+    (
+        # a code's echelon keeps its basis rows unshifted, the old second form
+        "code_echelon_unshifted", K,
+        "            echelon[pivot] = r >> pivot\n",
+        "            echelon[pivot] = r\n",
+    ),
+    (
+        "certificate_verdict_inverted", K,
+        "        return self.kernel_witness is None\n",
+        "        return self.kernel_witness is not None\n",
     ),
     (
         "collapse_exponent_negated", L,
