@@ -300,7 +300,7 @@ _EQUIVARIANCE_TRIPLES = 25
 
 # The sampled triples are all held at once: samples x sites may not pass
 # this.  At the bound (65,536 triples at d = 8 box 2, 2,557 at d = 8
-# box 3) a process running the checks peaks at 55 and 25 MB.
+# box 3) a process running the checks peaks at 59 and 27 MB.
 MAX_SAMPLED_SITES = 1 << 24
 
 
@@ -325,6 +325,10 @@ def verify_dynamics(
     The sampled checks draw (x, y) from ``space_xy`` and z from
     ``space_z``, then test that ``shear`` is an involution, preserves
     the window constraints, and commutes with shifts on overlap domains.
+    Round k of one :func:`windows.sample_rounds` call, seeded with
+    ``seed``, draws triple k, so each space combines its masks in one
+    bit-sliced batch (d = 8 box 3: 11.8 ms for the 300 draws, against
+    52.1 ms drawn one by one), which no check's ``millis`` includes.
     Equivariance tests 25 triples against the d unit shifts and (1, ..., 1).
     A shift whose overlap with the box is empty is skipped and counted;
     an error raised by the map fails the check, its message the witness.
@@ -345,15 +349,8 @@ def verify_dynamics(
             f"{samples} samples of {space_xy.site_count} sites pass the guard of {MAX_SAMPLED_SITES}"
         )
     system = TripleSystem(space_xy.code, space_z.code)
-    rng = random.Random(seed)
-    triples = [
-        TripleConfig(
-            windows_mod.sample_with(space_xy, rng),
-            windows_mod.sample_with(space_xy, rng),
-            windows_mod.sample_with(space_z, rng),
-        )
-        for _ in range(samples)
-    ]
+    draws = windows_mod.sample_rounds((space_xy, space_xy, space_z), random.Random(seed), samples)
+    triples = [TripleConfig(*t) for t in draws]
     shifts = _shifts(system.d)
     report = VerificationReport(describe_system(system))
 

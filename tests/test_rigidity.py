@@ -277,7 +277,7 @@ class TestVerifyDynamics:
         def no_draw(*args):
             raise AssertionError("a draw began before the boxes were compared")
 
-        monkeypatch.setattr(windows, "sample_with", no_draw)
+        monkeypatch.setattr(windows, "sample_rounds", no_draw)
         system = construct_system(8)
         small, narrow = cube(8, 2), Box((0,) * 8, (2,) * 7 + (1,))
         space_xy = build_window_space(small, system.code)
@@ -297,10 +297,10 @@ class TestVerifyDynamics:
         class Drew(Exception):
             pass
 
-        def no_draw(space, rng):
+        def no_draw(spaces, rng, rounds):
             raise Drew
 
-        monkeypatch.setattr(windows, "sample_with", no_draw)
+        monkeypatch.setattr(windows, "sample_rounds", no_draw)
         spaces = reference_spaces(8, 2)
         at_bound = rigidity.MAX_SAMPLED_SITES // spaces[0].site_count
         with pytest.raises(GuardExceededError):

@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import tracemalloc
+import unittest.mock
 from collections import Counter
 from fractions import Fraction
 
@@ -765,6 +766,69 @@ class TestSampling:
         assert rng.getrandbits(32) == ref.getrandbits(32)
         assert window_rule_holds(box, code, x)
 
+    @given(
+        st.lists(small_space_cases(), min_size=1, max_size=2),
+        st.integers(0, 2**32),
+        st.sampled_from([1, 7, windows._DRAW_CHUNK + 1]),
+        st.just(windows._HEAVY_ROW),
+    )
+    @example([(cube(3, 3), lambda: codes.even_weight_code(3))], 0, 7, 64)  # parities
+    @example([(cube(2, 4), e2)], 0, 7, 64)  # kernel rows
+    @example([(Box((0,), (4,)), lambda: codes.dual(codes.full_code(1)))], 0, 7, 64)  # free_dim 0
+    @example([(cube(2, 3), lambda: codes.full_code(2))], 0, 7, 64)  # rank 0
+    # parts of 1 to 4 bits, so a cut at 2 sends some of them to the heavy loop
+    @example([(cube(3, 4), lambda: codes.even_weight_code(3))], 0, 7, 2)
+    @example(
+        [(cube(3, 3), lambda: codes.even_weight_code(3)), (cube(2, 4), e2)],
+        5,
+        windows._DRAW_CHUNK + 1,
+        64,
+    )
+    def test_rounds_are_successive_draws(self, cases, seed, rounds, heavy_row):
+        # the first space comes twice in a round, as the code space does in
+        # verify: one batch serves both of its places
+        built = [build_window_space(box, make()) for box, make in cases]
+        spaces = (*built, built[0])
+        with unittest.mock.patch.object(windows, "_HEAVY_ROW", heavy_row):
+            rng = random.Random(seed)
+            drawn = windows.sample_rounds(spaces, rng, rounds)
+        ref = random.Random(seed)
+        assert drawn == [tuple(windows.sample_with(s, ref) for s in spaces) for _ in range(rounds)]
+        assert rng.getrandbits(32) == ref.getrandbits(32)
+        # and each draw is the kernel combination its mask selects
+        again = random.Random(seed)
+        for draws in drawn:
+            for space, x in zip(spaces, draws):
+                mask = again.getrandbits(space.free_dim) if space.free_dim else 0
+                expected = 0
+                for k, row in enumerate(space.solution_basis.rows):
+                    if (mask >> k) & 1:
+                        expected ^= row
+                assert x.bits == expected
+        if heavy_row < windows._HEAVY_ROW:
+            assert built[0]._pivot_parities.heavy and any(built[0]._pivot_parities.parts)
+
+    def test_batch_memory_stops_growing_past_one_chunk(self):
+        # rank 256 of 625 sites, drawn through pivot parities; what a call
+        # holds beyond the draws it returns is one chunk's masks and batch
+        space = build_window_space(cube(4, 5), codes.even_weight_code(4))
+        sample(space, 0)
+
+        def transient(rounds):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                drawn = windows.sample_rounds((space,), random.Random(1), rounds)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(drawn) == rounds
+            return peak - kept
+
+        one, four = transient(windows._DRAW_CHUNK), transient(4 * windows._DRAW_CHUNK)
+        # holding all four chunks at once took 4.0 times one
+        assert four <= 1.2 * one, (one, four)
+
     def test_marginals_near_half(self):
         space = build_window_space(cube(2, 2), e2())
         basis = space.solution_basis.rows
@@ -857,34 +921,39 @@ def _parities(m):
 
 
 class TestPivotParities:
-    """A draw against the kernel element its free bits fix, found without the library."""
+    """Draws against the kernel elements their free bits fix, found without the library."""
 
     @staticmethod
-    def _assert_kernel_element(m, seed):
+    def _assert_kernel_elements(m, seed, draws):
+        # one batch of masks; each draw must stand on its own
         free = free_column_mask(m.rows, m.cols)
-        mask = random.Random(seed).getrandbits(free.bit_count())
-        x = _parities(m).combine(mask)
-        # the free bits fix a kernel element; every row meets it evenly
-        assert 0 <= x < 1 << m.cols
-        assert x & free == expand_bits(mask, free)
-        assert all((row & x).bit_count() % 2 == 0 for row in m.rows)
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(free.bit_count()) for _ in range(draws)]
+        xs = _parities(m).combine(masks)
+        assert len(xs) == draws
+        for mask, x in zip(masks, xs):
+            # the free bits fix a kernel element; every row meets it evenly
+            assert 0 <= x < 1 << m.cols
+            assert x & free == expand_bits(mask, free)
+            assert all((row & x).bit_count() % 2 == 0 for row in m.rows)
 
-    @given(parity_systems(), st.integers(0, 2**32))
-    @example(F2Matrix((), 5), 0)  # rank 0
-    @example(F2Matrix((0, 0), 1), 0)  # rank 0, no free bit drawn either
-    @example(F2Matrix((_row(0), _row(0, 1), _row(1, 2)), 4), 0)  # no free bits in any row
-    @example(F2Matrix((_row(0, 1),), 2), 0)  # a single tap in total, mask 1
-    @example(F2Matrix((_row(*range(100)), _row(1, 150)), 160), 2)  # one row above the cut
-    def test_combine_is_the_kernel_element_of_its_free_bits(self, m, seed):
-        self._assert_kernel_element(m, seed)
+    @given(parity_systems(), st.integers(0, 2**32), st.integers(1, 9))
+    @example(F2Matrix((), 5), 0, 1)  # rank 0
+    @example(F2Matrix((0, 0), 1), 0, 3)  # rank 0, no free bit drawn either
+    @example(F2Matrix((_row(0), _row(0, 1), _row(1, 2)), 4), 0, 2)  # no free bits in any row
+    @example(F2Matrix((_row(0, 1),), 2), 0, 1)  # a single held column in total
+    @example(F2Matrix((_row(*range(100)), _row(1, 150)), 160), 2, 5)  # one row above the cut
+    @example(F2Matrix((_row(0, 3, 5), _row(1, 5, 6), _row(2, 3)), 8), 1, 300)  # a wide batch
+    def test_combine_is_the_kernel_element_of_its_free_bits(self, m, seed, draws):
+        self._assert_kernel_elements(m, seed, draws)
 
     def test_rows_either_side_of_the_cut(self):
         # reduced rows with 64 and 65 free bits: the second takes the loop
         m = F2Matrix((_row(0, *range(2, 66)), _row(1, *range(70, 135))), 200)
         assert windows._HEAVY_ROW == 64
         assert [k for k, _ in _parities(m).heavy] == [1]
-        for seed in range(20):
-            self._assert_kernel_element(m, seed)
+        for seed in range(4):
+            self._assert_kernel_elements(m, seed, 20)
 
 
 class TestShiftRestrict:

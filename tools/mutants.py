@@ -167,20 +167,34 @@ MUTANTS = [
         "for base, ch in enumerate(bits[:-1]) if ch",
     ),
     (
-        "prefix_xor_one_doubling_short", W,
-        "range(max(len(taps) - 1, 0).bit_length())]",
-        "range(max(len(taps) - 1, 0).bit_length() - 1)]",
-    ),
-    (
-        "start_marks_read_at_row_ends", W,
-        "_compress(p << 1, *self.starts)",
-        "_compress(p << 1, *self.ends)",
-    ),
-    (
         "heavy_rows_dropped", W,
-        "        for k, part in self.heavy:\n"
-        "            parities |= ((part & mask).bit_count() & 1) << k\n",
+        "            for k, part in self.heavy:\n"
+        "                parities |= ((part & mask).bit_count() & 1) << k\n",
         "",
+    ),
+    (
+        # column i reads character i + 1 of every formatted mask
+        "batch_column_slice_one_character_off", W,
+        "int.from_bytes(matrix[i::stride], \"little\")",
+        "int.from_bytes(matrix[i + 1::stride], \"little\")",
+    ),
+    (
+        # the XOR of an even number of ASCII digits clears bits 4 and 5,
+        # so only bit 0 carries the parity
+        "batch_parity_read_from_bit_one", W,
+        "_LOW_BIT_TO_ASCII = bytes(0x30 | b & 1 for b in range(256))",
+        "_LOW_BIT_TO_ASCII = bytes(0x30 | b >> 1 & 1 for b in range(256))",
+    ),
+    (
+        "batch_draw_rows_read_in_reverse", W,
+        "parities = int(rows[t::n]",
+        "parities = int(rows[n - 1 - t::n]",
+    ),
+    (
+        # the last round of every full chunk is never drawn
+        "batch_chunk_one_round_short", W,
+        "places = spaces * min(_DRAW_CHUNK, rounds - start)",
+        "places = spaces * min(_DRAW_CHUNK - 1, rounds - start)",
     ),
     (
         "contains_box_ignores_arity", W,
