@@ -17,6 +17,9 @@ the solutions form a linear space, sweeping the pairs (x, y, 0) decides
 every triple.  The involution sweep tiles all pairs into one
 configuration on a larger box and makes one double-shear call, which
 decides every pair at once because ``star`` and ``+`` act site by site.
+Both equivariance checks shift each configuration once: the sampled
+check shifts the image's x and y only when the map replaced them, and
+the toy sweep shifts only the configurations its lookups read.
 """
 
 from __future__ import annotations
@@ -332,6 +335,10 @@ def verify_dynamics(
     Equivariance tests 25 triples against the d unit shifts and (1, ..., 1).
     A shift whose overlap with the box is empty is skipped and counted;
     an error raised by the map fails the check, its message the witness.
+    Each tested (triple, shift) gathers the triple's x, y and z and the
+    image's z through ``shift_restrict``.  The image's x or y is gathered
+    too only when it is not the triple's own object; the library
+    ``shear`` returns them unchanged, so their shifts are already made.
 
     Raises:
         ValueError: when the spaces lie on different boxes, or ``samples``
@@ -384,7 +391,13 @@ def verify_dynamics(
                 except ValueError:
                     skipped += 1
                     continue
-                if shear(shifted) != shift_triple(image, m):
+                u = shear(shifted)
+                # x and y are shifted again only when the map replaced t's own
+                if (u.x, u.y, u.z) != (
+                    shifted.x if image.x is t.x else windows_mod.shift_restrict(image.x, m),
+                    shifted.y if image.y is t.y else windows_mod.shift_restrict(image.y, m),
+                    windows_mod.shift_restrict(image.z, m),
+                ):
                     return False, {"triple_index": k, "shift": list(m)}
                 tested += 1
         return tested > 0, {
@@ -421,10 +434,13 @@ def exhaustive_toy_report() -> VerificationReport:
     8k .. 8k + 7 in the toy's own site order.  ``star`` and ``+`` act
     site by site, so one double shear of the tiled triple equals the
     tiled triple exactly when every pair's does, and one call decides
-    all 4,096.  Closure and equivariance still read ``contains`` once per
-    configuration of the toy box and ``shift_restrict`` once per
-    configuration and shift, as byte tables; only the lookup of x * y
-    and of the shifted x, y and x * y runs over the tiled bytes.
+    all 4,096.  Closure still reads ``contains`` once per configuration
+    of the toy box, as a byte table, and equivariance ``shift_restrict``
+    once per shift for each configuration its lookups read: the bytes of
+    xs, ys and xys, which are the 64 solutions, since x * y of two
+    solutions is one.  A table entry that no lookup reads stays 0 and
+    cannot change the verdict.  Only the lookup of x * y and of the
+    shifted x, y and x * y runs over the tiled bytes.
     ``shift_restrict`` is not tiled itself: a fault at one site of its
     output, such as a flipped bit 0, would then touch only block 0, the
     pair (0, 0), where it cancels.
@@ -442,6 +458,8 @@ def exhaustive_toy_report() -> VerificationReport:
     ys = bytes(sols) * len(sols)
     x_bits, y_bits = int.from_bytes(xs, "little"), int.from_bytes(ys, "little")
     xys = (x_bits & y_bits).to_bytes(len(xs), "little")
+    # the bytes that the lookups of xs, ys and xys read: the 64 solutions
+    read = set(xys).union(sols)
     every = [WindowConfig(box, b) for b in range(1 << space.site_count)]
     shifts = _shifts(3)
     witness = {"solutions": len(sols), "triples": len(sols) ** 3, "shifts": len(shifts)}
@@ -462,7 +480,9 @@ def exhaustive_toy_report() -> VerificationReport:
 
     def equivariance() -> tuple[bool, object]:
         for m in shifts:
-            t = bytes(windows_mod.shift_restrict(c, m).bits for c in every)
+            t = bytearray(len(every))
+            for b in read:
+                t[b] = windows_mod.shift_restrict(every[b], m).bits
             sx, sy, sxy = (int.from_bytes(b.translate(t), "little") for b in (xs, ys, xys))
             if sx & sy != sxy:
                 return False, witness

@@ -144,17 +144,25 @@ def gathered_shift(
     significant) at bit k.  Returns the (lower, upper, bits) of y on its
     domain, the kept sites in the same order, or None when no site is kept.
     """
+    plan = _shift_sources(lower, upper, m)
+    if plan is None:
+        return None
+    lo, hi, sources = plan
+    return lo, hi, sum(((bits >> j) & 1) << k for k, j in enumerate(sources))
+
+
+def _shift_sources(
+    lower: tuple[int, ...], upper: tuple[int, ...], m: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], list[int]] | None:
+    """(lower, upper, source bit of each kept site) of the shift by m, or None."""
     sites = list(itertools.product(*(range(l, u) for l, u in zip(lower, upper))))
     index = {s: k for k, s in enumerate(sites)}
     kept = [s for s in sites if tuple(a + v for a, v in zip(s, m)) in index]
     if not kept:
         return None
-    out = 0
-    for k, s in enumerate(kept):
-        out |= ((bits >> index[tuple(a + v for a, v in zip(s, m))]) & 1) << k
     lo = tuple(min(s[a] for s in kept) for a in range(len(lower)))
     hi = tuple(max(s[a] for s in kept) + 1 for a in range(len(lower)))
-    return lo, hi, out
+    return lo, hi, [index[tuple(a + v for a, v in zip(s, m))] for s in kept]
 
 
 def sites(box: Box) -> list[tuple[int, ...]]:
@@ -344,6 +352,77 @@ def toy_involution_per_pair(shear) -> bool:
             if shear(shear(t)) != t:
                 return False
     return True
+
+
+def toy_equivariance_full_table(shift) -> bool:
+    """The toy sweep's equivariance verdict, from every configuration's shift.
+
+    For each of the sampled check's shifts at d = 3, the unit shifts and
+    (1, 1, 1), ``shift`` is applied to all 256 configurations of the
+    2x2x2 box; for every pair (x, y) of window solutions of the length-3
+    repetition code, found by the local rule, shift(x) * shift(y) must
+    equal shift(x * y).  This is the full table that the library's sweep
+    reads only at the bytes its lookups touch.
+    """
+    box = Box((0, 0, 0), (2, 2, 2))
+    code = code_from_generators(["111"])
+    configs = [WindowConfig(box, b) for b in range(1 << box.site_count)]
+    sols = [x.bits for x in configs if window_rule_holds(box, code, x)]
+    for m in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]:
+        table = [shift(c, m).bits for c in configs]
+        if any(table[x] & table[y] != table[x & y] for x in sols for y in sols):
+            return False
+    return True
+
+
+def equivariance_per_triple(shear, triples: list[TripleConfig]) -> tuple[bool, dict]:
+    """The sampled equivariance verdict and witness, six gathers per (triple, shift).
+
+    The shifts are the d unit shifts, then (1, ..., 1).  For each triple t
+    and each shift m whose overlap with t's box is nonempty, ``shear`` of
+    the shifted t must equal the shifted ``shear(t)``, all six components
+    gathered site by site as in :func:`gathered_shift`.  A shift with an
+    empty overlap is skipped and counted.  The first failure gives
+    {"triple_index", "shift"}; a ValueError raised by the map gives
+    {"error": its message}; otherwise the verdict is that some pair was
+    tested, with the counts.
+    """
+    d = triples[0].box.dimension
+    shifts = [tuple(int(a == j) for a in range(d)) for j in range(d)] + [(1,) * d]
+    plans = {}
+
+    def gather(x: WindowConfig, m: tuple[int, ...]) -> WindowConfig | None:
+        key = x.box.lower, x.box.upper, m
+        if key not in plans:
+            plans[key] = _shift_sources(*key)
+        if plans[key] is None:
+            return None
+        lo, hi, sources = plans[key]
+        bits = sum(((x.bits >> j) & 1) << k for k, j in enumerate(sources))
+        return WindowConfig(Box(lo, hi), bits)
+
+    tested = skipped = 0
+    try:
+        for k, t in enumerate(triples):
+            image = shear(t)
+            for m in shifts:
+                x = gather(t.x, m)
+                if x is None:
+                    skipped += 1
+                    continue
+                shifted = TripleConfig(x, gather(t.y, m), gather(t.z, m))
+                moved = TripleConfig(gather(image.x, m), gather(image.y, m), gather(image.z, m))
+                if shear(shifted) != moved:
+                    return False, {"triple_index": k, "shift": list(m)}
+                tested += 1
+    except ValueError as exc:
+        return False, {"error": str(exc)}
+    return tested > 0, {
+        "triples": len(triples),
+        "shifts": len(shifts),
+        "tested": tested,
+        "skipped_empty_overlap": skipped,
+    }
 
 
 def _monomials_up_to(d: int, degree: int) -> list[tuple[int, ...]]:

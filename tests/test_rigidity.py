@@ -5,7 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import extension_constraints, toy_involution_per_pair
+from oracles import (
+    equivariance_per_triple,
+    extension_constraints,
+    toy_equivariance_full_table,
+    toy_involution_per_pair,
+)
 
 from starshift import codes, rigidity, windows
 from starshift.errors import GuardExceededError, UnsupportedDimensionError
@@ -213,6 +218,46 @@ def affine_impostor(t: TripleConfig) -> TripleConfig:
     return TripleConfig(t.x, t.y, t.z + t.x)
 
 
+def non_involutive(t: TripleConfig) -> TripleConfig:
+    # replaces y by x + y: linear and shift-commuting, but not an involution
+    return TripleConfig(t.x, t.x + t.y, windows.star(t.x, t.y) + t.z)
+
+
+def fresh_copies(t: TripleConfig) -> TripleConfig:
+    # the shear, with new objects equal to x and y in place of t's own
+    return TripleConfig(
+        WindowConfig(t.x.box, t.x.bits),
+        WindowConfig(t.y.box, t.y.bits),
+        windows.star(t.x, t.y) + t.z,
+    )
+
+
+def position_dependent(t: TripleConfig) -> TripleConfig:
+    # flipping z at the box's first site when x is set there keeps the
+    # involution, the constraints (that site is in no stencil) and the
+    # second difference, but does not commute with shifts
+    z = windows.star(t.x, t.y) + t.z
+    return TripleConfig(t.x, t.y, WindowConfig(z.box, z.bits ^ (t.x.bits & 1)))
+
+
+def changed_on_one_site_boxes(t: TripleConfig) -> TripleConfig:
+    # flipping z's only bit on a one-site box keeps the map an involution
+    # and leaves every full-box check alone; at box 2 only the diagonal
+    # shift (1, ..., 1) leaves a one-site overlap
+    u = shear(t)
+    if t.box.site_count != 1:
+        return u
+    return TripleConfig(u.x, u.y, WindowConfig(u.z.box, u.z.bits ^ 1))
+
+
+def raising_on_shifted_triples(t: TripleConfig) -> TripleConfig:
+    # an error raised by the map is a failure, not an empty overlap to
+    # skip; only shifted triples of d = 8 box 2 reach the raise
+    if t.box.dimension == 8 and t.box != cube(8, 2) and t.x.bits & 1:
+        raise ValueError("planted error on a shifted triple")
+    return shear(t)
+
+
 @pytest.fixture
 def mutant(monkeypatch):
     """Patch one library primitive; toy reports computed under it are dropped."""
@@ -327,6 +372,13 @@ class TestVerifyDynamics:
         assert not by_name["constraint_preservation_on_samples"].passed
         assert not report.passed
 
+    def test_replaced_y_fails_only_the_involution_checks(self, mutant):
+        # y -> x + y commutes with shifts, so equivariance holds only if the
+        # replaced y is shifted anew, not read from the shifted original
+        mutant(rigidity, "shear", non_involutive)
+        report = rigidity.verify_dynamics(*reference_spaces(8, 2), seed=0, samples=30)
+        assert failed_checks(report) == {"involution_on_samples", "toy_exhaustive_involution"}
+
     def test_corrupted_map_invisible_when_codes_nest(self, mutant):
         # on a nested pair the affine impostor stays inside the window
         # spaces; this documents why the mutation test needs C not
@@ -362,10 +414,7 @@ class TestExhaustiveToy:
 
 class TestExhaustiveToyMutants:
     def test_non_involutive_shear(self, toy_mutant):
-        def mutant(t):
-            return TripleConfig(t.x, t.x + t.y, windows.star(t.x, t.y) + t.z)
-
-        assert toy_mutant(rigidity, "shear", mutant) == {"toy_exhaustive_involution"}
+        assert toy_mutant(rigidity, "shear", non_involutive) == {"toy_exhaustive_involution"}
 
     def test_affine_shear(self, toy_mutant):
         # an involution that commutes with shifts but has no second difference
@@ -383,6 +432,23 @@ class TestExhaustiveToyMutants:
 
         failed = toy_mutant(windows, "shift_restrict", mutant)
         assert failed == {"toy_exhaustive_equivariance"}
+
+    @pytest.mark.parametrize(
+        "fault, verdict",
+        [
+            (lambda y: y, True),
+            (lambda y: WindowConfig(y.box, y.bits ^ 1), False),
+            (lambda y: WindowConfig(y.box, y.bits ^ (1 << (y.box.site_count - 1))), False),
+            (lambda y: WindowConfig(y.box, 0), True),
+        ],
+        ids=["library", "bit_zero_flipped", "top_bit_flipped", "zero"],
+    )
+    def test_read_bytes_give_the_full_table_verdict(self, toy_mutant, fault, verdict):
+        # the sweep shifts only the configurations its lookups read
+        original = windows.shift_restrict
+        failed = toy_mutant(windows, "shift_restrict", lambda x, m: fault(original(x, m)))
+        swept = "toy_exhaustive_equivariance" not in failed
+        assert swept == toy_equivariance_full_table(windows.shift_restrict) == verdict
 
     def test_contains_rejecting_all_ones(self, toy_mutant):
         original = windows.contains
@@ -432,11 +498,7 @@ class TestTiledToyInvolution:
         "module, name, make",
         [
             (rigidity, "shear", lambda f: f),
-            (
-                rigidity,
-                "shear",
-                lambda _: lambda t: TripleConfig(t.x, t.x + t.y, windows.star(t.x, t.y) + t.z),
-            ),
+            (rigidity, "shear", lambda _: non_involutive),
             (rigidity, "shear", lambda _: affine_impostor),
             (rigidity, "shear", lambda _: _stuck_where_only_y_is_set),
             (windows, "shift_restrict", _flip_bit_zero),
@@ -462,6 +524,78 @@ class TestTiledToyInvolution:
         failed = toy_mutant(rigidity, "shear", _wrong_on_one_toy_pair(rigidity.shear))
         assert "toy_exhaustive_involution" not in failed
         assert toy_involution_per_pair(rigidity.shear) is False
+
+
+def _count_shifts(mutant) -> list:
+    """Patch ``windows.shift_restrict`` to record the shift of each call; returns the record."""
+    made = []
+    original = windows.shift_restrict
+
+    def counting(x, m):
+        made.append(m)
+        return original(x, m)
+
+    mutant(windows, "shift_restrict", counting)
+    return made
+
+
+class TestSampledEquivariance:
+    """The sampled check against its per-triple oracle, and the gathers it makes."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            shear,
+            affine_impostor,
+            non_involutive,
+            fresh_copies,
+            position_dependent,
+            changed_on_one_site_boxes,
+            raising_on_shifted_triples,
+            _stuck_where_only_y_is_set,
+            _wrong_on_one_toy_pair(shear),
+        ],
+        ids=[
+            "library",
+            "affine",
+            "non_involutive",
+            "fresh_copies",
+            "position_dependent",
+            "changed_on_one_site_boxes",
+            "raising_on_shifted_triples",
+            "stuck_where_only_y_is_set",
+            "wrong_on_one_toy_pair",
+        ],
+    )
+    def test_verdict_and_witness_equal_the_oracle(self, mutant, make, seed):
+        space_xy, space_z = reference_spaces(8, 2)
+        draws = windows.sample_rounds((space_xy, space_xy, space_z), random.Random(seed), 25)
+        expected = equivariance_per_triple(make, [TripleConfig(*t) for t in draws])
+        mutant(rigidity, "shear", make)
+        report = rigidity.verify_dynamics(space_xy, space_z, seed=seed, samples=25)
+        eq = next(c for c in report.checks if c.name == "equivariance_on_samples")
+        assert (eq.passed, eq.witness) == expected
+
+    @pytest.mark.parametrize("d, calls", [(8, 1156), (12, 1556)])
+    def test_verification_makes_the_pinned_shift_calls(self, mutant, d, calls):
+        # 25 triples x (d + 1) shifts x 4 gathers, then 4 shifts x 64 toy solutions
+        made = _count_shifts(mutant)
+        assert rigidity.run_full_verification(d, box_size=2, samples=100, seed=3).passed
+        assert len(made) == calls == 100 * (d + 1) + 4 * 64
+
+    @pytest.mark.parametrize(
+        "make, per_pair", [(shear, 4), (fresh_copies, 6)], ids=["shear", "fresh_copies"]
+    )
+    def test_gathers_per_tested_pair(self, mutant, make, per_pair):
+        # x and y of the image are shifted anew only when they are new objects
+        mutant(rigidity, "shear", make)
+        rigidity.exhaustive_toy_report()  # fill the cache, so that only the sampled check counts
+        made = _count_shifts(mutant)
+        report = rigidity.verify_dynamics(*reference_spaces(8, 2), seed=0, samples=30)
+        eq = next(c for c in report.checks if c.name == "equivariance_on_samples")
+        assert eq.passed and eq.witness["tested"] == 25 * 9
+        assert len(made) == per_pair * 25 * 9
 
 
 def _extends(rows, x):
@@ -579,43 +713,19 @@ class TestFullVerification:
         assert failed_checks(report) == {"non_affine_witness", "dynamics:toy_nonaffine_witness"}
 
     def test_position_dependent_map_fails_equivariance(self, mutant):
-        # flipping z at the box's first site when x is set there keeps the
-        # involution, the constraints (that site is in no stencil) and the
-        # second difference, but does not commute with shifts
-        def position_dependent(t: TripleConfig) -> TripleConfig:
-            z = windows.star(t.x, t.y) + t.z
-            return TripleConfig(t.x, t.y, WindowConfig(z.box, z.bits ^ (t.x.bits & 1)))
-
         mutant(rigidity, "shear", position_dependent)
         report = rigidity.run_full_verification(8, box_size=2)
         assert failed_checks(report) == {"dynamics:equivariance_on_samples"}
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_map_changed_on_one_site_boxes_fails_equivariance(self, mutant, seed):
-        # flipping z's only bit on a one-site box keeps the map an
-        # involution and leaves every full-box check alone; at box 2 only
-        # the diagonal shift (1, ..., 1) leaves a one-site overlap
-        def one_site(t: TripleConfig) -> TripleConfig:
-            u = shear(t)
-            if t.box.site_count != 1:
-                return u
-            return TripleConfig(u.x, u.y, WindowConfig(u.z.box, u.z.bits ^ 1))
-
-        mutant(rigidity, "shear", one_site)
+        mutant(rigidity, "shear", changed_on_one_site_boxes)
         report = rigidity.run_full_verification(8, box_size=2, seed=seed)
         assert failed_checks(report) == {"dynamics:equivariance_on_samples"}
 
     def test_map_raising_on_shifted_triples_fails_equivariance(self, mutant):
-        # an error raised by the map is a failure, not an empty overlap to
-        # skip; only shifted triples reach the raise, so no other check sees it
-        box = cube(8, 2)
-
-        def raising(t: TripleConfig) -> TripleConfig:
-            if t.box.dimension == 8 and t.box != box and t.x.bits & 1:
-                raise ValueError("planted error on a shifted triple")
-            return shear(t)
-
-        mutant(rigidity, "shear", raising)
+        # no check but equivariance shears a shifted triple
+        mutant(rigidity, "shear", raising_on_shifted_triples)
         report = rigidity.run_full_verification(8, box_size=2)
         assert failed_checks(report) == {"dynamics:equivariance_on_samples"}
         eq = next(c for c in report.checks if c.name == "dynamics:equivariance_on_samples")

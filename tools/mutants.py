@@ -197,6 +197,12 @@ MUTANTS = [
         "places = spaces * min(_DRAW_CHUNK - 1, rounds - start)",
     ),
     (
+        # row k is selected by the mask's bit free_dim - 1 - k
+        "kernel_row_draw_reads_the_mask_forwards", W,
+        "format(mask, spec)[::-1].encode()",
+        "format(mask, spec).encode()",
+    ),
+    (
         "contains_box_ignores_arity", W,
         "            self.dimension == other.dimension\n            and all(",
         "            all(",
@@ -331,6 +337,14 @@ MUTANTS = [
         "toy_tiles_x_in_place_of_y", R,
         "            WindowConfig(tiled, y_bits),\n",
         "            WindowConfig(tiled, x_bits),\n",
+    ),
+    (
+        # a map that replaces x or y is compared against t's shifted x and y
+        "equivariance_reuses_a_replaced_component", R,
+        "                    shifted.x if image.x is t.x else windows_mod.shift_restrict(image.x, m),\n"
+        "                    shifted.y if image.y is t.y else windows_mod.shift_restrict(image.y, m),\n",
+        "                    shifted.x,\n"
+        "                    shifted.y,\n",
     ),
     (
         "sampled_site_guard_doubled", R,
