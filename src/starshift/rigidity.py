@@ -303,7 +303,7 @@ _EQUIVARIANCE_TRIPLES = 25
 
 # The sampled triples are all held at once: samples x sites may not pass
 # this.  At the bound (65,536 triples at d = 8 box 2, 2,557 at d = 8
-# box 3) a process running the checks peaks at 59 and 27 MB.
+# box 3) a process running the checks peaks at 55 and 27 MB.
 MAX_SAMPLED_SITES = 1 << 24
 
 
@@ -356,8 +356,10 @@ def verify_dynamics(
             f"{samples} samples of {space_xy.site_count} sites pass the guard of {MAX_SAMPLED_SITES}"
         )
     system = TripleSystem(space_xy.code, space_z.code)
-    draws = windows_mod.sample_rounds((space_xy, space_xy, space_z), random.Random(seed), samples)
-    triples = [TripleConfig(*t) for t in draws]
+    triples = windows_mod.sample_rounds((space_xy, space_xy, space_z), random.Random(seed), samples)
+    # in place, so no round tuple outlives its triple
+    for k, t in enumerate(triples):
+        triples[k] = TripleConfig(*t)
     shifts = _shifts(system.d)
     report = VerificationReport(describe_system(system))
 
@@ -434,13 +436,13 @@ def exhaustive_toy_report() -> VerificationReport:
     8k .. 8k + 7 in the toy's own site order.  ``star`` and ``+`` act
     site by site, so one double shear of the tiled triple equals the
     tiled triple exactly when every pair's does, and one call decides
-    all 4,096.  Closure still reads ``contains`` once per configuration
-    of the toy box, as a byte table, and equivariance ``shift_restrict``
-    once per shift for each configuration its lookups read: the bytes of
-    xs, ys and xys, which are the 64 solutions, since x * y of two
-    solutions is one.  A table entry that no lookup reads stays 0 and
-    cannot change the verdict.  Only the lookup of x * y and of the
-    shifted x, y and x * y runs over the tiled bytes.
+    all 4,096.  Closure calls ``contains`` once on each distinct product,
+    a byte of xys, and equivariance ``shift_restrict`` once per shift for
+    each configuration its lookups read: the bytes of xs, ys and xys,
+    which are the 64 solutions, since x * y of two solutions is one.  A
+    configuration that no check reads is never built, and a table entry
+    that no lookup reads stays 0 and cannot change the verdict.  Only the
+    lookup of the shifted x, y and x * y runs over the tiled bytes.
     ``shift_restrict`` is not tiled itself: a fault at one site of its
     output, such as a flipped bit 0, would then touch only block 0, the
     pair (0, 0), where it cancels.
@@ -458,9 +460,10 @@ def exhaustive_toy_report() -> VerificationReport:
     ys = bytes(sols) * len(sols)
     x_bits, y_bits = int.from_bytes(xs, "little"), int.from_bytes(ys, "little")
     xys = (x_bits & y_bits).to_bytes(len(xs), "little")
-    # the bytes that the lookups of xs, ys and xys read: the 64 solutions
-    read = set(xys).union(sols)
-    every = [WindowConfig(box, b) for b in range(1 << space.site_count)]
+    # closure reads the distinct products, and the lookups of xs, ys and
+    # xys read those and the solutions: the same 64 bytes
+    products = set(xys)
+    configs = {b: WindowConfig(box, b) for b in products.union(sols)}
     shifts = _shifts(3)
     witness = {"solutions": len(sols), "triples": len(sols) ** 3, "shifts": len(shifts)}
     zero = WindowConfig.zero(box)
@@ -475,21 +478,20 @@ def exhaustive_toy_report() -> VerificationReport:
         return shear(shear(t)) == t, witness
 
     def closure() -> tuple[bool, object]:
-        valid = bytes(windows_mod.contains(space, c) for c in every)
-        return 0 not in xys.translate(valid), witness
+        return all(windows_mod.contains(space, configs[b]) for b in products), witness
 
     def equivariance() -> tuple[bool, object]:
         for m in shifts:
-            t = bytearray(len(every))
-            for b in read:
-                t[b] = windows_mod.shift_restrict(every[b], m).bits
+            t = bytearray(1 << space.site_count)
+            for b, c in configs.items():
+                t[b] = windows_mod.shift_restrict(c, m).bits
             sx, sy, sxy = (int.from_bytes(b.translate(t), "little") for b in (xs, ys, xys))
             if sx & sy != sxy:
                 return False, witness
         return True, witness
 
     def toy_witness() -> tuple[bool, object]:
-        x = every[sols[1]]
+        x = configs[sols[1]]
         sq = windows_mod.star(x, x)
         ok = not x.is_zero and second_difference(x) == TripleConfig(zero, zero, sq)
         return ok, {"x": x.to_bit_string(), "star_square_equals_x": sq == x}

@@ -63,8 +63,8 @@ masks at once, each draw a byte lane, so that one XOR of N-byte ints
 gives a part's parity in all N draws.  On a 2-vCPU VM the 300 draws of
 100 d = 8 box-3 samples take 11.8 ms, against 52.1 ms when each draw
 gathers its parts' bits alone, but a single draw pays the per-part XORs
-alone: 1.09 ms against 0.24 ms on the code space.  A part with more than
-``_HEAVY_ROW`` = 64 bits keeps the AND-and-count, draw by draw.  The XOR
+alone: 1.09 ms against 0.24 ms on the code space.  Every part, however
+many bits it holds, takes its parity from the batch.  The XOR
 of kernel rows costs about free_dim / 2 x sites bits, so a space draws
 by parities only when rank < free_dim, and otherwise combines rows one
 mask at a time.
@@ -363,10 +363,6 @@ def _set_bits(x: int) -> Iterator[int]:
         x ^= 1 << j
 
 
-# A row with more free bits than this keeps the AND-and-count loop, so
-# only the free columns of lighter rows are sliced.
-_HEAVY_ROW = 64
-
 # Rounds drawn at a time, so that a batch's masks, byte matrix and parity
 # rows hold at most this many entries per place of its space in a round.
 _DRAW_CHUNK = 256
@@ -383,20 +379,19 @@ class _PivotParities:
 
     Built once per space from the parts and pivot columns that
     :func:`gf2.back_substitute` returns.  ``held`` is the mask U of the
-    free columns that light parts hold, with its moves.  ``parts`` lists
+    free columns that the parts hold, with its moves.  ``parts`` lists
     each part by its columns, the characters of its bits in ``format(mask
     compressed onto U, spec)``: character 0 is a padding '0', then the
-    held bits, highest first.  A heavy part, over ``_HEAVY_ROW`` bits, has
-    no column and is kept whole in ``heavy``; a last part with no column
-    keeps each draw's digits nonempty at rank 0.
+    held bits, highest first.  A last part with no column keeps each
+    draw's digits nonempty at rank 0.
 
     ``combine`` bit-slices its N masks.  Formatted, joined and encoded,
     they are an N x (|U| + 1) byte matrix whose bytes carry their bit as
     the low bit ('0' is 0x30, '1' is 0x31).  Column i, read little-endian,
     holds that bit of every draw, so the XOR of a part's columns is its
     parity in all N draws.  Draw t's parities are the stride-N slice from
-    byte t of the joined parity bytes, each digit a byte's low bit.  Each
-    heavy part is ANDed with the mask and counted instead.  The mask
+    byte t of the joined parity bytes, each digit a byte's low bit.  Every
+    part, whatever its weight, gets its parity this one way.  The mask
     expands onto the free columns and the parities onto the pivot columns.
     """
 
@@ -405,15 +400,13 @@ class _PivotParities:
         free_mask = ((1 << cols) - 1) ^ pivot_mask
         self.pivots = pivot_mask, _moves(pivot_mask, cols)
         self.free = free_mask, _moves(free_mask, cols)
-        self.heavy = [(k, part) for k, part in enumerate(parts) if part.bit_count() > _HEAVY_ROW]
-        light = [0 if part.bit_count() > _HEAVY_ROW else part for part in parts]
-        held = functools.reduce(operator.or_, light, 0)
+        held = functools.reduce(operator.or_, parts, 0)
         self.held = held, _moves(held, cols - len(pivot_cols))
         column = {j: i for i, j in enumerate(_set_bits(held), 1)}
         self.stride = len(column) + 1
         self.spec = f"0{self.stride}b"
         # lists, not tuple() of a generator, whose resizing fragmented the heap
-        self.parts = [[column[j] for j in _set_bits(part)] for part in light] + [[]]
+        self.parts = [[column[j] for j in _set_bits(part)] for part in parts] + [[]]
 
     def combine(self, masks: Sequence[int]) -> list[int]:
         n, stride = len(masks), self.stride
@@ -428,8 +421,6 @@ class _PivotParities:
         out = []
         for t, mask in enumerate(masks):
             parities = int(rows[t::n].translate(_LOW_BIT_TO_ASCII)[::-1], 2)
-            for k, part in self.heavy:
-                parities |= ((part & mask).bit_count() & 1) << k
             out.append(_expand(mask, *self.free) | _expand(parities, *self.pivots))
         return out
 

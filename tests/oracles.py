@@ -375,6 +375,22 @@ def toy_equivariance_full_table(shift) -> bool:
     return True
 
 
+def toy_closure_full_table(valid) -> bool:
+    """The toy sweep's closure verdict, from every configuration's membership.
+
+    ``valid`` is applied to all 256 configurations of the 2x2x2 box; for
+    every pair (x, y) of window solutions of the length-3 repetition code,
+    found by the local rule, x * y must be valid.  This is the full table
+    that the library's sweep reads only at the distinct products.
+    """
+    box = Box((0, 0, 0), (2, 2, 2))
+    code = code_from_generators(["111"])
+    configs = [WindowConfig(box, b) for b in range(1 << box.site_count)]
+    table = [valid(x) for x in configs]
+    sols = [x.bits for x in configs if window_rule_holds(box, code, x)]
+    return all(table[x & y] for x in sols for y in sols)
+
+
 def equivariance_per_triple(shear, triples: list[TripleConfig]) -> tuple[bool, dict]:
     """The sampled equivariance verdict and witness, six gathers per (triple, shift).
 

@@ -1,6 +1,8 @@
 import collections
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     equivariance_per_triple,
     extension_constraints,
+    toy_closure_full_table,
     toy_equivariance_full_table,
     toy_involution_per_pair,
 )
@@ -354,6 +357,31 @@ class TestVerifyDynamics:
         with pytest.raises(Drew):
             rigidity.verify_dynamics(*spaces, seed=0, samples=at_bound)
 
+    def test_round_tuples_do_not_outlive_their_triples(self):
+        # each round's tuple is released as its triple replaces it, so the
+        # checks, all held triples included, peak below the rounds and their
+        # triples held together; 6,144 rounds are well past the 2,000 free
+        # 3-tuples that CPython keeps for reuse, which would hide the release
+        space_xy, space_z = reference_spaces(8, 2)
+        rigidity.verify_dynamics(space_xy, space_z, samples=1)  # caches the toy report
+        rounds = 6144
+
+        def peak(run):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        spaces = (space_xy, space_xy, space_z)
+        together = peak(
+            lambda: [TripleConfig(*t) for t in windows.sample_rounds(spaces, random.Random(0), rounds)]
+        )
+        checked = peak(lambda: rigidity.verify_dynamics(space_xy, space_z, samples=rounds))
+        assert checked < together, (checked, together)
+
     def test_corrupted_map_caught_on_a_noncontained_pair(self, mutant):
         # the affine impostor moves z off its window space whenever the
         # code is not inside the product code; of the sampled checks the
@@ -524,6 +552,34 @@ class TestTiledToyInvolution:
         failed = toy_mutant(rigidity, "shear", _wrong_on_one_toy_pair(rigidity.shear))
         assert "toy_exhaustive_involution" not in failed
         assert toy_involution_per_pair(rigidity.shear) is False
+
+
+def _accept_a_byte_no_product_reads(original):
+    # byte 2 sets site (0, 0, 1) alone, not a window solution, so no product x * y
+    def mutant(space, x):
+        return original(space, x) != (x.bits == 2)
+
+    return mutant
+
+
+class TestToyClosure:
+    """The toy closure verdict against the full 256-configuration table."""
+
+    @pytest.mark.parametrize(
+        "make, verdict",
+        [
+            (lambda f: f, True),
+            (_reject_all_ones, False),
+            (_accept_a_byte_no_product_reads, True),
+        ],
+        ids=["library", "contains_all_ones", "accepts_a_byte_no_product_reads"],
+    )
+    def test_distinct_products_give_the_full_table_verdict(self, toy_mutant, make, verdict):
+        # the sweep calls contains only on the distinct products x * y
+        failed = toy_mutant(windows, "contains", make(windows.contains))
+        swept = "toy_exhaustive_closure" not in failed
+        space = build_window_space(cube(3, 2), codes.repetition_code(3))
+        assert swept == toy_closure_full_table(lambda x: windows.contains(space, x)) == verdict
 
 
 def _count_shifts(mutant) -> list:

@@ -167,12 +167,6 @@ MUTANTS = [
         "for base, ch in enumerate(bits[:-1]) if ch",
     ),
     (
-        "heavy_rows_dropped", W,
-        "            for k, part in self.heavy:\n"
-        "                parities |= ((part & mask).bit_count() & 1) << k\n",
-        "",
-    ),
-    (
         # column i reads character i + 1 of every formatted mask
         "batch_column_slice_one_character_off", W,
         "int.from_bytes(matrix[i::stride], \"little\")",
@@ -337,6 +331,19 @@ MUTANTS = [
         "toy_tiles_x_in_place_of_y", R,
         "            WindowConfig(tiled, y_bits),\n",
         "            WindowConfig(tiled, x_bits),\n",
+    ),
+    (
+        # the list of round tuples lives until the last triple is made
+        "sampled_round_tuples_kept_beside_the_triples", R,
+        "    for k, t in enumerate(triples):\n        triples[k] = TripleConfig(*t)\n",
+        "    triples = [TripleConfig(*t) for t in triples]\n",
+    ),
+    (
+        # the first 64 bytes of xys pair the zero solution with every other,
+        # so the only product judged is 0
+        "toy_closure_judges_only_the_first_64_products", R,
+        "        return all(windows_mod.contains(space, configs[b]) for b in products), witness\n",
+        "        return all(windows_mod.contains(space, configs[b]) for b in set(xys[:64])), witness\n",
     ),
     (
         # a map that replaces x or y is compared against t's shifted x and y
