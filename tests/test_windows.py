@@ -936,11 +936,17 @@ class TestPivotParities:
     @example(F2Matrix((_row(0), _row(0, 1), _row(1, 2)), 4), 0, 2)  # no free bits in any row
     @example(F2Matrix((_row(0, 1),), 2), 0, 1)  # a single held column in total
     @example(F2Matrix((_row(*range(100)), _row(1, 150)), 160), 2, 5)  # a part of 99 free bits
-    # reduced rows with 64 and 65 free bits
-    @example(F2Matrix((_row(0, *range(2, 66)), _row(1, *range(70, 135))), 200), 0, 80)
     @example(F2Matrix((_row(0, 3, 5), _row(1, 5, 6), _row(2, 3)), 8), 1, 300)  # a wide batch
     def test_combine_is_the_kernel_element_of_its_free_bits(self, m, seed, draws):
         self._assert_kernel_elements(m, seed, draws)
+
+    def test_rows_either_side_of_the_cut(self):
+        # reduced rows with 64 and 65 free bits, either side of the 64-bit
+        # width that once sent a part to a loop of its own: both take the batch
+        m = F2Matrix((_row(0, *range(2, 66)), _row(1, *range(70, 135))), 200)
+        assert [len(part) for part in _parities(m).parts] == [64, 65, 0]
+        for seed in range(4):
+            self._assert_kernel_elements(m, seed, 20)
 
 
 class TestShiftRestrict:
