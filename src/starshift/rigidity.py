@@ -73,7 +73,7 @@ class TripleSystem:
         object.__setattr__(self, "d", self.code.length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleConfig:
     """Three configurations on one shared box."""
 
@@ -303,7 +303,9 @@ _EQUIVARIANCE_TRIPLES = 25
 
 # The sampled triples are all held at once: samples x sites may not pass
 # this.  At the bound (65,536 triples at d = 8 box 2, 2,557 at d = 8
-# box 3) a process running the checks peaks at 55 and 27 MB.
+# box 3) a process running the checks peaks at 43 and 26 MB; both
+# WindowConfig and TripleConfig have slots, 452 bytes a held sample at
+# d = 8 box 2 against 612 without.
 MAX_SAMPLED_SITES = 1 << 24
 
 
@@ -330,8 +332,9 @@ def verify_dynamics(
     the window constraints, and commutes with shifts on overlap domains.
     Round k of one :func:`windows.sample_rounds` call, seeded with
     ``seed``, draws triple k, so each space combines its masks in one
-    bit-sliced batch (d = 8 box 3: 11.8 ms for the 300 draws, against
-    52.1 ms drawn one by one), which no check's ``millis`` includes.
+    bit-sliced batch, solved straight off its echelon (d = 8 box 3:
+    14.0 ms for the 300 draws and both set-ups, against 27.3 ms
+    through reduced rows), which no check's ``millis`` includes.
     Equivariance tests 25 triples against the d unit shifts and (1, ..., 1).
     A shift whose overlap with the box is empty is skipped and counted;
     an error raised by the map fails the check, its message the witness.

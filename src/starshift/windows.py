@@ -20,7 +20,9 @@ shifted to every anchor bit.  Solution counting is exact rank arithmetic.
 Bits move by one primitive (Warren, *Hacker's Delight*, 7-4 and 7-5):
 ``_moves`` turns a mask into at most ceil(log2(sites)) (bits, shift)
 moves, ``_compress`` packs the bits under the mask into the low bits in
-order, and ``_expand`` undoes it with the moves reversed.  Gathers compress
+order, and ``_expand`` undoes it with the moves reversed, each ANDing with
+the positive complement of its bits in the mask's width rather than with a
+negative int, which CPython handles slowly.  Gathers compress
 through a plan, a domain with a source sub-box mask and its moves, from
 one private ``lru_cache(maxsize=64)``.  A shift's plan is keyed by the
 source box and the shift alone and builds the overlap domain itself, so
@@ -41,35 +43,40 @@ rows are never stored.  Widened to ints, the rows of [0, 27)^3 with the
 length-3 repetition code would take 47.0 MB and those of the planar
 [0, 150)^2 even-weight space 34.1 MB; the spaces hold 1.95 MB and
 2.02 MB (tracemalloc).  That every row lies inside the box is checked
-once on the plan, from its highest anchor bit and largest offset.  Draws and
-``solution_basis`` back-substitute the echelon when first needed into
-reduced rows in free coordinates, and keep only what they derive.  Window
-rows are eliminated in plan order, unsorted: each anchor's rows meet few
-earlier pivots, and the sort that ``code_from_generators`` needs for
-arbitrary generator rows only slows the planar elimination down.
+once on the plan, from its highest anchor bit and largest offset.
+``solution_basis`` back-substitutes the echelon when first needed into
+reduced rows in free coordinates; draws read the echelon itself.  Each
+keeps only what it derives.  Window rows are eliminated in plan order,
+unsorted: each anchor's rows meet few earlier pivots, and the sort that
+``code_from_generators`` needs for arbitrary generator rows only slows
+the planar elimination down.
 
 Sampling draws one mask of free_dim = sites - rank random bits and
 forms the combination of the kernel basis rows it selects.  Kernel row j
 is e_f, f the j-th free column, plus every pivot column whose reduced
-row's part has bit j set, so the combination is also the mask expanded
-onto the free columns, OR the parities of (part) & (mask) expanded onto
-the pivot columns.  Parts are sparse: at d = 8 on [0, 3)^8 the code's
-977 parts hold 6,973 bits on 302 of the 5,584 free columns (7.1 a part,
-at most 25) and the product code's 256 parts 3,136 bits on 1,023 of
-6,305.  So draws are bit-sliced (Biham, FSE 1997): ``sample_rounds``
-takes the masks of up to ``_DRAW_CHUNK`` = 256 rounds from the stream,
-in the order single draws take them, and each space combines all of its
-masks at once, each draw a byte lane, so that one XOR of N-byte ints
-gives a part's parity in all N draws.  On a 2-vCPU VM the 300 draws of
-100 d = 8 box-3 samples take 11.8 ms, against 52.1 ms when each draw
-gathers its parts' bits alone, but a single draw pays the per-part XORs
-alone: 1.09 ms against 0.24 ms on the code space.  Every part, however
-many bits it holds, takes its parity from the batch.  The XOR
+row has bit f set, so the combination is the kernel element whose free
+columns hold the mask: its bit at pivot c is the XOR of the other bits
+of c's echelon row, each on a free column or on a higher pivot, so the
+pivots are solved from the highest down.  Echelon rows are sparse: at
+d = 8 on [0, 3)^8 the code's 977 rows read 1,118 bits on 302 of the
+5,584 free columns and 4,031 higher pivots (5.3 reads a row, at most
+15), and the product code's 256 rows 1,344 bits on 1,023 of 6,305 free
+columns and 448 pivots.  So draws are bit-sliced (Biham, FSE 1997):
+``sample_rounds`` takes the masks of up to ``_DRAW_CHUNK`` = 256 rounds
+from the stream, in the order single draws take them, and each space
+combines all of its masks at once, each draw a byte lane, so that one
+XOR of N-byte ints gives a pivot's bit in all N draws.  No reduced row
+is made, so the set-up costs the echelon's set bits, not its width: at
+d = 10 on [0, 3)^10 the code space's set-up peaks at 2.7 MB
+(tracemalloc), where its reduced rows in free coordinates took 22.7 MB.
+On a 2-vCPU VM the 300 draws of 100 d = 8 box-3 samples, both set-ups
+included, take 14.0 ms, against 27.3 ms when each space first
+back-substituted its echelon into reduced rows, and a single draw on
+the code space pays a batch's per-lane XORs alone, 1.0 ms.  The XOR
 of kernel rows costs about free_dim / 2 x sites bits, so a space draws
-by parities only when rank < free_dim, and otherwise combines rows one
-mask at a time.
-Both give the same bits from the same random call, so seeded streams
-depend neither on the choice nor on the batch.
+by lanes only when rank < free_dim, and otherwise combines rows one
+mask at a time.  Both give the same bits from the same random call, so
+seeded streams depend neither on the choice nor on the batch.
 """
 
 from __future__ import annotations
@@ -196,7 +203,7 @@ def _int_field(box_data: dict, key: str) -> IntVector:
     return tuple(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowConfig:
     """A GF(2) configuration on a box, bit-packed in site order."""
 
@@ -323,7 +330,9 @@ def _moves(mask: int, n: int) -> tuple[tuple[int, int], ...]:
     A mask bit with z clear bits below it moves by 2^r in round r when z
     has bit r set; the prefix parity of ``zeros`` is that bit of every z.
     """
-    zeros = ~mask << 1 & ((1 << n) - 1)
+    full = (1 << n) - 1
+    # complements of the n-bit full mask, so that no int is negative
+    zeros = (full ^ mask) << 1 & full
     moves = []
     s = 1
     while zeros:
@@ -334,7 +343,7 @@ def _moves(mask: int, n: int) -> tuple[tuple[int, int], ...]:
         if mv:
             moves.append((mv, s))
         mask = mask ^ mv | mv >> s
-        zeros &= ~parity
+        zeros &= full ^ parity
         s <<= 1
     return tuple(moves)
 
@@ -348,19 +357,26 @@ def _compress(x: int, mask: int, moves: Sequence[tuple[int, int]]) -> int:
     return x
 
 
-def _expand(x: int, mask: int, moves: Sequence[tuple[int, int]]) -> int:
-    """The low bits of x spread in order onto ``mask``: the moves reversed (7-5)."""
-    for mv, s in reversed(moves):
-        x = x & ~mv | x << s & mv
+def _expand_steps(mask: int, moves: Sequence[tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """The steps of an expand onto ``mask``: the moves reversed (7-5), each with its keep mask.
+
+    A step's keep mask is (2^n - 1) ^ bits, n the bit length of ``mask``,
+    so an expand ANDs with a positive int, not with the negative ~bits.
+    """
+    full = (1 << mask.bit_length()) - 1
+    return tuple((full ^ mv, mv, s) for mv, s in reversed(moves))
+
+
+def _spread(x: int, mask: int, steps: Sequence[tuple[int, int, int]]) -> int:
+    """The low bits of x spread in order onto ``mask`` by its :func:`_expand_steps`."""
+    for keep, mv, s in steps:
+        x = x & keep | x << s & mv
     return x & mask
 
 
-def _set_bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of x, highest first, one step per set bit."""
-    while x:
-        j = x.bit_length() - 1
-        yield j
-        x ^= 1 << j
+def _expand(x: int, mask: int, moves: Sequence[tuple[int, int]]) -> int:
+    """The low bits of x spread in order onto ``mask``: the moves reversed (7-5)."""
+    return _spread(x, mask, _expand_steps(mask, moves))
 
 
 # Rounds drawn at a time, so that a batch's masks, byte matrix and parity
@@ -375,53 +391,81 @@ _LOW_BIT = bytes(b & 1 for b in range(256))
 
 
 class _PivotParities:
-    """Kernel combinations read off the reduced rows of a window system.
+    """Kernel combinations solved straight off the echelon of a window system.
 
-    Built once per space from the parts and pivot columns that
-    :func:`gf2.back_substitute` returns.  ``held`` is the mask U of the
-    free columns that the parts hold, with its moves.  ``parts`` lists
-    each part by its columns, the characters of its bits in ``format(mask
-    compressed onto U, spec)``: character 0 is a padding '0', then the
-    held bits, highest first.  A last part with no column keeps each
-    draw's digits nonempty at rank 0.
+    Built once per space from its echelon, pivot column c to echelon row
+    shifted down by c.  With the free columns fixed, the kernel element's
+    bit at pivot c is the XOR of its row's other bits, each on a free
+    column or on a higher pivot, so the pivots are solved from the
+    highest down.  The set-up walks each row's set bits once, from the
+    highest pivot down.  ``held`` is the mask U, in free coordinates, of
+    the free columns that some row holds, with its moves; column i is
+    the character i of ``format(mask compressed onto U, spec)``:
+    character 0 is a padding '0', then the held bits, highest first.
+    ``lanes`` has one entry per pivot, highest first: the indices of the
+    values it XORs, a held column i at i and the lane of the k-th pivot
+    (highest first) at ``stride + k``.
 
     ``combine`` bit-slices its N masks.  Formatted, joined and encoded,
     they are an N x (|U| + 1) byte matrix whose bytes carry their bit as
     the low bit ('0' is 0x30, '1' is 0x31).  Column i, read little-endian,
-    holds that bit of every draw, so the XOR of a part's columns is its
-    parity in all N draws.  Draw t's parities are the stride-N slice from
-    byte t of the joined parity bytes, each digit a byte's low bit.  Every
-    part, whatever its weight, gets its parity this one way.  The mask
-    expands onto the free columns and the parities onto the pivot columns.
+    holds that bit of every draw, so the XOR of a pivot's columns and of
+    the lanes of the pivots it reads is its bit in all N draws: its lane.
+    Draw t's pivot bits are the stride-N slice from byte t of the joined
+    lanes, after a zero lane that keeps the digits nonempty at rank 0,
+    each digit a byte's low bit.  No reduced row is made.  The mask
+    expands onto the free columns and the pivot bits onto the pivot
+    columns, each by steps computed here.
     """
 
-    def __init__(self, parts: Sequence[int], pivot_cols: Sequence[int], cols: int):
+    def __init__(self, echelon: dict[int, int], cols: int):
+        pivot_cols = sorted(echelon, reverse=True)
         pivot_mask = gf2.bits_at(pivot_cols)
         free_mask = ((1 << cols) - 1) ^ pivot_mask
-        self.pivots = pivot_mask, _moves(pivot_mask, cols)
-        self.free = free_mask, _moves(free_mask, cols)
-        held = functools.reduce(operator.or_, parts, 0)
-        self.held = held, _moves(held, cols - len(pivot_cols))
-        column = {j: i for i, j in enumerate(_set_bits(held), 1)}
-        self.stride = len(column) + 1
+        free_moves = _moves(free_mask, cols)
+        self.pivots = pivot_mask, _expand_steps(pivot_mask, _moves(pivot_mask, cols))
+        self.free = free_mask, _expand_steps(free_mask, free_moves)
+        lane = {c: k for k, c in enumerate(pivot_cols)}
+        reads = []
+        for c in pivot_cols:
+            free, read = [], []
+            # the row's other bits, highest first, one step per set bit
+            row = echelon[c] ^ 1
+            while row:
+                j = row.bit_length() - 1
+                row ^= 1 << j
+                k = lane.get(c + j)
+                if k is None:
+                    free.append(c + j)
+                else:
+                    read.append(k)
+            reads.append((free, read))
+        held = sorted({j for free, _ in reads for j in free}, reverse=True)
+        held_mask = _compress(gf2.bits_at(held), free_mask, free_moves)
+        self.held = held_mask, _moves(held_mask, cols - len(pivot_cols))
+        column = {j: i for i, j in enumerate(held, 1)}
+        self.stride = len(held) + 1
         self.spec = f"0{self.stride}b"
-        # lists, not tuple() of a generator, whose resizing fragmented the heap
-        self.parts = [[column[j] for j in _set_bits(part)] for part in parts] + [[]]
+        self.lanes = [
+            [column[j] for j in free] + [self.stride + k for k in read]
+            for free, read in reads
+        ]
 
     def combine(self, masks: Sequence[int]) -> list[int]:
         n, stride = len(masks), self.stride
         held, moves = self.held
         matrix = "".join([format(_compress(m, held, moves), self.spec) for m in masks]).encode()
-        columns = [int.from_bytes(matrix[i::stride], "little") for i in range(stride)]
-        # one buffer, not a bytes object per part, keeps the heap from fragmenting
-        rows = bytearray(n * len(self.parts))
-        for k, part in enumerate(self.parts):
-            parity = functools.reduce(operator.xor, map(columns.__getitem__, part), 0)
-            rows[k * n : (k + 1) * n] = parity.to_bytes(n, "little")
+        values = [int.from_bytes(matrix[i::stride], "little") for i in range(stride)]
+        # one buffer, not a bytes object per lane, keeps the heap from fragmenting
+        rows = bytearray(n * (len(self.lanes) + 1))
+        for k, reads in enumerate(self.lanes, 1):
+            lane = functools.reduce(operator.xor, map(values.__getitem__, reads), 0)
+            values.append(lane)
+            rows[k * n : (k + 1) * n] = lane.to_bytes(n, "little")
         out = []
         for t, mask in enumerate(masks):
-            parities = int(rows[t::n].translate(_LOW_BIT_TO_ASCII)[::-1], 2)
-            out.append(_expand(mask, *self.free) | _expand(parities, *self.pivots))
+            parities = int(rows[t::n].translate(_LOW_BIT_TO_ASCII), 2)
+            out.append(_spread(mask, *self.free) | _spread(parities, *self.pivots))
         return out
 
 
@@ -436,11 +480,12 @@ class WindowSpace:
     rebuilds them from the plan on each access, widening each pair
     (c, r) of ``StencilPlan.rows`` to the bit-packed row r << c, one per
     (anchor, dual-basis word), for callers that want to see them.
-    Sampling and ``solution_basis`` back-substitute the echelon on first
-    use into parts, the reduced rows in free coordinates, and keep only
-    what they derive: a space with rank < free_dim draws from pivot
-    parities, set up at a cost proportional to the set bits of the parts,
-    any other space by combining ``solution_basis`` rows.
+    ``solution_basis`` back-substitutes the echelon on first use into
+    reduced rows in free coordinates.  A space with rank < free_dim draws
+    from pivot lanes solved straight off the echelon, set up at a cost
+    proportional to the echelon's set bits, so no reduced row is made;
+    any other space draws by combining ``solution_basis`` rows.  Each
+    keeps only what it derives.
     """
 
     box: Box
@@ -464,7 +509,7 @@ class WindowSpace:
 
     @functools.cached_property
     def _pivot_parities(self) -> _PivotParities:
-        return _PivotParities(*gf2.back_substitute(self.echelon), self.site_count)
+        return _PivotParities(self.echelon, self.site_count)
 
     @property
     def site_count(self) -> int:

@@ -382,6 +382,25 @@ class TestVerifyDynamics:
         checked = peak(lambda: rigidity.verify_dynamics(space_xy, space_z, samples=rounds))
         assert checked < together, (checked, together)
 
+    def test_held_triples_take_under_500_bytes_a_sample(self):
+        # the growth of the checks' peak per sample at d = 8 box 2: the three
+        # configurations and their triple, 612 bytes while neither class had
+        # slots, 452 with them
+        spaces = reference_spaces(8, 2)
+        rigidity.verify_dynamics(*spaces, samples=1)  # caches the toy report
+
+        def peak(samples):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                rigidity.verify_dynamics(*spaces, samples=samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_sample = (peak(1536) - peak(512)) / 1024
+        assert per_sample <= 500, per_sample
+
     def test_corrupted_map_caught_on_a_noncontained_pair(self, mutant):
         # the affine impostor moves z off its window space whenever the
         # code is not inside the product code; of the sampled checks the
@@ -762,6 +781,11 @@ class TestFullVerification:
         assert built[cube(8, box_size), system.code] == 1
         assert built[cube(8, box_size), system.product_code] == 1
         assert max(built.values()) == 1, built
+
+    def test_box_3_at_d10_passes(self):
+        # 59,049 sites; the draws' set-up solves the lanes off the echelon
+        report = rigidity.run_full_verification(10, box_size=3, samples=25, max_sites=60_000)
+        assert report.passed
 
     def test_affine_impostor_fails_the_non_affine_checks(self, mutant):
         mutant(rigidity, "shear", affine_impostor)

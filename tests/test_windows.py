@@ -909,8 +909,7 @@ def parity_systems(draw):
 
 
 def _parities(m):
-    pivots = gf2.echelon_pivots(gf2.pivot_pairs(m.rows))
-    return windows._PivotParities(*gf2.back_substitute(pivots), m.cols)
+    return windows._PivotParities(gf2.echelon_pivots(gf2.pivot_pairs(m.rows)), m.cols)
 
 
 class TestPivotParities:
@@ -937,16 +936,44 @@ class TestPivotParities:
     @example(F2Matrix((_row(0, 1),), 2), 0, 1)  # a single held column in total
     @example(F2Matrix((_row(*range(100)), _row(1, 150)), 160), 2, 5)  # a part of 99 free bits
     @example(F2Matrix((_row(0, 3, 5), _row(1, 5, 6), _row(2, 3)), 8), 1, 300)  # a wide batch
+    @example(F2Matrix((_row(0, 1), _row(1, 2), _row(2, 3)), 5), 0, 8)  # each pivot reads the next
     def test_combine_is_the_kernel_element_of_its_free_bits(self, m, seed, draws):
         self._assert_kernel_elements(m, seed, draws)
 
     def test_rows_either_side_of_the_cut(self):
         # reduced rows with 64 and 65 free bits, either side of the 64-bit
-        # width that once sent a part to a loop of its own: both take the batch
+        # width that once sent a part to a loop of its own: both take the
+        # batch; lanes run from the highest pivot down, and neither row
+        # meets the other's pivot
         m = F2Matrix((_row(0, *range(2, 66)), _row(1, *range(70, 135))), 200)
-        assert [len(part) for part in _parities(m).parts] == [64, 65, 0]
+        # held columns 1..65 are sites 134..70, and 66..129 are 65..2
+        assert _parities(m).lanes == [list(range(1, 66)), list(range(66, 130))]
         for seed in range(4):
             self._assert_kernel_elements(m, seed, 20)
+
+    def test_lanes_read_the_higher_pivots(self):
+        # the rows' own bits, not their reduced forms: pivot 0 reads the
+        # lane of pivot 1, which reads that of pivot 2, which reads column 3
+        m = F2Matrix((_row(0, 1), _row(1, 2), _row(2, 3)), 5)
+        parities = _parities(m)
+        assert parities.stride == 2
+        assert parities.lanes == [[1], [2], [3]]
+
+    def test_set_up_at_d10_box_3_holds_no_reduced_row(self):
+        # reduced rows in free coordinates, as wide as the code space's
+        # 55,141 free columns, peaked at 22.7 MB; the walk over the echelon's
+        # set bits holds the lanes' reads and the masks' moves, 2.7 MB
+        space = build_window_space(
+            cube(10, 3), rigidity.construct_system(10).code, max_sites=60_000
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            space._pivot_parities
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_000_000, peak
 
 
 class TestShiftRestrict:
@@ -1253,6 +1280,18 @@ class TestCompressExpand:
                     assert windows._compress(spread, mask, moves) == v
                 for x in range(1 << n):
                     assert windows._compress(x, mask, moves) == compress_bits(x, mask)
+
+
+@pytest.mark.deadline(1.0)
+def test_moves_end_on_the_low_bits_below_a_clear_top_bit():
+    # the n - 1 low bits compress to themselves, so no bit moves; the clear
+    # top bit, shifted up past the n bits, is ended only by the truncation
+    # of the zeros to n bits, and a fault there loops forever
+    for n in (1, 2, 8, 300):
+        mask = (1 << n - 1) - 1
+        assert windows._moves(mask, n) == ()
+        x = random.Random(n).getrandbits(n)
+        assert windows._compress(x, mask, ()) == compress_bits(x, mask)
 
 
 def _random_config(rng, d):

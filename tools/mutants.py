@@ -54,8 +54,8 @@ L = "src/starshift/laurent.py"
 MUTANTS = [
     (
         "expand_moves_in_forward_order", W,
-        "    for mv, s in reversed(moves):\n",
-        "    for mv, s in moves:\n",
+        "    return tuple((full ^ mv, mv, s) for mv, s in reversed(moves))\n",
+        "    return tuple((full ^ mv, mv, s) for mv, s in moves)\n",
     ),
     (
         "compress_without_initial_mask", W,
@@ -64,8 +64,8 @@ MUTANTS = [
     ),
     (
         "moves_without_full_truncation", W,
-        "    zeros = ~mask << 1 & ((1 << n) - 1)\n",
-        "    zeros = ~mask << 1\n",
+        "    zeros = (full ^ mask) << 1 & full\n",
+        "    zeros = (full ^ mask) << 1\n",
     ),
     (
         "sub_box_mask_one_copy_short_per_axis", W,
@@ -138,9 +138,27 @@ MUTANTS = [
         "part ^= 1 << (col - bisect.bisect_left(cols, col) + 1)",
     ),
     (
+        # the lanes solved from a second elimination of the rows, not from
+        # the space's echelon
         "parities_eliminate_the_rows_again", W,
-        "        return _PivotParities(*gf2.back_substitute(self.echelon), self.site_count)\n",
-        "        return _PivotParities(*gf2.reduced_rows(self.constraint_matrix.rows), self.site_count)\n",
+        "        return _PivotParities(self.echelon, self.site_count)\n",
+        "        return _PivotParities(\n"
+        "            gf2.echelon_pivots(gf2.pivot_pairs(self.constraint_matrix.rows)), self.site_count\n"
+        "        )\n",
+    ),
+    (
+        # a lane reads the lanes of lower pivots, not yet solved in the
+        # batch, as though they were
+        "lanes_solved_from_the_lowest_pivot", W,
+        "        pivot_cols = sorted(echelon, reverse=True)\n",
+        "        pivot_cols = sorted(echelon)\n",
+    ),
+    (
+        # a pivot's bit is the XOR of its free columns alone, the higher
+        # pivots its row meets left out
+        "lane_drops_its_pivot_reads", W,
+        "            [column[j] for j in free] + [self.stride + k for k in read]\n",
+        "            [column[j] for j in free]\n",
     ),
     (
         # rows past the box go into the elimination unnoticed
