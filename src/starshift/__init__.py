@@ -50,7 +50,6 @@ from .rigidity import (
     run_full_verification,
     second_difference,
     shear,
-    shift_triple,
     verify_dynamics,
     verify_premises,
 )

@@ -30,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import codes as codes_mod
 from . import laurent as laurent_mod
@@ -49,7 +49,6 @@ __all__ = [
     "construct_system",
     "describe_system",
     "shear",
-    "shift_triple",
     "second_difference",
     "verify_premises",
     "verify_dynamics",
@@ -194,15 +193,6 @@ def shear(t: TripleConfig) -> TripleConfig:
     return TripleConfig(t.x, t.y, windows_mod.star(t.x, t.y) + t.z)
 
 
-def shift_triple(t: TripleConfig, m: Sequence[int]) -> TripleConfig:
-    """Componentwise shift to the common overlap domain."""
-    return TripleConfig(
-        windows_mod.shift_restrict(t.x, m),
-        windows_mod.shift_restrict(t.y, m),
-        windows_mod.shift_restrict(t.z, m),
-    )
-
-
 def second_difference(x: WindowConfig) -> TripleConfig:
     """Affineness defect of the shear map along ``x``.
 
@@ -338,10 +328,13 @@ def verify_dynamics(
     Equivariance tests 25 triples against the d unit shifts and (1, ..., 1).
     A shift whose overlap with the box is empty is skipped and counted;
     an error raised by the map fails the check, its message the witness.
-    Each tested (triple, shift) gathers the triple's x, y and z and the
-    image's z through ``shift_restrict``.  The image's x or y is gathered
-    too only when it is not the triple's own object; the library
-    ``shear`` returns them unchanged, so their shifts are already made.
+    Each shift is validated and planned once, before the first triple,
+    by :func:`windows.shift_gather` on the spaces' box.  Each tested
+    (triple, shift) then gathers through it the triple's x, y and z and
+    the image's z, and the image's x or y only when it is not the
+    triple's own object; the library ``shear`` returns them unchanged, so
+    their shifts are already made.  An image component on another box is
+    gathered through its own box's plan, as ``shift_restrict`` would.
 
     Raises:
         ValueError: when the spaces lie on different boxes, or ``samples``
@@ -388,20 +381,26 @@ def verify_dynamics(
         tested = 0
         skipped = 0
         subset = triples[:_EQUIVARIANCE_TRIPLES]
+        # each shift is validated and planned once, on the spaces' box
+        gathers = []
+        for m in shifts:
+            try:
+                gathers.append((m, windows_mod.shift_gather(space_xy.box, m)))
+            except ValueError:
+                gathers.append((m, None))
         for k, t in enumerate(subset):
             image = shear(t)
-            for m in shifts:
-                try:
-                    shifted = shift_triple(t, m)
-                except ValueError:
+            for m, gather in gathers:
+                if gather is None:
                     skipped += 1
                     continue
+                shifted = TripleConfig(gather(t.x), gather(t.y), gather(t.z))
                 u = shear(shifted)
                 # x and y are shifted again only when the map replaced t's own
                 if (u.x, u.y, u.z) != (
-                    shifted.x if image.x is t.x else windows_mod.shift_restrict(image.x, m),
-                    shifted.y if image.y is t.y else windows_mod.shift_restrict(image.y, m),
-                    windows_mod.shift_restrict(image.z, m),
+                    shifted.x if image.x is t.x else gather(image.x),
+                    shifted.y if image.y is t.y else gather(image.y),
+                    gather(image.z),
                 ):
                     return False, {"triple_index": k, "shift": list(m)}
                 tested += 1

@@ -23,15 +23,25 @@ moves, ``_compress`` packs the bits under the mask into the low bits in
 order, and ``_expand`` undoes it with the moves reversed, each ANDing with
 the positive complement of its bits in the mask's width rather than with a
 negative int, which CPython handles slowly.  Gathers compress
-through a plan, a domain with a source sub-box mask and its moves, from
-one private ``lru_cache(maxsize=64)``.  A shift's plan is keyed by the
+through a plan from one private ``lru_cache(maxsize=64)``: a domain,
+``start``, the source bit of the domain's first site, and the mask of
+the source sub-box shifted down by ``start`` with its moves, so a gather
+compresses ``x.bits >> start``.  A sub-box that is one run of bits needs
+no move: the diagonal shift on [0, 2)^d keeps one site, and the unit
+shift e_0 of a cube keeps one run, where a mask left at ``start`` took d
+and, at d = 8 box 3, 5 moves over the whole configuration; at box 2 every
+other unit shift takes one move fewer.  A shift's plan is keyed by the
 source box and the shift alone and builds the overlap domain itself, so
 that domain is built once per (box, shift) and every configuration
 shifted through the plan shares its ``Box``; box checks then end at the
-identity test.  The benchmark's pass of seven verifies makes 8,692 plan
-lookups on 46 keys, all of them shifts: a fresh process builds the 46
-plans (about 1.4 ms in all, 0.14 ms for one ``verify -d 8 --box 2``) and
-hits 8,646 times, and a later pass hits every lookup.
+identity test.  ``shift_gather`` validates a shift and looks its plan up
+once, for every configuration it then shifts; ``shift_restrict`` is one
+such gather.  The benchmark's pass of seven verifies makes 1,861 plan
+lookups on 46 keys, all of them shifts, 1,792 of them from the toy
+sweep's ``shift_restrict`` calls and 69 (d + 1 a verify) from the
+sampled check: a fresh process builds the 46 plans (about 3 ms in all
+on a 2-vCPU VM, 0.3-0.6 ms for one ``verify -d 8 --box 2``) and hits
+1,815 times, and a later pass hits every lookup.
 
 A space is its box, code, plan and echelon.  It is eliminated once, when
 it is built: the plan streams its rows into the elimination one at a time,
@@ -87,7 +97,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codes as codes_mod
 from . import gf2
@@ -112,6 +122,7 @@ __all__ = [
     "sample_rounds",
     "contains",
     "star",
+    "shift_gather",
     "shift_restrict",
     "restrict",
     "apply_poly",
@@ -670,13 +681,18 @@ def star(x: WindowConfig, y: WindowConfig) -> WindowConfig:
 @functools.lru_cache(maxsize=64)
 def _gather_plan(
     source: Box, domain: Box | None, offset: IntVector
-) -> tuple[Box, int, tuple] | None:
-    """Domain, mask and moves whose compress maps x on ``source`` to i -> x(i + offset).
+) -> tuple[Box, int, int, tuple] | None:
+    """Domain, start, mask and moves: a compress of x >> start maps x to i -> x(i + offset).
 
-    A ``domain`` of None stands for the overlap of ``source`` with its
-    shift by ``offset``, and the plan is None when that overlap is
-    empty.  The overlap is then built once per (source, offset), and
-    every configuration shifted through the plan shares its ``Box``.
+    x lies on ``source``.  ``start`` is the source bit of the domain's
+    first site, so the mask and its moves are built for the source
+    sub-box shifted down to bit 0: a sub-box that is one run of bits
+    needs no move at all, as the single site of the diagonal shift on
+    [0, 2)^d does.  A ``domain`` of None stands for the overlap of
+    ``source`` with its shift by ``offset``, and the plan is None when
+    that overlap is empty.  The overlap is then built once per (source,
+    offset), and every configuration shifted through the plan shares
+    its ``Box``.
     """
     if domain is None:
         domain = _overlap(source, (offset,))
@@ -684,8 +700,8 @@ def _gather_plan(
             return None
     strides = _strides(source.shape)
     start = sum((i + v - l) * s for i, v, l, s in zip(domain.lower, offset, source.lower, strides))
-    mask = _sub_box_mask(strides, start, domain.shape)
-    return domain, mask, _moves(mask, source.site_count)
+    mask = _sub_box_mask(strides, 0, domain.shape)
+    return domain, start, mask, _moves(mask, mask.bit_length())
 
 
 def _overlap(box: Box, offsets: Iterable[IntVector]) -> Box | None:
@@ -705,34 +721,56 @@ def _overlap(box: Box, offsets: Iterable[IntVector]) -> Box | None:
     return Box(tuple(lo), tuple(hi))
 
 
-def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:
-    """Shifted configuration y(i) = x(i + m) on the overlap domain.
+def shift_gather(box: Box, m: Sequence[int]) -> Callable[[WindowConfig], WindowConfig]:
+    """The shift by m of configurations on ``box``, validated and planned once.
 
-    The result lives on the sites i of the box with i + m in the box,
-    the single-offset case of the overlap rule ``apply_poly`` uses; the
-    domain shrinks rather than padding.  Results of one box and shift
-    share one domain ``Box``.
+    The gather maps x to y(i) = x(i + m) on the overlap domain, as
+    :func:`shift_restrict` does; all its results share that domain's
+    ``Box``.  A configuration on another box is gathered through its own
+    box's plan, so the gather equals ``shift_restrict(x, m)`` for every x.
 
     Raises:
         ValueError: when an entry of ``m`` is not an integer, on an
             arity mismatch, or when the overlap is empty.
     """
     mm = int_tuple(m, "shift entries")
-    if len(mm) != x.box.dimension:
+    if len(mm) != box.dimension:
         raise ValueError("shift arity mismatch")
-    plan = _gather_plan(x.box, None, mm)
+    plan = _gather_plan(box, None, mm)
     if plan is None:
         raise ValueError("empty overlap: the shift moves the box off itself")
-    domain, mask, moves = plan
-    return WindowConfig(domain, _compress(x.bits, mask, moves))
+    domain, start, mask, moves = plan
+
+    def gather(x: WindowConfig) -> WindowConfig:
+        if x.box is not box and x.box != box:
+            return shift_gather(x.box, mm)(x)
+        return WindowConfig(domain, _compress(x.bits >> start, mask, moves))
+
+    return gather
+
+
+def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:
+    """Shifted configuration y(i) = x(i + m) on the overlap domain.
+
+    The result lives on the sites i of the box with i + m in the box,
+    the single-offset case of the overlap rule ``apply_poly`` uses; the
+    domain shrinks rather than padding.  Results of one box and shift
+    share one domain ``Box``.  A caller shifting many configurations by
+    one m validates and plans the shift once through :func:`shift_gather`.
+
+    Raises:
+        ValueError: when an entry of ``m`` is not an integer, on an
+            arity mismatch, or when the overlap is empty.
+    """
+    return shift_gather(x.box, m)(x)
 
 
 def restrict(x: WindowConfig, sub: Box) -> WindowConfig:
     """Restriction of a configuration to a fully contained sub-box."""
     if not x.box.contains_box(sub):
         raise ValueError("restriction target is not contained in the box")
-    _, mask, moves = _gather_plan(x.box, sub, (0,) * sub.dimension)
-    return WindowConfig(sub, _compress(x.bits, mask, moves))
+    _, start, mask, moves = _gather_plan(x.box, sub, (0,) * sub.dimension)
+    return WindowConfig(sub, _compress(x.bits >> start, mask, moves))
 
 
 def apply_poly(p: LaurentPoly, x: WindowConfig) -> WindowConfig:
@@ -751,8 +789,8 @@ def apply_poly(p: LaurentPoly, x: WindowConfig) -> WindowConfig:
         raise ValueError("empty domain for the polynomial action")
     bits = 0
     for t in p.terms:
-        _, mask, moves = _gather_plan(x.box, domain, t)
-        bits ^= _compress(x.bits, mask, moves)
+        _, start, mask, moves = _gather_plan(x.box, domain, t)
+        bits ^= _compress(x.bits >> start, mask, moves)
     return WindowConfig(domain, bits)
 
 

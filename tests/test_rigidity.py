@@ -24,9 +24,13 @@ from starshift.rigidity import (
     construct_system,
     second_difference,
     shear,
-    shift_triple,
 )
 from starshift.windows import Box, WindowConfig, build_window_space, cube
+
+
+def shift_each(t, m):
+    """The triple of t's components, each shifted by m through ``shift_restrict``."""
+    return TripleConfig(*(windows.shift_restrict(c, m) for c in (t.x, t.y, t.z)))
 
 
 def random_triple(rng, box):
@@ -171,7 +175,7 @@ class TestShear:
                 windows.sample_with(z, rng),
             )
             for m in shifts:
-                assert shear(shift_triple(t, m)) == shift_triple(shear(t), m)
+                assert shear(shift_each(t, m)) == shift_each(shear(t), m)
 
 
 class TestVerifyPremises:
@@ -614,6 +618,29 @@ def _count_shifts(mutant) -> list:
     return made
 
 
+def _count_gathers(mutant) -> tuple[list, list]:
+    """Patch ``windows.shift_gather`` to record each plan lookup and each gather.
+
+    Both records hold (box dimension, shift) pairs, so that a caller can
+    tell the toy's 3-dimensional shifts from the sampled ones.
+    """
+    lookups, gathers = [], []
+    original = windows.shift_gather
+
+    def counting(box, m):
+        lookups.append((box.dimension, tuple(m)))
+        gather = original(box, m)
+
+        def counted(x):
+            gathers.append((x.box.dimension, tuple(m)))
+            return gather(x)
+
+        return counted
+
+    mutant(windows, "shift_gather", counting)
+    return lookups, gathers
+
+
 class TestSampledEquivariance:
     """The sampled check against its per-triple oracle, and the gathers it makes."""
 
@@ -654,10 +681,16 @@ class TestSampledEquivariance:
 
     @pytest.mark.parametrize("d, calls", [(8, 1156), (12, 1556)])
     def test_verification_makes_the_pinned_shift_calls(self, mutant, d, calls):
-        # 25 triples x (d + 1) shifts x 4 gathers, then 4 shifts x 64 toy solutions
+        # 4 shifts x 64 toy solutions through shift_restrict, then 25
+        # triples x (d + 1) shifts x 4 sampled gathers, each shift planned once
         made = _count_shifts(mutant)
+        lookups, gathers = _count_gathers(mutant)
         assert rigidity.run_full_verification(d, box_size=2, samples=100, seed=3).passed
-        assert len(made) == calls == 100 * (d + 1) + 4 * 64
+        sampled = [m for dim, m in gathers if dim == d]
+        assert len(made) == 4 * 64
+        assert len(sampled) == 100 * (d + 1)
+        assert [m for dim, m in lookups if dim == d] == rigidity._shifts(d)
+        assert len(made) + len(sampled) == calls
 
     @pytest.mark.parametrize(
         "make, per_pair", [(shear, 4), (fresh_copies, 6)], ids=["shear", "fresh_copies"]
@@ -666,11 +699,29 @@ class TestSampledEquivariance:
         # x and y of the image are shifted anew only when they are new objects
         mutant(rigidity, "shear", make)
         rigidity.exhaustive_toy_report()  # fill the cache, so that only the sampled check counts
-        made = _count_shifts(mutant)
+        _, gathers = _count_gathers(mutant)
         report = rigidity.verify_dynamics(*reference_spaces(8, 2), seed=0, samples=30)
         eq = next(c for c in report.checks if c.name == "equivariance_on_samples")
         assert eq.passed and eq.witness["tested"] == 25 * 9
-        assert len(made) == per_pair * 25 * 9
+        assert len(gathers) == per_pair * 25 * 9
+
+    def test_an_image_on_another_box_is_gathered_through_its_own_plan(self, mutant):
+        # moving the whole image one step down every axis commutes with
+        # shifts; through the plan of the triple's box, the image's
+        # components would land on the wrong domain
+        def moved_down(t):
+            u = shear(t)
+            box = Box(tuple(a - 1 for a in t.box.lower), tuple(a - 1 for a in t.box.upper))
+            return TripleConfig(*(WindowConfig(box, c.bits) for c in (u.x, u.y, u.z)))
+
+        space_xy, space_z = reference_spaces(8, 2)
+        draws = windows.sample_rounds((space_xy, space_xy, space_z), random.Random(0), 25)
+        expected = equivariance_per_triple(moved_down, [TripleConfig(*t) for t in draws])
+        mutant(rigidity, "shear", moved_down)
+        report = rigidity.verify_dynamics(space_xy, space_z, seed=0, samples=25)
+        eq = next(c for c in report.checks if c.name == "equivariance_on_samples")
+        assert (eq.passed, eq.witness) == expected
+        assert eq.passed and eq.witness["tested"] == 25 * 9
 
 
 def _extends(rows, x):

@@ -1377,6 +1377,58 @@ class TestGatherOracle:
         assert acted > 200
 
 
+class TestGatherStart:
+    """Plans compress from their domain's first source bit, so one run of bits needs no move."""
+
+    @pytest.mark.parametrize("d", [3, 8, 12])
+    def test_diagonal_plan_of_the_box_2_cube_has_no_moves(self, d):
+        domain, start, mask, moves = windows._gather_plan(cube(d, 2), None, (1,) * d)
+        assert domain == Box((0,) * d, (1,) * d)
+        assert (start, mask, moves) == ((1 << d) - 1, 1, ())
+
+    def test_e0_plan_of_the_box_3_cube_at_d8_has_no_moves(self):
+        domain, start, mask, moves = windows._gather_plan(cube(8, 3), None, (1,) + (0,) * 7)
+        assert domain == Box((0,) * 8, (2,) + (3,) * 7)
+        assert (start, mask, moves) == (3**7, (1 << 2 * 3**7) - 1, ())
+
+    def test_restrict_and_apply_poly_from_a_nonzero_start(self):
+        rng = random.Random(16)
+        acted = 0
+        for _ in range(300):
+            d = rng.randint(1, 4)
+            lower = tuple(rng.randint(-4, -1) for _ in range(d))
+            box = Box(lower, tuple(l + rng.randint(2, 4) for l in lower))
+            x = WindowConfig(box, rng.getrandbits(box.site_count))
+            # the sub-box starts past the box's lower corner on one axis at least
+            moved = rng.randrange(d)
+            sub_lower = tuple(
+                rng.randint(l + (a == moved), u - 1)
+                for a, (l, u) in enumerate(zip(box.lower, box.upper))
+            )
+            sub = Box(sub_lower, tuple(rng.randint(l + 1, u) for l, u in zip(sub_lower, box.upper)))
+            assert windows._gather_plan(box, sub, (0,) * d)[1] > 0
+            y = windows.restrict(x, sub)
+            for site in sites(sub):
+                assert value(y, site) == value(x, site)
+            # terms in {0, 1, 2}^d, none zero, keep the box's lower corner
+            # and start past its first bit
+            offsets = [t for t in itertools.product(range(3), repeat=d) if any(t)]
+            p = LaurentPoly.from_terms(d, rng.sample(offsets, rng.randint(1, min(3, len(offsets)))))
+            domain = windows._overlap(box, p.terms)
+            if domain is None:
+                continue
+            assert all(windows._gather_plan(box, domain, t)[1] > 0 for t in p.terms)
+            acted += 1
+            y = windows.apply_poly(p, x)
+            assert y.box == domain
+            for site in sites(domain):
+                expected = 0
+                for t in p.terms:
+                    expected ^= value(x, tuple(i + e for i, e in zip(site, t)))
+                assert value(y, site) == expected
+        assert acted > 100
+
+
 class TestEntropyProfile:
     def test_even2_profile(self):
         assert windows.entropy_profile(e2(), [2, 3, 4]) == [

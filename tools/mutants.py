@@ -278,6 +278,21 @@ MUTANTS = [
         "if bits < 0",
     ),
     (
+        # a shift's gather reads its domain from bit 0 of the source, not
+        # from the domain's first source bit
+        "gather_ignores_its_start", W,
+        "        return WindowConfig(domain, _compress(x.bits >> start, mask, moves))\n",
+        "        return WindowConfig(domain, _compress(x.bits, mask, moves))\n",
+    ),
+    (
+        # a configuration on another box is gathered through the plan of
+        # the box the shift was validated on
+        "gather_reads_every_box_through_one_plan", W,
+        "        if x.box is not box and x.box != box:\n"
+        "            return shift_gather(x.box, mm)(x)\n",
+        "",
+    ),
+    (
         "shift_entries_truncated_by_int", W,
         "    mm = int_tuple(m, \"shift entries\")\n",
         "    mm = tuple(map(int, m))\n",
@@ -364,10 +379,18 @@ MUTANTS = [
         "        return all(windows_mod.contains(space, configs[b]) for b in set(xys[:64])), witness\n",
     ),
     (
+        # every shift's gathers go through the plan of the first unit shift;
+        # the shear commutes with that one too, so only a map that fails
+        # on some other shift, or a count of the plans, tells
+        "equivariance_gathers_every_shift_through_the_first_plan", R,
+        "                gathers.append((m, windows_mod.shift_gather(space_xy.box, m)))\n",
+        "                gathers.append((m, windows_mod.shift_gather(space_xy.box, shifts[0])))\n",
+    ),
+    (
         # a map that replaces x or y is compared against t's shifted x and y
         "equivariance_reuses_a_replaced_component", R,
-        "                    shifted.x if image.x is t.x else windows_mod.shift_restrict(image.x, m),\n"
-        "                    shifted.y if image.y is t.y else windows_mod.shift_restrict(image.y, m),\n",
+        "                    shifted.x if image.x is t.x else gather(image.x),\n"
+        "                    shifted.y if image.y is t.y else gather(image.y),\n",
         "                    shifted.x,\n"
         "                    shifted.y,\n",
     ),
