@@ -16,7 +16,7 @@ every stage that reads it.  The sweep calls the library's own ``shear``,
 the solutions form a linear space, sweeping the pairs (x, y, 0) decides
 every triple.  The involution sweep tiles all pairs into one
 configuration on a larger box and makes one double-shear call, which
-decides every pair at once because ``star`` and ``+`` act site by site.
+decides every pair at once because ``shear`` acts site by site.
 Both equivariance checks shift each configuration once: the sampled
 check shifts the image's x and y only when the map replaced them, and
 the toy sweep shifts only the configurations its lookups read.
@@ -72,19 +72,26 @@ class TripleSystem:
         object.__setattr__(self, "d", self.code.length)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TripleConfig:
-    """Three configurations on one shared box."""
+    """Three configurations on one shared box.
+
+    Like ``WindowConfig``, the ``__init__`` checks the boxes and writes
+    the fields through the class's own slot descriptors.
+    """
 
     x: WindowConfig
     y: WindowConfig
     z: WindowConfig
 
-    def __post_init__(self):
+    def __init__(self, x: WindowConfig, y: WindowConfig, z: WindowConfig):
         # identity first: the components of a triple almost always share one Box
-        box, y, z = self.x.box, self.y.box, self.z.box
-        if (y is not box and y != box) or (z is not box and z != box):
+        box = x.box
+        if (y.box is not box and y.box != box) or (z.box is not box and z.box != box):
             raise ValueError("components live on different boxes")
+        _set_triple_x(self, x)
+        _set_triple_y(self, y)
+        _set_triple_z(self, z)
 
     @property
     def box(self) -> Box:
@@ -92,6 +99,11 @@ class TripleConfig:
 
     def __add__(self, other: TripleConfig) -> TripleConfig:
         return TripleConfig(self.x + other.x, self.y + other.y, self.z + other.z)
+
+
+_set_triple_x = TripleConfig.x.__set__
+_set_triple_y = TripleConfig.y.__set__
+_set_triple_z = TripleConfig.z.__set__
 
 
 @dataclass
@@ -189,8 +201,14 @@ def construct_system(d: int) -> TripleSystem:
 
 
 def shear(t: TripleConfig) -> TripleConfig:
-    """The map (x, y, z) -> (x, y, x * y + z), sitewise."""
-    return TripleConfig(t.x, t.y, windows_mod.star(t.x, t.y) + t.z)
+    """The map (x, y, z) -> (x, y, x * y + z), site by site.
+
+    The image keeps t's own x and y and builds one new configuration,
+    x * y + z, straight from the bits; a triple's components share its
+    box, so no box check is repeated.
+    """
+    x, y = t.x, t.y
+    return TripleConfig(x, y, WindowConfig(x.box, x.bits & y.bits ^ t.z.bits))
 
 
 def second_difference(x: WindowConfig) -> TripleConfig:
@@ -435,10 +453,10 @@ def exhaustive_toy_report() -> VerificationReport:
     The sweep is tiled: a toy configuration is one byte, since the box
     has 8 sites, so pair k goes to block k of the box
     [0, 4096) x [0, 2)^3, whose site order puts that block at bits
-    8k .. 8k + 7 in the toy's own site order.  ``star`` and ``+`` act
-    site by site, so one double shear of the tiled triple equals the
-    tiled triple exactly when every pair's does, and one call decides
-    all 4,096.  Closure calls ``contains`` once on each distinct product,
+    8k .. 8k + 7 in the toy's own site order.  ``shear`` acts site by
+    site, so one double shear of the tiled triple equals the tiled
+    triple exactly when every pair's does, and one call decides all
+    4,096.  Closure calls ``contains`` once on each distinct product,
     a byte of xys, and equivariance ``shift_restrict`` once per shift for
     each configuration its lookups read: the bytes of xs, ys and xys,
     which are the 64 solutions, since x * y of two solutions is one.  A
@@ -458,7 +476,7 @@ def exhaustive_toy_report() -> VerificationReport:
         sols.extend([s ^ row for s in sols])
     sols.sort()
     # pair k = (sols[k // 64], sols[k % 64]) is byte k of xs and ys
-    xs = bytes(x for x in sols for _ in sols)
+    xs = b"".join([bytes((x,)) * len(sols) for x in sols])
     ys = bytes(sols) * len(sols)
     x_bits, y_bits = int.from_bytes(xs, "little"), int.from_bytes(ys, "little")
     xys = (x_bits & y_bits).to_bytes(len(xs), "little")

@@ -28,20 +28,26 @@ through a plan from one private ``lru_cache(maxsize=64)``: a domain,
 the source sub-box shifted down by ``start`` with its moves, so a gather
 compresses ``x.bits >> start``.  A sub-box that is one run of bits needs
 no move: the diagonal shift on [0, 2)^d keeps one site, and the unit
-shift e_0 of a cube keeps one run, where a mask left at ``start`` took d
-and, at d = 8 box 3, 5 moves over the whole configuration; at box 2 every
-other unit shift takes one move fewer.  A shift's plan is keyed by the
+shift e_0 of a cube keeps one run.  The moves are built on units: a
+unit is the stride of the last axis that the domain narrows, the axes
+after it being whole, so the mask is runs of one unit each and they
+move whole.  The d + 1 shifts of a box-3 cube take 59 moves at d = 8,
+91 at d = 10 and 128 at d = 12, where moves built on bits took 92, 145
+and 213; e_1 on [0, 3)^8 takes 2, not 10.  Box-2 plans keep their
+counts, e_j on [0, 2)^d taking j.  A shift's plan is keyed by the
 source box and the shift alone and builds the overlap domain itself, so
 that domain is built once per (box, shift) and every configuration
 shifted through the plan shares its ``Box``; box checks then end at the
-identity test.  ``shift_gather`` validates a shift and looks its plan up
-once, for every configuration it then shifts; ``shift_restrict`` is one
-such gather.  The benchmark's pass of seven verifies makes 1,861 plan
-lookups on 46 keys, all of them shifts, 1,792 of them from the toy
-sweep's ``shift_restrict`` calls and 69 (d + 1 a verify) from the
-sampled check: a fresh process builds the 46 plans (about 3 ms in all
-on a 2-vCPU VM, 0.3-0.6 ms for one ``verify -d 8 --box 2``) and hits
-1,815 times, and a later pass hits every lookup.
+identity test.  ``shift_gather`` and ``shift_restrict`` validate a shift
+and look its plan up through one private helper: ``shift_gather`` once,
+for every configuration it then shifts, and ``shift_restrict`` once per
+call, compressing straight through the plan.  The benchmark's pass of
+seven verifies makes 1,861 plan lookups on 46 keys, all of them
+shifts, 1,792 of them from the toy sweep's ``shift_restrict`` calls and
+69 (d + 1 a verify) from the sampled check: a fresh process builds the
+46 plans (2-3 ms in all on a 2-vCPU VM, 0.3-0.5 ms for the 13 of one
+``verify -d 8 --box 2``) and hits 1,815 times, and a later pass hits
+every lookup.
 
 A space is its box, code, plan and echelon.  It is eliminated once, when
 it is built: the plan streams its rows into the elimination one at a time,
@@ -214,18 +220,26 @@ def _int_field(box_data: dict, key: str) -> IntVector:
     return tuple(v)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WindowConfig:
-    """A GF(2) configuration on a box, bit-packed in site order."""
+    """A GF(2) configuration on a box, bit-packed in site order.
+
+    The ``__init__`` checks the bits and writes both fields through the
+    class's own slot descriptors, so a construction is one call with no
+    ``__post_init__`` and no generic ``object.__setattr__``; equality,
+    hashing, repr, ``dataclasses.replace`` and the frozen assignment
+    error are the dataclass's own.
+    """
 
     box: Box
     bits: int
 
-    def __post_init__(self):
+    def __init__(self, box: Box, bits: int):
         # a bit-length test needs no site_count-bit int (4,096 bits at d = 12)
-        bits = self.bits
-        if not isinstance(bits, int) or bits < 0 or bits.bit_length() > self.box.site_count:
+        if not isinstance(bits, int) or bits < 0 or bits.bit_length() > box.site_count:
             raise ValueError("bits must be an int with no bit outside the box")
+        _set_config_box(self, box)
+        _set_config_bits(self, bits)
 
     @classmethod
     def zero(cls, box: Box) -> WindowConfig:
@@ -267,6 +281,11 @@ class WindowConfig:
         if not isinstance(values, str):
             raise ValueError("values must be a string of 0 and 1")
         return cls(box, _bits_from_string(values, box))
+
+
+# the slot descriptors' own setters, which bypass the frozen class's __setattr__
+_set_config_box = WindowConfig.box.__set__
+_set_config_bits = WindowConfig.bits.__set__
 
 
 @dataclass(frozen=True)
@@ -335,24 +354,35 @@ def _stencil_plan(box: Box, dual_rows: Sequence[F2Vector]) -> StencilPlan:
     return StencilPlan(mask, taps)
 
 
-def _moves(mask: int, n: int) -> tuple[tuple[int, int], ...]:
+def _moves(mask: int, n: int, unit: int = 1) -> tuple[tuple[int, int], ...]:
     """The (bits, shift) moves of a compress to the n-bit ``mask`` (Hacker's Delight 7-4).
 
-    A mask bit with z clear bits below it moves by 2^r in round r when z
-    has bit r set; the prefix parity of ``zeros`` is that bit of every z.
+    The mask is runs of ``unit`` bits, each from a multiple of ``unit``,
+    and n is a multiple of ``unit``; the runs move whole, so the moves
+    are built on units.  A unit with z clear units below it moves by 2^r
+    units in round r when z has bit r set; the prefix parity of ``zeros``
+    is that bit of every z.  Each unit is tracked at its lowest bit
+    alone, and a move's bits mv widen to their runs, (mv << unit) - mv.
     """
     full = (1 << n) - 1
-    # complements of the n-bit full mask, so that no int is negative
-    zeros = (full ^ mask) << 1 & full
+    # bit k * unit for every unit, doubled up from bit 0 (a division of
+    # full by 2^unit - 1 costs n x unit); no int here is negative
+    starts, w = 1, unit
+    while w < n:
+        starts |= starts << w
+        w <<= 1
+    starts &= full
+    mask &= starts
+    zeros = (starts ^ mask) << unit & full
     moves = []
-    s = 1
+    s = unit
     while zeros:
         parity = zeros
-        for k in range((n - 1).bit_length()):
-            parity ^= parity << (1 << k)
+        for k in range((n // unit - 1).bit_length()):
+            parity ^= parity << (unit << k)
         mv = parity & mask
         if mv:
-            moves.append((mv, s))
+            moves.append(((mv << unit) - mv, s))
         mask = mask ^ mv | mv >> s
         zeros &= full ^ parity
         s <<= 1
@@ -688,7 +718,13 @@ def _gather_plan(
     first site, so the mask and its moves are built for the source
     sub-box shifted down to bit 0: a sub-box that is one run of bits
     needs no move at all, as the single site of the diagonal shift on
-    [0, 2)^d does.  A ``domain`` of None stands for the overlap of
+    [0, 2)^d does.  The unit is the stride of the last axis the domain
+    narrows (the first axis's when none is narrowed): every axis after
+    it is whole, so the mask is runs of one unit, each from a multiple
+    of the unit, and :func:`_moves` builds the moves on units, each move
+    widened to its runs and its shift a multiple of the unit.  e_1 on
+    [0, 3)^8 thus takes 2 moves of runs of 3^6 bits where a mask of bits
+    took 10.  A ``domain`` of None stands for the overlap of
     ``source`` with its shift by ``offset``, and the plan is None when
     that overlap is empty.  The overlap is then built once per (source,
     offset), and every configuration shifted through the plan shares
@@ -701,7 +737,10 @@ def _gather_plan(
     strides = _strides(source.shape)
     start = sum((i + v - l) * s for i, v, l, s in zip(domain.lower, offset, source.lower, strides))
     mask = _sub_box_mask(strides, 0, domain.shape)
-    return domain, start, mask, _moves(mask, mask.bit_length())
+    # the axes after the last narrowed one are whole: the mask is runs of
+    # that axis's stride, which move as units
+    last = max((a for a, (w, n) in enumerate(zip(domain.shape, source.shape)) if w != n), default=0)
+    return domain, start, mask, _moves(mask, mask.bit_length(), strides[last])
 
 
 def _overlap(box: Box, offsets: Iterable[IntVector]) -> Box | None:
@@ -721,6 +760,22 @@ def _overlap(box: Box, offsets: Iterable[IntVector]) -> Box | None:
     return Box(tuple(lo), tuple(hi))
 
 
+def _shift_plan(box: Box, m: Sequence[int]) -> tuple[IntVector, tuple[Box, int, int, tuple]]:
+    """The shift m read as ints, and its :func:`_gather_plan` on ``box``.
+
+    Raises:
+        ValueError: when an entry of ``m`` is not an integer, on an
+            arity mismatch, or when the overlap is empty.
+    """
+    mm = int_tuple(m, "shift entries")
+    if len(mm) != box.dimension:
+        raise ValueError("shift arity mismatch")
+    plan = _gather_plan(box, None, mm)
+    if plan is None:
+        raise ValueError("empty overlap: the shift moves the box off itself")
+    return mm, plan
+
+
 def shift_gather(box: Box, m: Sequence[int]) -> Callable[[WindowConfig], WindowConfig]:
     """The shift by m of configurations on ``box``, validated and planned once.
 
@@ -733,17 +788,11 @@ def shift_gather(box: Box, m: Sequence[int]) -> Callable[[WindowConfig], WindowC
         ValueError: when an entry of ``m`` is not an integer, on an
             arity mismatch, or when the overlap is empty.
     """
-    mm = int_tuple(m, "shift entries")
-    if len(mm) != box.dimension:
-        raise ValueError("shift arity mismatch")
-    plan = _gather_plan(box, None, mm)
-    if plan is None:
-        raise ValueError("empty overlap: the shift moves the box off itself")
-    domain, start, mask, moves = plan
+    mm, (domain, start, mask, moves) = _shift_plan(box, m)
 
     def gather(x: WindowConfig) -> WindowConfig:
         if x.box is not box and x.box != box:
-            return shift_gather(x.box, mm)(x)
+            return shift_restrict(x, mm)
         return WindowConfig(domain, _compress(x.bits >> start, mask, moves))
 
     return gather
@@ -755,14 +804,18 @@ def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:
     The result lives on the sites i of the box with i + m in the box,
     the single-offset case of the overlap rule ``apply_poly`` uses; the
     domain shrinks rather than padding.  Results of one box and shift
-    share one domain ``Box``.  A caller shifting many configurations by
-    one m validates and plans the shift once through :func:`shift_gather`.
+    share one domain ``Box``.  The shift is validated and its plan looked
+    up as :func:`shift_gather` does, by one private helper, and x is
+    compressed straight through the plan.  A caller shifting many
+    configurations by one m validates and plans the shift once through
+    :func:`shift_gather`.
 
     Raises:
         ValueError: when an entry of ``m`` is not an integer, on an
             arity mismatch, or when the overlap is empty.
     """
-    return shift_gather(x.box, m)(x)
+    domain, start, mask, moves = _shift_plan(x.box, m)[1]
+    return WindowConfig(domain, _compress(x.bits >> start, mask, moves))
 
 
 def restrict(x: WindowConfig, sub: Box) -> WindowConfig:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import json
 import random
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from oracles import (
     equivariance_per_triple,
     extension_constraints,
+    sites,
     toy_closure_full_table,
     toy_equivariance_full_table,
     toy_involution_per_pair,
+    value,
 )
 
 from starshift import codes, rigidity, windows
@@ -108,6 +111,25 @@ class TestTripleConfig:
             with pytest.raises(ValueError, match="different boxes"):
                 TripleConfig(*args)
 
+    def test_value_type_contract(self):
+        box = Box((-1, 0), (1, 2))
+        x, y, z = (WindowConfig(box, b) for b in (0b1001, 0b0110, 0b0011))
+        t = TripleConfig(x, y, z)
+        twin = TripleConfig(*(WindowConfig(Box((-1, 0), (1, 2)), c.bits) for c in (x, y, z)))
+        assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+        assert t != TripleConfig(x, y, x)
+        assert not hasattr(t, "__dict__")
+        for name in ("x", "y", "z"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, x)
+        assert dataclasses.replace(t, z=x) == TripleConfig(x, y, x)
+        assert TripleConfig(x=x, y=y, z=z) == t
+        # replace builds through __init__, so the box check runs again
+        moved = WindowConfig.zero(Box((0, 0), (2, 2)))
+        for name in ("x", "y", "z"):
+            with pytest.raises(ValueError, match="^components live on different boxes$"):
+                dataclasses.replace(t, **{name: moved})
+
     def test_componentwise_addition(self):
         box = cube(2, 2)
         a = random_triple(random.Random(1), box)
@@ -127,6 +149,20 @@ class TestShear:
             WindowConfig(box, zb & mask),
         )
         assert shear(shear(t)) == t
+
+    def test_matches_the_oracle_site_by_site(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            d = rng.randint(1, 4)
+            lower = tuple(rng.randint(-3, -1) for _ in range(d))
+            box = Box(lower, tuple(l + rng.randint(1, 3) for l in lower))
+            t = random_triple(rng, box)
+            u = shear(t)
+            assert u.x is t.x and u.y is t.y
+            assert u.z.box == box
+            for site in sites(box):
+                expected = value(t.x, site) & value(t.y, site) ^ value(t.z, site)
+                assert value(u.z, site) == expected
 
     def test_fixed_examples(self):
         box = cube(2, 2)

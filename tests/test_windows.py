@@ -225,6 +225,9 @@ class TestIntegerArguments:
             windows.entropy_profile(e2(), [2, "3"])
 
 
+BITS_ERROR = "^bits must be an int with no bit outside the box$"
+
+
 class TestWindowConfig:
     def test_values_and_bits(self):
         b = cube(2, 2)
@@ -254,12 +257,12 @@ class TestWindowConfig:
             assert WindowConfig(box, (1 << n) - 1).bits == (1 << n) - 1
             assert WindowConfig(box, 1 << (n - 1)).bits == 1 << (n - 1)
             for bad in (1 << n, (1 << (n + 5)) | 1, -1):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=BITS_ERROR):
                     WindowConfig(box, bad)
 
     @pytest.mark.parametrize("bits", [1.5, 1.0, 0.0, Fraction(1), "1", None])
     def test_non_integer_bits_rejected(self, bits):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=BITS_ERROR):
             WindowConfig(cube(2, 2), bits)
 
     def test_addition_needs_equal_boxes_not_the_same_object(self):
@@ -288,6 +291,26 @@ class TestWindowConfig:
         assert s == "".join(str((x.bits >> k) & 1) for k in range(box.site_count))
         assert WindowConfig.from_json_dict(json.loads(json.dumps(x.to_json_dict()))) == x
         assert WindowConfig(box, int(s[::-1], 2)) == x
+
+    def test_value_type_contract(self):
+        # the hand-written __init__ keeps every dataclass behaviour but __post_init__
+        x = WindowConfig(Box((-1, 0), (1, 2)), 0b1001)
+        twin = WindowConfig(Box((-1, 0), (1, 2)), 0b1001)
+        assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+        assert repr(x) == "WindowConfig(box=Box(lower=(-1, 0), upper=(1, 2)), bits=9)"
+        assert x != WindowConfig(x.box, 0b1000)
+        assert not hasattr(x, "__dict__")
+        for name, v in [("bits", 0), ("box", cube(2, 2))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, v)
+        assert dataclasses.replace(x, bits=0b0110) == WindowConfig(x.box, 0b0110)
+        assert WindowConfig(box=x.box, bits=0b1001) == x
+        # replace builds through __init__, so the checks run again
+        for bad in (1 << 4, -1, 1.0):
+            with pytest.raises(ValueError, match=BITS_ERROR):
+                dataclasses.replace(x, bits=bad)
+        with pytest.raises(ValueError, match=BITS_ERROR):
+            dataclasses.replace(x, box=cube(1, 2))
 
     @pytest.mark.parametrize("values", ["01 1", " 101", "0121", "1_01", "+101", "01o1", "010\n"])
     def test_bad_characters_rejected(self, values):
@@ -1048,6 +1071,39 @@ class TestShiftRestrict:
             assert a.box is b.box
         assert windows.shift_restrict(x, (1, 0, 0)).box != windows.shift_restrict(x, (0, 1, 0)).box
 
+    @pytest.mark.parametrize(
+        "m, match",
+        [
+            ((1, 0, 0), "arity mismatch"),
+            ((1,), "arity mismatch"),
+            ((0.5, 0), "integers"),
+            (("1", 0), "integers"),
+            ((3, 0), "empty overlap"),
+            ((0, -3), "empty overlap"),
+        ],
+    )
+    def test_gather_raises_as_shift_restrict_does(self, m, match):
+        x = WindowConfig(cube(2, 3), 0b110101101)
+        with pytest.raises(ValueError, match=match) as restricted:
+            windows.shift_restrict(x, m)
+        with pytest.raises(ValueError, match=match) as gathered:
+            windows.shift_gather(x.box, m)
+        assert str(restricted.value) == str(gathered.value)
+
+    def test_shift_restrict_equals_the_gather(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            d = rng.randint(1, 4)
+            lower = tuple(rng.randint(-3, 1) for _ in range(d))
+            box = Box(lower, tuple(l + rng.randint(1, 4) for l in lower))
+            x = WindowConfig(box, rng.getrandbits(box.site_count))
+            m = tuple(rng.randint(-2, 2) for _ in range(d))
+            if windows._overlap(box, (m,)) is None:
+                continue
+            y = windows.shift_restrict(x, m)
+            assert y == windows.shift_gather(box, m)(x)
+            assert y.box is windows.shift_gather(box, m)(x).box
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_gather_oracle(self, data):
@@ -1390,6 +1446,21 @@ class TestGatherStart:
         domain, start, mask, moves = windows._gather_plan(cube(8, 3), None, (1,) + (0,) * 7)
         assert domain == Box((0,) * 8, (2,) + (3,) * 7)
         assert (start, mask, moves) == (3**7, (1 << 2 * 3**7) - 1, ())
+
+    def test_e1_plan_of_the_box_3_cube_at_d8_moves_whole_units(self):
+        # axes 2..7 are whole, so the plan moves runs of 3^6 bits, twice
+        domain, start, mask, moves = windows._gather_plan(cube(8, 3), None, (0, 1) + (0,) * 6)
+        unit = 3**6
+        assert (start, len(moves)) == (unit, 2)
+        assert [s for _, s in moves] == [unit, 2 * unit]
+        # the widened mask is the sub-box's mask at bit level
+        assert mask == windows._sub_box_mask(windows._strides((3,) * 8), 0, (3, 2) + (3,) * 6)
+
+    @pytest.mark.parametrize("d", [3, 8, 12])
+    def test_unit_shift_plans_of_the_box_2_cube_take_j_moves(self, d):
+        for j in range(d):
+            m = tuple(int(a == j) for a in range(d))
+            assert len(windows._gather_plan(cube(d, 2), None, m)[3]) == j
 
     def test_restrict_and_apply_poly_from_a_nonzero_start(self):
         rng = random.Random(16)

@@ -64,8 +64,8 @@ MUTANTS = [
     ),
     (
         "moves_without_full_truncation", W,
-        "    zeros = (full ^ mask) << 1 & full\n",
-        "    zeros = (full ^ mask) << 1\n",
+        "    zeros = (starts ^ mask) << unit & full\n",
+        "    zeros = (starts ^ mask) << unit\n",
     ),
     (
         "sub_box_mask_one_copy_short_per_axis", W,
@@ -269,8 +269,8 @@ MUTANTS = [
     ),
     (
         "bits_bound_rejects_the_top_site", W,
-        "bits.bit_length() > self.box.site_count",
-        "bits.bit_length() >= self.box.site_count",
+        "bits.bit_length() > box.site_count",
+        "bits.bit_length() >= box.site_count",
     ),
     (
         "bits_type_check_dropped", W,
@@ -289,8 +289,25 @@ MUTANTS = [
         # the box the shift was validated on
         "gather_reads_every_box_through_one_plan", W,
         "        if x.box is not box and x.box != box:\n"
-        "            return shift_gather(x.box, mm)(x)\n",
+        "            return shift_restrict(x, mm)\n",
         "",
+    ),
+    (
+        # shift_restrict reads its domain from bit 0 of the source; a
+        # sitewise map commutes with that selection too, so the toy sweep
+        # cannot see it and the gather oracles must
+        "shift_restrict_ignores_its_start", W,
+        "    domain, start, mask, moves = _shift_plan(x.box, m)[1]\n"
+        "    return WindowConfig(domain, _compress(x.bits >> start, mask, moves))\n",
+        "    domain, start, mask, moves = _shift_plan(x.box, m)[1]\n"
+        "    return WindowConfig(domain, _compress(x.bits, mask, moves))\n",
+    ),
+    (
+        # a plan's moves shift their runs by a count of units read as
+        # bits; plans of unit 1, and so every draw, are untouched
+        "gather_moves_unscaled_by_the_unit", W,
+        "    s = unit\n",
+        "    s = 1\n",
     ),
     (
         "shift_entries_truncated_by_int", W,
@@ -310,8 +327,15 @@ MUTANTS = [
     ),
     (
         "triple_checks_only_x_against_y", R,
-        "        if (y is not box and y != box) or (z is not box and z != box):\n",
-        "        if y is not box and y != box:\n",
+        "        if (y.box is not box and y.box != box) or (z.box is not box and z.box != box):\n",
+        "        if y.box is not box and y.box != box:\n",
+    ),
+    (
+        # the shear's image keeps x * y and drops z: still shift-commuting
+        # and not affine, but no involution
+        "shear_without_its_z_term", R,
+        "WindowConfig(x.box, x.bits & y.bits ^ t.z.bits)",
+        "WindowConfig(x.box, x.bits & y.bits)",
     ),
     (
         "shifts_without_the_diagonal", R,
