@@ -12,14 +12,15 @@ standard family of such pairs, checks the premises exactly, and runs the
 dynamical checks on sampled windows plus one exhaustive toy sweep.  A
 verification builds each window space of its box once and hands it to
 every stage that reads it.  The sweep calls the library's own ``shear``,
-``contains`` and ``shift_restrict``; since the shear moves only z and
+``contains`` and ``shift_gather``; since the shear moves only z and
 the solutions form a linear space, sweeping the pairs (x, y, 0) decides
 every triple.  The involution sweep tiles all pairs into one
 configuration on a larger box and makes one double-shear call, which
 decides every pair at once because ``shear`` acts site by site.
-Both equivariance checks shift each configuration once: the sampled
-check shifts the image's x and y only when the map replaced them, and
-the toy sweep shifts only the configurations its lookups read.
+Both equivariance checks shift through one ``shift_gather`` per shift
+and shift each configuration once: the sampled check shifts the image's
+x and y only when the map replaced them, and the toy sweep shifts only
+the configurations its lookups read.
 """
 
 from __future__ import annotations
@@ -352,7 +353,7 @@ def verify_dynamics(
     the image's z, and the image's x or y only when it is not the
     triple's own object; the library ``shear`` returns them unchanged, so
     their shifts are already made.  An image component on another box is
-    gathered through its own box's plan, as ``shift_restrict`` would.
+    gathered through its own box's plan, by ``shift_gather`` on that box.
 
     Raises:
         ValueError: when the spaces lie on different boxes, or ``samples``
@@ -442,7 +443,7 @@ def exhaustive_toy_report() -> VerificationReport:
 
     The toy is the 2x2x2 box with the repetition code as its own product
     code; its 64 window solutions form a linear space.  The shear moves
-    only z, to x * y + z, and ``shift_restrict`` is linear, so z drops
+    only z, to x * y + z, and a shift is linear, so z drops
     out of every check: the double shear returns x * y + (x * y + z) = z,
     x * y + z is a solution exactly when x * y is, and on the z component
     the sides of equivariance differ by shift(x) * shift(y) against
@@ -457,15 +458,16 @@ def exhaustive_toy_report() -> VerificationReport:
     site, so one double shear of the tiled triple equals the tiled
     triple exactly when every pair's does, and one call decides all
     4,096.  Closure calls ``contains`` once on each distinct product,
-    a byte of xys, and equivariance ``shift_restrict`` once per shift for
-    each configuration its lookups read: the bytes of xs, ys and xys,
+    a byte of xys.  Equivariance builds one :func:`windows.shift_gather`
+    per shift on the toy box, as the sampled check does, and applies it
+    to each configuration its lookups read: the bytes of xs, ys and xys,
     which are the 64 solutions, since x * y of two solutions is one.  A
     configuration that no check reads is never built, and a table entry
     that no lookup reads stays 0 and cannot change the verdict.  Only the
     lookup of the shifted x, y and x * y runs over the tiled bytes.
-    ``shift_restrict`` is not tiled itself: a fault at one site of its
-    output, such as a flipped bit 0, would then touch only block 0, the
-    pair (0, 0), where it cancels.
+    The gather is not tiled itself: a fault at one site of its output,
+    such as a flipped bit 0, would then touch only block 0, the pair
+    (0, 0), where it cancels.
     """
     code = codes_mod.repetition_code(3)
     system = TripleSystem(code, code)
@@ -502,9 +504,10 @@ def exhaustive_toy_report() -> VerificationReport:
 
     def equivariance() -> tuple[bool, object]:
         for m in shifts:
+            gather = windows_mod.shift_gather(box, m)
             t = bytearray(1 << space.site_count)
             for b, c in configs.items():
-                t[b] = windows_mod.shift_restrict(c, m).bits
+                t[b] = gather(c).bits
             sx, sy, sxy = (int.from_bytes(b.translate(t), "little") for b in (xs, ys, xys))
             if sx & sy != sxy:
                 return False, witness

@@ -20,9 +20,10 @@ shifted to every anchor bit.  Solution counting is exact rank arithmetic.
 Bits move by one primitive (Warren, *Hacker's Delight*, 7-4 and 7-5):
 ``_moves`` turns a mask into at most ceil(log2(sites)) (bits, shift)
 moves, ``_compress`` packs the bits under the mask into the low bits in
-order, and ``_expand`` undoes it with the moves reversed, each ANDing with
-the positive complement of its bits in the mask's width rather than with a
-negative int, which CPython handles slowly.  Gathers compress
+order, and ``_spread`` undoes it by the steps of ``_expand_steps``, the
+moves reversed, each ANDing with the positive complement of its bits in
+the mask's width rather than with a negative int, which CPython handles
+slowly.  Gathers compress
 through a plan from one private ``lru_cache(maxsize=64)``: a domain,
 ``start``, the source bit of the domain's first site, and the mask of
 the source sub-box shifted down by ``start`` with its moves, so a gather
@@ -38,16 +39,16 @@ counts, e_j on [0, 2)^d taking j.  A shift's plan is keyed by the
 source box and the shift alone and builds the overlap domain itself, so
 that domain is built once per (box, shift) and every configuration
 shifted through the plan shares its ``Box``; box checks then end at the
-identity test.  ``shift_gather`` and ``shift_restrict`` validate a shift
-and look its plan up through one private helper: ``shift_gather`` once,
-for every configuration it then shifts, and ``shift_restrict`` once per
-call, compressing straight through the plan.  The benchmark's pass of
-seven verifies makes 1,861 plan lookups on 46 keys, all of them
-shifts, 1,792 of them from the toy sweep's ``shift_restrict`` calls and
-69 (d + 1 a verify) from the sampled check: a fresh process builds the
-46 plans (2-3 ms in all on a 2-vCPU VM, 0.3-0.5 ms for the 13 of one
-``verify -d 8 --box 2``) and hits 1,815 times, and a later pass hits
-every lookup.
+identity test.  Shifts take one path: ``shift_gather`` validates a shift
+and looks its plan up once, for every configuration it then shifts, and
+``shift_restrict`` is one call of it.  Both of a verification's
+equivariance checks gather each shift through one ``shift_gather``, so
+one verify makes d + 5 plan lookups, the sampled check's d + 1 and the
+toy sweep's 4, each on its own key.  The benchmark's pass of seven
+verifies makes 97 plan lookups on 46 keys, all of them shifts: a fresh
+process builds the 46 plans (2-3 ms in all on a 2-vCPU VM, 0.3-0.5 ms
+for the 13 of one ``verify -d 8 --box 2``), so a fresh CLI verify makes
+no hit, and the cache serves repeated calls in one process.
 
 A space is its box, code, plan and echelon.  It is eliminated once, when
 it is built: the plan streams its rows into the elimination one at a time,
@@ -415,11 +416,6 @@ def _spread(x: int, mask: int, steps: Sequence[tuple[int, int, int]]) -> int:
     return x & mask
 
 
-def _expand(x: int, mask: int, moves: Sequence[tuple[int, int]]) -> int:
-    """The low bits of x spread in order onto ``mask``: the moves reversed (7-5)."""
-    return _spread(x, mask, _expand_steps(mask, moves))
-
-
 # Rounds drawn at a time, so that a batch's masks, byte matrix and parity
 # rows hold at most this many entries per place of its space in a round.
 _DRAW_CHUNK = 256
@@ -760,8 +756,15 @@ def _overlap(box: Box, offsets: Iterable[IntVector]) -> Box | None:
     return Box(tuple(lo), tuple(hi))
 
 
-def _shift_plan(box: Box, m: Sequence[int]) -> tuple[IntVector, tuple[Box, int, int, tuple]]:
-    """The shift m read as ints, and its :func:`_gather_plan` on ``box``.
+def shift_gather(box: Box, m: Sequence[int]) -> Callable[[WindowConfig], WindowConfig]:
+    """The shift by m of configurations on ``box``, validated and planned once.
+
+    The gather maps x to y(i) = x(i + m) on the overlap domain, the
+    sites i of ``box`` with i + m in ``box``; all its results share that
+    domain's ``Box``.  The shift's :func:`_gather_plan` is looked up
+    once, here, and each configuration on ``box`` is compressed straight
+    through it.  A configuration on another box is gathered through
+    ``shift_gather(x.box, m)``, that box's own plan.
 
     Raises:
         ValueError: when an entry of ``m`` is not an integer, on an
@@ -773,49 +776,31 @@ def _shift_plan(box: Box, m: Sequence[int]) -> tuple[IntVector, tuple[Box, int, 
     plan = _gather_plan(box, None, mm)
     if plan is None:
         raise ValueError("empty overlap: the shift moves the box off itself")
-    return mm, plan
-
-
-def shift_gather(box: Box, m: Sequence[int]) -> Callable[[WindowConfig], WindowConfig]:
-    """The shift by m of configurations on ``box``, validated and planned once.
-
-    The gather maps x to y(i) = x(i + m) on the overlap domain, as
-    :func:`shift_restrict` does; all its results share that domain's
-    ``Box``.  A configuration on another box is gathered through its own
-    box's plan, so the gather equals ``shift_restrict(x, m)`` for every x.
-
-    Raises:
-        ValueError: when an entry of ``m`` is not an integer, on an
-            arity mismatch, or when the overlap is empty.
-    """
-    mm, (domain, start, mask, moves) = _shift_plan(box, m)
+    domain, start, mask, moves = plan
 
     def gather(x: WindowConfig) -> WindowConfig:
         if x.box is not box and x.box != box:
-            return shift_restrict(x, mm)
+            return shift_gather(x.box, mm)(x)
         return WindowConfig(domain, _compress(x.bits >> start, mask, moves))
 
     return gather
 
 
 def shift_restrict(x: WindowConfig, m: Sequence[int]) -> WindowConfig:
-    """Shifted configuration y(i) = x(i + m) on the overlap domain.
+    """Shifted configuration y(i) = x(i + m) on the overlap domain: one :func:`shift_gather`.
 
     The result lives on the sites i of the box with i + m in the box,
     the single-offset case of the overlap rule ``apply_poly`` uses; the
     domain shrinks rather than padding.  Results of one box and shift
-    share one domain ``Box``.  The shift is validated and its plan looked
-    up as :func:`shift_gather` does, by one private helper, and x is
-    compressed straight through the plan.  A caller shifting many
-    configurations by one m validates and plans the shift once through
-    :func:`shift_gather`.
+    share one domain ``Box``.  Each call validates and plans the shift;
+    a caller shifting many configurations by one m calls
+    :func:`shift_gather` once and applies its gather to each.
 
     Raises:
         ValueError: when an entry of ``m`` is not an integer, on an
             arity mismatch, or when the overlap is empty.
     """
-    domain, start, mask, moves = _shift_plan(x.box, m)[1]
-    return WindowConfig(domain, _compress(x.bits >> start, mask, moves))
+    return shift_gather(x.box, m)(x)
 
 
 def restrict(x: WindowConfig, sub: Box) -> WindowConfig:

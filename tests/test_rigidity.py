@@ -511,13 +511,8 @@ class TestExhaustiveToyMutants:
         assert toy_mutant(rigidity, "shear", mutant) == {"toy_nonaffine_witness"}
 
     def test_shift_restrict_flipping_bit_zero(self, toy_mutant):
-        original = windows.shift_restrict
-
-        def mutant(x, m):
-            y = original(x, m)
-            return WindowConfig(y.box, y.bits ^ 1)
-
-        failed = toy_mutant(windows, "shift_restrict", mutant)
+        # the sweep shifts through shift_gather, as shift_restrict does
+        failed = toy_mutant(windows, "shift_gather", _flip_bit_zero(windows.shift_gather))
         assert failed == {"toy_exhaustive_equivariance"}
 
     @pytest.mark.parametrize(
@@ -531,9 +526,9 @@ class TestExhaustiveToyMutants:
         ids=["library", "bit_zero_flipped", "top_bit_flipped", "zero"],
     )
     def test_read_bytes_give_the_full_table_verdict(self, toy_mutant, fault, verdict):
-        # the sweep shifts only the configurations its lookups read
-        original = windows.shift_restrict
-        failed = toy_mutant(windows, "shift_restrict", lambda x, m: fault(original(x, m)))
+        # the sweep shifts only the configurations its lookups read; the
+        # faulted gather reaches shift_restrict, and so the full table, too
+        failed = toy_mutant(windows, "shift_gather", _fault_every_gather(fault)(windows.shift_gather))
         swept = "toy_exhaustive_equivariance" not in failed
         assert swept == toy_equivariance_full_table(windows.shift_restrict) == verdict
 
@@ -546,12 +541,20 @@ class TestExhaustiveToyMutants:
         assert toy_mutant(windows, "contains", mutant) == {"toy_exhaustive_closure"}
 
 
-def _flip_bit_zero(original):
-    def mutant(x, m):
-        y = original(x, m)
-        return WindowConfig(y.box, y.bits ^ 1)
+def _fault_every_gather(fault):
+    """A maker of ``shift_gather`` mutants whose gathers pass each result through ``fault``."""
 
-    return mutant
+    def make(original):
+        def mutant(box, m):
+            gather = original(box, m)
+            return lambda x: fault(gather(x))
+
+        return mutant
+
+    return make
+
+
+_flip_bit_zero = _fault_every_gather(lambda y: WindowConfig(y.box, y.bits ^ 1))
 
 
 def _reject_all_ones(original):
@@ -588,7 +591,7 @@ class TestTiledToyInvolution:
             (rigidity, "shear", lambda _: non_involutive),
             (rigidity, "shear", lambda _: affine_impostor),
             (rigidity, "shear", lambda _: _stuck_where_only_y_is_set),
-            (windows, "shift_restrict", _flip_bit_zero),
+            (windows, "shift_gather", _flip_bit_zero),
             (windows, "contains", _reject_all_ones),
         ],
         ids=[
@@ -639,19 +642,6 @@ class TestToyClosure:
         swept = "toy_exhaustive_closure" not in failed
         space = build_window_space(cube(3, 2), codes.repetition_code(3))
         assert swept == toy_closure_full_table(lambda x: windows.contains(space, x)) == verdict
-
-
-def _count_shifts(mutant) -> list:
-    """Patch ``windows.shift_restrict`` to record the shift of each call; returns the record."""
-    made = []
-    original = windows.shift_restrict
-
-    def counting(x, m):
-        made.append(m)
-        return original(x, m)
-
-    mutant(windows, "shift_restrict", counting)
-    return made
 
 
 def _count_gathers(mutant) -> tuple[list, list]:
@@ -717,16 +707,35 @@ class TestSampledEquivariance:
 
     @pytest.mark.parametrize("d, calls", [(8, 1156), (12, 1556)])
     def test_verification_makes_the_pinned_shift_calls(self, mutant, d, calls):
-        # 4 shifts x 64 toy solutions through shift_restrict, then 25
-        # triples x (d + 1) shifts x 4 sampled gathers, each shift planned once
-        made = _count_shifts(mutant)
+        # 4 shifts x 64 toy solutions, then 25 triples x (d + 1) shifts x 4
+        # sampled gathers, each shift of either check planned once
         lookups, gathers = _count_gathers(mutant)
         assert rigidity.run_full_verification(d, box_size=2, samples=100, seed=3).passed
+        toy = [m for dim, m in gathers if dim == 3]
         sampled = [m for dim, m in gathers if dim == d]
-        assert len(made) == 4 * 64
+        assert len(toy) == 4 * 64
         assert len(sampled) == 100 * (d + 1)
+        assert [m for dim, m in lookups if dim == 3] == rigidity._shifts(3)
         assert [m for dim, m in lookups if dim == d] == rigidity._shifts(d)
-        assert len(made) + len(sampled) == calls
+        assert len(toy) + len(sampled) == calls
+
+    @pytest.mark.parametrize("d, box_size", [(8, 2), (12, 2), (8, 3)])
+    def test_a_gather_fault_fails_both_equivariance_checks(self, mutant, d, box_size):
+        # both checks shift through shift_gather, so one fault there reaches both
+        mutant(windows, "shift_gather", _flip_bit_zero(windows.shift_gather))
+        report = rigidity.run_full_verification(d, box_size=box_size, seed=3)
+        assert failed_checks(report) == {
+            "dynamics:equivariance_on_samples",
+            "dynamics:toy_exhaustive_equivariance",
+        }
+
+    def test_a_fresh_verification_looks_each_plan_up_once(self):
+        # d + 1 sampled shifts and the toy's 4, none looked up twice
+        rigidity.exhaustive_toy_report.cache_clear()
+        windows._gather_plan.cache_clear()
+        assert rigidity.run_full_verification(8).passed
+        info = windows._gather_plan.cache_info()
+        assert (info.hits + info.misses, info.hits) == (13, 0)
 
     @pytest.mark.parametrize(
         "make, per_pair", [(shear, 4), (fresh_copies, 6)], ids=["shear", "fresh_copies"]

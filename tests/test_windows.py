@@ -1301,6 +1301,11 @@ def bit_masks(draw):
     return n, mask
 
 
+def _expand(x: int, mask: int, moves) -> int:
+    """The low bits of x spread in order onto ``mask``, the inverse of ``_compress``."""
+    return windows._spread(x, mask, windows._expand_steps(mask, moves))
+
+
 class TestCompressExpand:
     """The bit-permutation primitive against bit-by-bit compress and expand."""
 
@@ -1311,8 +1316,8 @@ class TestCompressExpand:
         x = data.draw(st.integers(0, (1 << (n + 8)) - 1))
         assert windows._compress(x, mask, moves) == compress_bits(x, mask)
         v = data.draw(st.integers(0, (1 << mask.bit_count()) - 1))
-        assert windows._expand(v, mask, moves) == expand_bits(v, mask)
-        assert windows._compress(windows._expand(v, mask, moves), mask, moves) == v
+        assert _expand(v, mask, moves) == expand_bits(v, mask)
+        assert windows._compress(_expand(v, mask, moves), mask, moves) == v
 
     @pytest.mark.deadline(1.0)
     def test_moves_end_on_a_few_masks(self):
@@ -1331,7 +1336,7 @@ class TestCompressExpand:
             for mask in range(1 << n):
                 moves = windows._moves(mask, n)
                 for v in range(1 << mask.bit_count()):
-                    spread = windows._expand(v, mask, moves)
+                    spread = _expand(v, mask, moves)
                     assert spread == expand_bits(v, mask)
                     assert windows._compress(spread, mask, moves) == v
                 for x in range(1 << n):

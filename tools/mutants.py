@@ -289,18 +289,15 @@ MUTANTS = [
         # the box the shift was validated on
         "gather_reads_every_box_through_one_plan", W,
         "        if x.box is not box and x.box != box:\n"
-        "            return shift_restrict(x, mm)\n",
+        "            return shift_gather(x.box, mm)(x)\n",
         "",
     ),
     (
-        # shift_restrict reads its domain from bit 0 of the source; a
-        # sitewise map commutes with that selection too, so the toy sweep
-        # cannot see it and the gather oracles must
-        "shift_restrict_ignores_its_start", W,
-        "    domain, start, mask, moves = _shift_plan(x.box, m)[1]\n"
-        "    return WindowConfig(domain, _compress(x.bits >> start, mask, moves))\n",
-        "    domain, start, mask, moves = _shift_plan(x.box, m)[1]\n"
-        "    return WindowConfig(domain, _compress(x.bits, mask, moves))\n",
+        # shift_restrict reads its shift's axes in reverse; the toy sweep
+        # and the sampled check never call it, so the gather oracles must
+        "shift_restrict_reverses_its_shift", W,
+        "    return shift_gather(x.box, m)(x)\n",
+        "    return shift_gather(x.box, m[::-1])(x)\n",
     ),
     (
         # a plan's moves shift their runs by a count of units read as
@@ -409,6 +406,14 @@ MUTANTS = [
         "equivariance_gathers_every_shift_through_the_first_plan", R,
         "                gathers.append((m, windows_mod.shift_gather(space_xy.box, m)))\n",
         "                gathers.append((m, windows_mod.shift_gather(space_xy.box, shifts[0])))\n",
+    ),
+    (
+        # every toy shift's gathers go through the plan of the first unit
+        # shift; the shear commutes with that one too, so only a count of
+        # the plans tells
+        "toy_gathers_every_shift_through_the_first_plan", R,
+        "            gather = windows_mod.shift_gather(box, m)\n",
+        "            gather = windows_mod.shift_gather(box, shifts[0])\n",
     ),
     (
         # a map that replaces x or y is compared against t's shifted x and y
