@@ -77,7 +77,9 @@ class BinaryCode:
     ``length`` and ``echelon``, each row keyed by its pivot (its lowest
     set bit) and shifted down to it, which equality, hashing and repr
     ignore.  The dual code is derived on first use and held, so
-    :func:`dual` reduces a code's kernel rows once.
+    :func:`dual` reduces a code's kernel rows once.  The hash,
+    ``hash((basis,))``, is computed once per code, as for ``Box``, so
+    the caches keyed on codes do not rehash the basis rows per lookup.
     """
 
     basis: F2Matrix
@@ -102,12 +104,19 @@ class BinaryCode:
         object.__setattr__(self, "length", self.basis.cols)
         object.__setattr__(self, "echelon", echelon)
 
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def dim(self) -> int:
         return self.basis.num_rows
 
-    # cached_property writes to the instance __dict__, outside the fields
-    # that equality, hashing and repr read
+    # each computed once per code; cached_property writes to the instance
+    # __dict__, outside the fields that equality, hashing and repr read
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.basis,))
+
     @functools.cached_property
     def _dual(self) -> BinaryCode:
         kernel = gf2.kernel_rows(*gf2.back_substitute(self.echelon), self.length)
@@ -300,10 +309,20 @@ def weight_class(c: BinaryCode) -> str:
 
 
 def support_sum(n: Sequence[int], v: F2Vector) -> int:
-    """Sum of the entries of the integer vector ``n`` over the support of ``v``."""
+    """Sum of the entries of the integer vector ``n`` over the support of ``v``.
+
+    The set bits of ``v.bits`` are walked lowest first, so a query costs
+    one addition per set bit and builds no support tuple.
+    """
     if len(n) != v.length:
         raise ValueError("length mismatch")
-    return sum(n[j] for j in v.support())
+    total = 0
+    b = v.bits
+    while b:
+        low = b & -b
+        total += n[low.bit_length() - 1]
+        b ^= low
+    return total
 
 
 def _columns(c: BinaryCode) -> Iterable[tuple[str, ...]]:

@@ -233,10 +233,21 @@ _MIXING_SAMPLES = 50  # vectors n drawn by each mixing check
 
 
 def _random_nonzero_int_vector(rng: random.Random, d: int) -> tuple[int, ...]:
+    # each entry is drawn as CPython's randint(-B, B) draws it, without its
+    # call chain: k = (2B + 1).bit_length() bits, redrawn while they reach
+    # the width 2B + 1, then moved down by B; a zero vector is redrawn whole
+    width = 2 * _MIXING_BOUND + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        n = tuple(rng.randint(-_MIXING_BOUND, _MIXING_BOUND) for _ in range(d))
+        n = []
+        for _ in range(d):
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            n.append(r - _MIXING_BOUND)
         if any(n):
-            return n
+            return tuple(n)
 
 
 def _proper(c: BinaryCode) -> tuple[bool, object]:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -359,6 +360,9 @@ class TestSupportSum:
         r1 = F2Vector.from_string("11110000")
         assert codes.support_sum((3, -1, 2, 0, 0, 0, 0, 0), r1) == 4
         assert codes.support_sum((5,) * 8, F2Vector(8, 0)) == 0
+        n = tuple(range(-20, 20))
+        assert codes.support_sum(n, F2Vector.ones(40)) == sum(n)
+        assert codes.support_sum(n, F2Vector(40, 1 << 39)) == 19
         with pytest.raises(ValueError):
             codes.support_sum((1, 2), F2Vector(3, 0))
 
@@ -384,6 +388,57 @@ class TestSupportSum:
             - codes.support_sum(m, x + y)
         )
         assert lhs == rhs
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d),
+                st.one_of(
+                    st.just(0), st.just((1 << d) - 1), st.integers(0, (1 << d) - 1)
+                ),
+            )
+        )
+    )
+    def test_agrees_with_the_site_oracle(self, data):
+        n, bits = data
+        v = F2Vector(len(n), bits)
+        expected = sum(n[j] for j in range(len(n)) if v.bits >> j & 1)
+        assert codes.support_sum(n, v) == expected
+        with pytest.raises(ValueError, match="length mismatch"):
+            codes.support_sum(n + [0], v)
+
+
+class TestCodeHash:
+    @given(small_codes(max_len=12, max_gens=5), st.randoms(use_true_random=False))
+    def test_equal_codes_share_a_hash_and_a_weight_stream(self, c, rng):
+        rows = list(c.basis.rows)
+        # redundant rows: a zero row, a repeated row and sums of two rows
+        extra = [0] + [rows[rng.randrange(len(rows))] for _ in range(2)]
+        extra += [rows[rng.randrange(len(rows))] ^ rows[rng.randrange(len(rows))] for _ in range(2)]
+        permuted = rows + extra
+        rng.shuffle(permuted)
+        twin = code_from_generators(F2Matrix(tuple(permuted), c.length))
+        assert twin == c and twin is not c
+        assert hash(twin) == hash(c) == hash((c.basis,))
+        assert codes.codewords_by_weight(c) is codes.codewords_by_weight(twin)
+
+    @given(codes_with_zero(max_len=10, max_gens=5))
+    def test_the_hash_does_not_change_after_dual(self, c):
+        before = hash(c)
+        codes.dual(c)
+        assert hash(c) == before == hash((c.basis,))
+        assert hash(codes.dual(c)) == hash((codes.dual(c).basis,))
+
+    def test_the_hash_is_not_a_field(self):
+        c = codes.hamming8_code()
+        fresh = BinaryCode(c.basis)
+        hash(c)
+        assert "_hash" in vars(c) and "_hash" not in vars(fresh)
+        assert "_hash" not in {f.name for f in dataclasses.fields(c)}
+        assert repr(c) == repr(fresh) == f"BinaryCode(basis={c.basis!r})"
+        # equality reads the basis alone, not a held hash
+        vars(fresh)["_hash"] = hash(c) + 1
+        assert c == fresh
 
 
 class TestNondegeneracy:

@@ -251,6 +251,34 @@ class TestVerifyPremises:
         }
 
 
+class TestMixingDraws:
+    def test_draws_equal_randint(self):
+        bound = rigidity._MIXING_BOUND
+        for seed in range(200):
+            for d in range(1, 13):
+                rng, reference = random.Random(seed), random.Random(seed)
+                expected = tuple(reference.randint(-bound, bound) for _ in range(d))
+                if any(expected):
+                    assert rigidity._random_nonzero_int_vector(rng, d) == expected
+                    assert rng.getstate() == reference.getstate()
+
+    def test_a_draw_of_the_width_is_redrawn(self):
+        bound = rigidity._MIXING_BOUND
+        width = 2 * bound + 1
+
+        class Stream:
+            def __init__(self, draws):
+                self.draws, self.widths = iter(draws), []
+
+            def getrandbits(self, k):
+                self.widths.append(k)
+                return next(self.draws)
+
+        stream = Stream([width, width - 1, 0])
+        assert rigidity._random_nonzero_int_vector(stream, 2) == (bound, -bound)
+        assert stream.widths == [width.bit_length()] * 3 == [21] * 3
+
+
 def failed_checks(report):
     return {c.name for c in report.checks if not c.passed}
 

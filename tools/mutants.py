@@ -504,6 +504,24 @@ MUTANTS = [
         "        return self.kernel_witness is not None\n",
     ),
     (
+        "support_sum_index_off_by_one", K,
+        "        total += n[low.bit_length() - 1]\n",
+        "        total += n[low.bit_length()]\n",
+    ),
+    (
+        # a hash that equal codes do not share, so each code built anew
+        # misses every cache keyed on codes
+        "code_hash_per_object", K,
+        "        return hash((self.basis,))\n",
+        "        return id(self)\n",
+    ),
+    (
+        # a draw of exactly 2B + 1 kept: the entry B + 1 lies outside the bound
+        "mixing_draw_accepts_the_width", R,
+        "            while r >= width:\n",
+        "            while r > width:\n",
+    ),
+    (
         "collapse_exponent_negated", L,
         "[(support_sum(t, w),) for t in p.terms]",
         "[(-support_sum(t, w),) for t in p.terms]",
