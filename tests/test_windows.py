@@ -823,6 +823,33 @@ class TestSampling:
                         expected ^= row
                 assert x.bits == expected
 
+    @pytest.mark.parametrize(
+        "spaces, rounds, match",
+        [
+            ("one", -3, r"^need rounds >= 0, got -3$"),
+            ("one", 2.0, r"^rounds must be integers$"),
+            ("one", "2", r"^rounds must be integers$"),
+            ("none", 2, r"^spaces must hold at least one window space$"),
+        ],
+    )
+    def test_sample_rounds_refuses_bad_arguments_before_drawing(self, spaces, rounds, match):
+        one = (build_window_space(cube(2, 3), e2()),)
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=match):
+            windows.sample_rounds(one if spaces == "one" else (), rng, rounds)
+        assert rng.getstate() == state
+
+    def test_sample_rounds_accepts_zero_and_integer_like_rounds(self):
+        space = build_window_space(cube(2, 3), e2())
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert windows.sample_rounds((space,), rng, 0) == []
+        assert rng.getstate() == state
+        assert windows.sample_rounds((space,), rng, Index(2)) == windows.sample_rounds(
+            (space,), random.Random(5), 2
+        )
+
     def test_batch_memory_stops_growing_past_one_chunk(self):
         # rank 256 of 625 sites, drawn through pivot parities; what a call
         # holds beyond the draws it returns is one chunk's masks and batch
@@ -997,6 +1024,144 @@ class TestPivotParities:
         finally:
             tracemalloc.stop()
         assert peak <= 6_000_000, peak
+
+
+def _side_2_case(rng, d):
+    """A seeded random box with every side 1 or 2, and a random, full or zero code."""
+    lower = tuple(rng.randint(-2, 2) for _ in range(d))
+    box = Box(lower, tuple(l + (1 if rng.random() < 0.1 else 2) for l in lower))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return box, codes.full_code(d)
+    if kind == 1:
+        return box, codes.dual(codes.full_code(d))
+    return box, random_code(rng, d, max(1, d - 1))
+
+
+def _digest(x):
+    return hashlib.sha256(x.to_bit_string().encode()).hexdigest()
+
+
+class TestEchelonRows:
+    """Spaces of few echelon rows test membership and draw straight from those rows."""
+
+    def test_the_box_2_spaces_take_the_few_row_path(self):
+        # rank 4 and 1 against 16 and 8 taps at d8b2; rank 977 and 256
+        # against 16 and 8 at d8b3, and 22,201 against 2 on the planar box
+        system = rigidity.construct_system(8)
+        for code in (system.code, system.product_code):
+            space = build_window_space(cube(8, 2), code)
+            assert space._echelon_rows is not None
+            x = sample(space, 0)
+            assert contains(space, x)
+            assert "_pivot_parities" not in vars(space)
+            assert "solution_basis" not in vars(space)
+            assert space._echelon_rows.rows == [r << c for c, r in space.echelon.items()]
+        for code in (system.code, system.product_code):
+            assert build_window_space(cube(8, 3), code)._echelon_rows is None
+        planar = build_window_space(cube(2, 150), e2(), max_sites=22_500)
+        assert planar._echelon_rows is None
+        # the toy's space, rank 2 against 4 taps, reads its rows too
+        assert build_window_space(cube(3, 2), codes.repetition_code(3))._echelon_rows is not None
+
+    @pytest.mark.parametrize(
+        "d, which, expected",
+        [
+            (
+                8,
+                "code",
+                [
+                    0xF728B4F42485E3A0A5D2F346BAA9455E3E70682C2094CAC629F6FBED82C13E67,
+                    0x1E2FEB8414C343C1027C4D1C386BBC4CD613E30D8F16ADF91B7584A2265B8FA5,
+                    0x5C6E43315BA2BDD177219D30E7A269FD95BAFC8F2A4D27BDCF4BB99F4BEB4B9F,
+                    0x795B9299A9A80FDEA7B5BF55EB561A4216363698B529B4A97B750923CEB2FFE3,
+                    0x1710CF527AC435A7A97C643656412A9B8A1ABCD1A6916C74DA4F9FC3C6DA2EBB,
+                ],
+            ),
+            (
+                12,
+                "product_code",
+                [
+                    "bd9a10a9a3deb53e965c687bf77182e5468d5659ecf21fabdd10a5cc2485b916",
+                    "31ecaa8a4b73b08f8aee7e30d2c3c9ae234c24e794c4bffd893f2a6794e075d2",
+                    "128fc6b0a9e5ed3ed2435f255c97cbf126fc081bd6f4e31de6df07a5aaebf566",
+                    "859fb0613927adbe1efd9c5dd86463deab72f02ff37cbe1dce886c3d407d498f",
+                    "a060a4a6a0ef1fc6f34e2e9ac74e198e4adbfa77c40343df9a566e504642ddfb",
+                ],
+            ),
+        ],
+        ids=["d8b2_code", "d12b2_product_code"],
+    )
+    def test_box_2_seeded_draws_are_pinned(self, d, which, expected):
+        # recorded when these spaces still drew through pivot lanes; the
+        # d = 12 draws are 4,096 bits, pinned by the SHA-256 of each bit string
+        space = build_window_space(cube(d, 2), getattr(rigidity.construct_system(d), which))
+        drawn = [sample(space, seed) for seed in range(5)]
+        if d == 8:
+            assert [x.bits for x in drawn] == expected
+        else:
+            assert [_digest(x) for x in drawn] == expected
+
+    def test_box_2_round_batch_is_pinned(self):
+        # one batch of verify's (xy, xy, z) rounds at d8b2, recorded when
+        # these spaces still drew through pivot lanes
+        system = rigidity.construct_system(8)
+        xy = build_window_space(cube(8, 2), system.code)
+        z = build_window_space(cube(8, 2), system.product_code)
+        rounds = windows.sample_rounds((xy, xy, z), random.Random(3), 4)
+        joined = "".join(x.to_bit_string() for t in rounds for x in t)
+        assert hashlib.sha256(joined.encode()).hexdigest() == (
+            "b726b837166736e6a4144d79006f4992a8e64d92d9e7cbaabb0ad2e64184ed51"
+        )
+
+    def test_contains_matches_the_rule_on_side_2_boxes(self):
+        rng = random.Random(38)
+        seen = Counter()
+        cases = [_side_2_case(rng, d) for d in range(1, 7) for _ in range(40)]
+        # rank 0; the zero code, rank 2 against 2 taps; a one-dimensional
+        # box whose single anchor sits one step below it
+        cases += [
+            (cube(5, 2), codes.full_code(5)),
+            (cube(2, 2), codes.dual(codes.full_code(2))),
+            (Box((3,), (4,)), codes.dual(codes.full_code(1))),
+        ]
+        for box, code in cases:
+            space = build_window_space(box, code)
+            few = space._echelon_rows is not None
+            n = box.site_count
+            configs = []
+            for _ in range(2):
+                x = sample(space, rng.getrandbits(32))
+                configs += [x, WindowConfig(box, x.bits ^ (1 << rng.randrange(n)))]
+            configs.append(WindowConfig(box, rng.getrandbits(n)))
+            for k, x in enumerate(configs):
+                expected = window_rule_holds(box, code, x)
+                assert contains(space, x) == expected, (box, code, x)
+                if k in (0, 2):
+                    assert expected
+                seen[few, expected] += 1
+            seen["rank 0"] += few and space.rank == 0
+            seen["anchor below"] += few and box.dimension == 1 and space.rank > 0
+        assert seen[True, True] > 800 and seen[True, False] > 100, seen
+        assert seen["rank 0"] and seen["anchor below"], seen
+
+    def test_draws_keep_the_rule_and_their_mask(self):
+        rng = random.Random(380)
+        drawn = 0
+        for d in range(1, 7):
+            for _ in range(20):
+                box, code = _side_2_case(rng, d)
+                space = build_window_space(box, code)
+                if space._echelon_rows is None or not space.free_dim:
+                    continue
+                free = free_column_mask(space.constraint_matrix.rows, space.site_count)
+                assert free.bit_count() == space.free_dim
+                masks = [rng.getrandbits(space.free_dim) for _ in range(5)]
+                for mask, bits in zip(masks, space._combine(masks)):
+                    assert bits & free == expand_bits(mask, free)
+                    assert window_rule_holds(box, code, WindowConfig(box, bits))
+                    drawn += 1
+        assert drawn > 300, drawn
 
 
 class TestShiftRestrict:

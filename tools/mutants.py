@@ -161,6 +161,53 @@ MUTANTS = [
         "            [column[j] for j in free]\n",
     ),
     (
+        # a pivot is set whenever its part meets the mask at all
+        "few_row_draw_parity_without_its_low_bit", W,
+        "                if (mask & part).bit_count() & 1:\n",
+        "                if (mask & part).bit_count():\n",
+    ),
+    (
+        # a draw keeps its mask on the free columns and leaves every pivot clear
+        "few_row_draw_never_sets_a_pivot", W,
+        "                    x |= 1 << c\n",
+        "                    pass\n",
+    ),
+    (
+        # a configuration meeting a row twice is refused
+        "few_row_membership_parity_without_its_low_bit", W,
+        "            if (bits & row).bit_count() & 1:\n",
+        "            if (bits & row).bit_count():\n",
+    ),
+    (
+        "few_row_membership_reads_only_the_first_row", W,
+        "        for row in self.rows:\n",
+        "        for row in self.rows[:1]:\n",
+    ),
+    (
+        # the box-2 spaces scan their plan and draw by lanes, while the
+        # planar and box-3 spaces widen every echelon row; outputs agree
+        "few_row_cut_inverted", W,
+        "        if self.rank > sum(map(len, self.plan.taps)):\n",
+        "        if self.rank <= sum(map(len, self.plan.taps)):\n",
+    ),
+    (
+        "plan_scan_reads_only_the_first_dual_word", W,
+        "    for taps in plan.taps:\n",
+        "    for taps in plan.taps[:1]:\n",
+    ),
+    (
+        # the one-dimensional anchor one step below the box is never judged
+        "plan_scan_drops_anchor_bit_0", W,
+        "        if acc & plan.anchor_mask:\n",
+        "        if acc & plan.anchor_mask & ~1:\n",
+    ),
+    (
+        # a one-dimensional box loses the anchor one step below it
+        "one_dimensional_anchors_inside_the_box", W,
+        "    low = -1 if box.dimension == 1 else 0\n",
+        "    low = 0\n",
+    ),
+    (
         # rows past the box go into the elimination unnoticed
         "plan_reach_unchecked", W,
         "    if plan.anchor_mask.bit_length() + reach > n_sites:\n"
