@@ -68,8 +68,8 @@ length-3 repetition code would take 47.0 MB and those of the planar
 once on the plan, from its highest anchor bit and largest offset.
 ``solution_basis`` back-substitutes the echelon when first needed into
 reduced rows in free coordinates; draws back-substitute only a few-row
-echelon, and otherwise read the echelon itself.  Each keeps only what it
-derives.  Window rows are eliminated in plan order,
+echelon, and otherwise read the echelon itself, or the plan when it has
+one dual word.  Each keeps only what it derives.  Window rows are eliminated in plan order,
 unsorted: each anchor's rows meet few earlier pivots, and the sort that
 ``code_from_generators`` needs for arbitrary generator rows only slows
 the planar elimination down.
@@ -88,11 +88,22 @@ box-3 product space (rank 256) the parts would take 10.5 ms for 100
 draws against the lanes' 2.1 ms.  Above the cut, a kernel element's
 bit at pivot c is the XOR of the other bits of c's echelon row, each on
 a free column or on a higher pivot, so the pivots are solved from the
-highest down.  Echelon rows are sparse: at
+highest down.  A space of one dual word, of pattern p and lowest offset
+lo, solves them by stencil levels.  Each of its rows is p at an anchor
+bit b and is a pivot as it comes, at b + lo, so the pivots are
+``anchor_mask << lo`` and the kernel bit at b + lo is the XOR of the
+bits at b + o over the other offsets o of p.  The anchors are peeled
+once into levels, each of the anchors none of whose reads is a pivot
+still unsolved, and a draw solves a level by |p| - 1 shifts of the
+whole configuration (level scheduling: Anderson and Saad, "Solving
+sparse triangular linear systems on parallel computers", 1989).  At
+d = 8 on [0, 3)^8 the product code's 256 anchors fall into two levels,
+of 129 and 127; on a 2-vCPU VM its set-up and 100 draws take 1.1 ms
+where the lanes took 3.6 ms, and 6.3 ms against 20.9 ms at d = 10.
+The echelon rows of a space of several dual words are sparse: at
 d = 8 on [0, 3)^8 the code's 977 rows read 1,118 bits on 302 of the
 5,584 free columns and 4,031 higher pivots (5.3 reads a row, at most
-15), and the product code's 256 rows 1,344 bits on 1,023 of 6,305 free
-columns and 448 pivots.  So draws are bit-sliced (Biham, FSE 1997):
+15).  So its draws are bit-sliced (Biham, FSE 1997):
 ``sample_rounds`` takes the masks of up to ``_DRAW_CHUNK`` = 256 rounds
 from the stream, in the order single draws take them, and each space
 combines all of its masks at once, each draw a byte lane, so that one
@@ -101,14 +112,14 @@ is made, so the set-up costs the echelon's set bits, not its width: at
 d = 10 on [0, 3)^10 the code space's set-up peaks at 2.7 MB
 (tracemalloc), where its reduced rows in free coordinates took 22.7 MB.
 On a 2-vCPU VM the 300 draws of 100 d = 8 box-3 samples, both set-ups
-included, take 14.0 ms, against 27.3 ms when each space first
-back-substituted its echelon into reduced rows, and a single draw on
-the code space pays a batch's per-lane XORs alone, 1.0 ms.  The XOR
-of kernel rows costs about free_dim / 2 x sites bits, so a space above
-the cut draws by lanes only when rank < free_dim, and otherwise
-combines rows one mask at a time.  All three give the same bits from
-the same random call, so seeded streams depend neither on the choice
-nor on the batch.
+included, take 10.1 ms, against 12.7 ms when both spaces drew by lanes
+and 27.3 ms when each space first back-substituted its echelon into
+reduced rows, and a single draw on the code space pays a batch's
+per-lane XORs alone, 1.0 ms.  The XOR of kernel rows costs about
+free_dim / 2 x sites bits, so a space above the cut draws by levels or
+lanes only when rank < free_dim, and otherwise combines rows one mask
+at a time.  All four give the same bits from the same random call, so
+seeded streams depend neither on the choice nor on the batch.
 """
 
 from __future__ import annotations
@@ -334,14 +345,17 @@ class StencilPlan:
         as the pass reaches it, and each pair is made when it is asked
         for, so no list of anchors or rows is built.
         """
-        shifted = []
-        for t in self.taps:
-            p = functools.reduce(operator.xor, (1 << o for o in t), 0)
-            # a zero pattern has no anchor to reach; it only must not raise
-            lo = (p & -p).bit_length() - 1 if p else 0
-            shifted.append((lo, p >> lo))
+        shifted = [_low_pattern(t) for t in self.taps]
         bits = format(self.anchor_mask, "b")[::-1]
         return ((base + lo, r) for base, ch in enumerate(bits) if ch == "1" for lo, r in shifted)
+
+
+def _low_pattern(taps: Sequence[int]) -> tuple[int, int]:
+    """(lo, r): a word's pattern, the XOR of ``1 << o`` over its offsets, is r << lo, r odd."""
+    p = functools.reduce(operator.xor, (1 << o for o in taps), 0)
+    # a zero pattern has no anchor to reach; it only must not raise
+    lo = (p & -p).bit_length() - 1 if p else 0
+    return lo, p >> lo
 
 
 def _strides(shape: IntVector) -> list[int]:
@@ -558,6 +572,55 @@ class _EchelonRows:
         return out
 
 
+class _StencilLevels:
+    """Draws of a one-word space, its pivots solved a dependency level at a time.
+
+    With one dual word, of pattern p and lowest offset lo, every
+    constraint row is p shifted to its anchor bit b, and its lowest bit
+    b + lo is a pivot as it comes: the pivots are ``anchor_mask << lo``.
+    The kernel bit at b + lo is the XOR of the bits at b + o over the
+    ``reads``, the other set bits o of p, all higher.  Such a bit is
+    itself a pivot when b + o - lo is an anchor, so the anchors are
+    peeled into ``levels``: each holds the anchors none of whose reads
+    is a pivot still unsolved, found by |p| - 1 shifts of the unsolved
+    anchors.  A draw spreads its mask onto the free columns by steps
+    computed here, then for each level in turn XORs the draw shifted
+    down by every read and sets the pivots of the level's anchors from
+    it: one whole-configuration shift per read and level (level
+    scheduling of a triangular system, Anderson and Saad 1989).
+    """
+
+    def __init__(self, plan: StencilPlan, cols: int):
+        (taps,) = plan.taps
+        lo, r = _low_pattern(taps)
+        self.lo = lo
+        self.reads = sorted({o for o in taps if o > lo and r >> o - lo & 1})
+        free_mask = ((1 << cols) - 1) ^ plan.anchor_mask << lo
+        self.free = free_mask, _expand_steps(free_mask, _moves(free_mask, cols))
+        self.levels = []
+        unsolved = plan.anchor_mask
+        while unsolved:
+            # an anchor is blocked when one of its reads is an unsolved pivot
+            blocked = 0
+            for o in self.reads:
+                blocked |= unsolved >> o - lo
+            level = unsolved ^ unsolved & blocked
+            self.levels.append(level)
+            unsolved ^= level
+
+    def combine(self, masks: Sequence[int]) -> list[int]:
+        out = []
+        for mask in masks:
+            x = _spread(mask, *self.free)
+            for level in self.levels:
+                s = 0
+                for o in self.reads:
+                    s ^= x >> o
+                x |= (s & level) << self.lo
+            out.append(x)
+        return out
+
+
 @dataclass(eq=False, repr=False)
 class WindowSpace:
     """The exact solution space of a code's local rule on a box.
@@ -572,17 +635,22 @@ class WindowSpace:
     ``solution_basis`` back-substitutes the echelon on first use into
     reduced rows in free coordinates.
 
-    Membership and draws take one of three paths, chosen once per space
-    from counts it holds.  A space whose rank is at most its plan's tap
-    count, the offsets of all dual words together, has an echelon of few
-    rows: it tests membership against those rows and draws from their
-    reduced parts (``_echelon_rows``), as the one-anchor spaces on
-    [0, 2)^d do (rank 4 and 1 at d = 8, against 16 and 8 taps).  Any
+    Draws take one of four paths, and membership one of two, chosen once
+    per space from what it holds.  A space whose rank is at most its
+    plan's tap count, the offsets of all dual words together, has an
+    echelon of few rows: it tests membership against those rows and draws
+    from their reduced parts (``_echelon_rows``), as the one-anchor spaces
+    on [0, 2)^d do (rank 4 and 1 at d = 8, against 16 and 8 taps).  Any
     other space tests membership by the plan scan of :func:`contains`.
-    Of those, a space with rank < free_dim draws from pivot lanes solved
-    straight off the echelon, set up at a cost proportional to the
-    echelon's set bits, so no reduced row is made, and the rest draw by
-    combining ``solution_basis`` rows.  Each keeps only what it derives.
+    Of those, a space with rank < free_dim draws straight off its rows:
+    one of a single dual word solves its pivots a dependency level at a
+    time by whole-configuration shifts (``_stencil_levels``), as the d = 8
+    box-3 product space does, and one of several words from pivot lanes
+    solved off the echelon (``_pivot_parities``), set up at a cost
+    proportional to the echelon's set bits, as the d = 8 box-3 code space
+    does; no reduced row is made.  The rest, such as the planar spaces
+    (one word, rank >= free_dim), draw by combining ``solution_basis``
+    rows.  Each keeps only what it derives.
     """
 
     box: Box
@@ -615,6 +683,10 @@ class WindowSpace:
             return None
         return _EchelonRows(self.echelon, self.site_count)
 
+    @functools.cached_property
+    def _stencil_levels(self) -> _StencilLevels:
+        return _StencilLevels(self.plan, self.site_count)
+
     @property
     def site_count(self) -> int:
         return self.box.site_count
@@ -630,6 +702,8 @@ class WindowSpace:
         if few is not None:
             return few.combine(masks)
         if self.rank < self.free_dim:
+            if len(self.plan.taps) == 1:
+                return self._stencil_levels.combine(masks)
             return self._pivot_parities.combine(masks)
         rows, spec = self.solution_basis.rows, f"0{self.free_dim}b"
         # the mask's digits, bit k at byte k, select the rows to XOR
@@ -748,10 +822,11 @@ def sample_rounds(
     with free_dim 0 draws nothing and gives the zero configuration.  Each
     mask selects the ``solution_basis`` rows to combine, bit k for row k,
     and each space combines all of its masks of ``_DRAW_CHUNK`` rounds in
-    one call, by the path its rank chooses (see :class:`WindowSpace`):
-    from the parts of its few echelon rows, from pivot lanes, or from
-    kernel rows, each giving the same bits.  Returns one tuple per round,
-    in the order of ``spaces``.
+    one call, by the path its rank and dual words choose (see
+    :class:`WindowSpace`): from the parts of its few echelon rows, by
+    stencil levels, from pivot lanes, or from kernel rows, each giving
+    the same bits.  Returns one tuple per round, in the order of
+    ``spaces``.
 
     Raises:
         ValueError: when ``rounds`` is not an integer or is negative, or

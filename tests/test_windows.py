@@ -613,6 +613,16 @@ def small_space_cases(draw):
     return box, lambda: code_from_generators(F2Matrix(tuple(rows), d))
 
 
+def _one_word_code(d, word):
+    """The code of length d whose dual is spanned by one word."""
+    return codes.dual(code_from_generators(F2Matrix((word,), d)))
+
+
+def _two_word_code():
+    """A code of length 4 with two dual words: on [0, 3)^4 rank 31 < free_dim 50."""
+    return code_from_generators(F2Matrix((0b0011, 0b1100), 4))
+
+
 class TestStencilPlan:
     """Membership and constraint rows from the stencil plan, against oracles."""
 
@@ -714,7 +724,8 @@ class TestSampling:
                     0x98F0DAE830B2FEAEBFFF,
                 ],
             ),
-            # rank below free_dim: these spaces draw through pivot parities
+            # rank below free_dim: the first space, of one dual word, draws by
+            # stencil levels; the second, rank 3 against 6 taps, from its echelon rows
             (
                 functools.partial(codes.even_weight_code, 3),
                 cube(3, 3),
@@ -755,8 +766,11 @@ class TestSampling:
         ],
     )
     def test_box3_seeded_draws_are_pinned(self, which, expected):
-        # the two d = 8 box-3 spaces of `verify` draw through pivot parities
-        # (rank 977 of 6,561 sites and rank 256); SHA-256 of each bit string
+        # the two d = 8 box-3 spaces of `verify`: the code space, of several
+        # dual words and rank 977 of 6,561 sites, draws through pivot parities,
+        # and the product space, of one dual word and rank 256, by stencil
+        # levels; recorded when both drew through pivot parities, as the
+        # SHA-256 of each bit string
         space = build_window_space(cube(8, 3), getattr(rigidity.construct_system(8), which))
         assert space.rank < space.free_dim
         digests = [
@@ -766,7 +780,11 @@ class TestSampling:
         assert digests == expected
 
     @given(small_space_cases(), st.integers(0, 2**32))
-    @example((cube(3, 3), lambda: codes.even_weight_code(3)), 0)  # parities: rank 8, free 19
+    @example((cube(3, 3), lambda: codes.even_weight_code(3)), 0)  # levels: rank 8, free 19
+    # levels: one word of offsets 8 and 2, so its pivots sit 2 above the anchors
+    @example((Box((-1, -2, 0), (2, 1, 3)), lambda: _one_word_code(3, 0b011)), 0)
+    @example((Box((2, -3), (5, 0)), lambda: _one_word_code(2, 0b01)), 0)  # levels, no reads
+    @example((cube(4, 3), _two_word_code), 0)  # parities: rank 31, free 50
     @example((cube(2, 4), e2), 0)  # kernel rows: rank 9, free 7
     @example((Box((0,), (4,)), lambda: codes.dual(codes.full_code(1))), 0)  # free_dim 0
     @example((cube(2, 3), lambda: codes.full_code(2)), 0)  # rank 0
@@ -793,7 +811,8 @@ class TestSampling:
         st.integers(0, 2**32),
         st.sampled_from([1, 7, windows._DRAW_CHUNK + 1]),
     )
-    @example([(cube(3, 3), lambda: codes.even_weight_code(3))], 0, 7)  # parities
+    @example([(cube(3, 3), lambda: codes.even_weight_code(3))], 0, 7)  # levels
+    @example([(cube(4, 3), _two_word_code)], 0, 7)  # parities
     @example([(cube(2, 4), e2)], 0, 7)  # kernel rows
     @example([(Box((0,), (4,)), lambda: codes.dual(codes.full_code(1)))], 0, 7)  # free_dim 0
     @example([(cube(2, 3), lambda: codes.full_code(2))], 0, 7)  # rank 0
@@ -850,24 +869,40 @@ class TestSampling:
             (space,), random.Random(5), 2
         )
 
+    @staticmethod
+    def _transient(space, rounds):
+        """What one sample_rounds call holds at its peak beyond the draws it returns."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            drawn = windows.sample_rounds((space,), random.Random(1), rounds)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(drawn) == rounds
+        return peak - kept
+
     def test_batch_memory_stops_growing_past_one_chunk(self):
-        # rank 256 of 625 sites, drawn through pivot parities; what a call
-        # holds beyond the draws it returns is one chunk's masks and batch
+        # rank 256 of 625 sites and one dual word, drawn by stencil levels;
+        # what a call holds beyond the draws it returns is one chunk's masks
+        # and draws
         space = build_window_space(cube(4, 5), codes.even_weight_code(4))
         sample(space, 0)
+        one = self._transient(space, windows._DRAW_CHUNK)
+        four = self._transient(space, 4 * windows._DRAW_CHUNK)
+        # holding all four chunks at once took 4.9 times one
+        assert four <= 1.2 * one, (one, four)
 
-        def transient(rounds):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                drawn = windows.sample_rounds((space,), random.Random(1), rounds)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert len(drawn) == rounds
-            return peak - kept
-
-        one, four = transient(windows._DRAW_CHUNK), transient(4 * windows._DRAW_CHUNK)
+    def test_lane_batch_memory_stops_growing_past_one_chunk(self):
+        # four dual words, rank 215 of 729 sites, drawn through pivot
+        # parities: one chunk's masks, byte matrix and lanes
+        space = build_window_space(
+            cube(6, 3), code_from_generators(F2Matrix((0b000011, 0b110000), 6))
+        )
+        sample(space, 0)
+        assert "_pivot_parities" in vars(space)
+        one = self._transient(space, windows._DRAW_CHUNK)
+        four = self._transient(space, 4 * windows._DRAW_CHUNK)
         # holding all four chunks at once took 4.0 times one
         assert four <= 1.2 * one, (one, four)
 
@@ -887,21 +922,26 @@ class TestOneElimination:
     """A space eliminates its constraint rows once; rank, draws and kernel share it."""
 
     @pytest.mark.parametrize(
-        "box, code, parities",
+        "box, code, path",
         [
-            (cube(3, 3), functools.partial(codes.even_weight_code, 3), True),  # rank 8, free 19
-            (cube(2, 4), functools.partial(codes.even_weight_code, 2), False),  # rank 9, free 7
+            # one dual word, rank 8, free 19
+            (cube(3, 3), functools.partial(codes.even_weight_code, 3), "_stencil_levels"),
+            # two dual words, rank 31, free 50
+            (cube(4, 3), _two_word_code, "_pivot_parities"),
+            # rank 9, free 7
+            (cube(2, 4), functools.partial(codes.even_weight_code, 2), None),
         ],
+        ids=["levels", "parities", "kernel_rows"],
     )
-    def test_build_sample_and_kernel(self, eliminations, box, code, parities):
+    def test_build_sample_and_kernel(self, eliminations, box, code, path):
         # the code is made here, not when the file is imported, as in
-        # test_seeded_streams_are_pinned
+        # test_seeded_streams_are_pinned; a draw builds only its own path
         space = build_window_space(box, code())
         sample(space, 0)
+        assert {"_stencil_levels", "_pivot_parities"} & set(vars(space)) == {path} - {None}
         basis = space.solution_basis
         rows = list(space.constraint_matrix.rows)
         assert eliminations.count(rows) == 1
-        assert ("_pivot_parities" in vars(space)) == parities
         # back-substitution leaves the echelon of the rank as it was
         assert space.echelon == gf2.echelon_pivots(gf2.pivot_pairs(rows))
         assert basis.num_rows == space.free_dim
@@ -1162,6 +1202,93 @@ class TestEchelonRows:
                     assert window_rule_holds(box, code, WindowConfig(box, bits))
                     drawn += 1
         assert drawn > 300, drawn
+
+
+@st.composite
+def one_word_space_cases(draw):
+    """A small box (negative lowers and width-1 axes allowed) and one nonzero dual word."""
+    d = draw(st.integers(1, 4))
+    lower = tuple(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    widths = draw(st.lists(st.integers(1, 5 - (d + 1) // 2), min_size=d, max_size=d))
+    box = Box(lower, tuple(l + w for l, w in zip(lower, widths)))
+    return box, draw(st.integers(1, (1 << d) - 1))
+
+
+def _set_bits(x):
+    return [k for k in range(x.bit_length()) if x >> k & 1]
+
+
+class TestStencilLevels:
+    """Spaces of one dual word draw a dependency level of pivots at a time."""
+
+    def test_the_d8_box_3_spaces_take_their_own_paths(self):
+        system = rigidity.construct_system(8)
+        z = build_window_space(cube(8, 3), system.product_code)
+        xy = build_window_space(cube(8, 3), system.code)
+        planar = build_window_space(cube(2, 40), e2(), max_sites=1_600)
+        for space in (z, xy, planar):
+            sample(space, 0)
+        assert "_stencil_levels" in vars(z) and "_pivot_parities" not in vars(z)
+        assert "_pivot_parities" in vars(xy) and "_stencil_levels" not in vars(xy)
+        # one dual word, but rank 1,521 >= free_dim 79: kernel rows
+        assert not {"_stencil_levels", "_pivot_parities"} & set(vars(planar))
+        # the anchors whose reads are all free columns, then the rest
+        assert [level.bit_count() for level in z._stencil_levels.levels] == [129, 127]
+
+    @given(small_space_cases(), st.integers(0, 2**32))
+    @example((cube(3, 3), lambda: codes.even_weight_code(3)), 0)
+    @example((cube(4, 3), _two_word_code), 0)
+    @example((cube(2, 5), e2), 0)
+    def test_levels_are_taken_by_one_word_spaces_above_the_cut_below_half_rank(self, case, seed):
+        box, make = case
+        space = build_window_space(box, make())
+        sample(space, seed)
+        expected = (
+            len(space.plan.taps) == 1
+            and space._echelon_rows is None
+            and space.rank < space.free_dim
+        )
+        assert ("_stencil_levels" in vars(space)) == expected
+
+    @given(one_word_space_cases(), st.integers(0, 2**32))
+    @example((cube(3, 3), 0b111), 0)
+    @example((Box((-1, -2, 0), (2, 1, 3)), 0b011), 1)  # pivots 2 above their anchors
+    @example((Box((0, 0, -1), (3, 1, 2)), 0b111), 2)  # a width-1 axis: no anchor, zero levels
+    @example((Box((-2,), (3,)), 0b1), 3)  # every site a pivot
+    def test_levels_draw_what_the_pivot_lanes_draw(self, case, seed):
+        box, word = case
+        code = _one_word_code(box.dimension, word)
+        space = build_window_space(box, code)
+        (taps,) = space.plan.taps
+        pattern = 0
+        for o in taps:
+            pattern ^= 1 << o
+        lo = (pattern & -pattern).bit_length() - 1 if pattern else 0
+        anchors = _set_bits(space.plan.anchor_mask)
+        # every row is a pivot as it comes, at its anchor bit plus lo
+        assert set(space.echelon) == set(_set_bits(space.plan.anchor_mask << lo))
+        # the levels split the anchors; none reads a pivot of its own level or a later one
+        levels = space._stencil_levels.levels
+        assert all(levels)
+        assert sorted(b for level in levels for b in _set_bits(level)) == anchors
+        later = 0
+        for level in reversed(levels):
+            later |= level
+            for b in _set_bits(level):
+                for o in _set_bits(pattern >> lo + 1):
+                    assert not later >> b + o + 1 & 1, (b, o)
+        if not anchors:
+            assert levels == []
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(space.free_dim) for _ in range(5)]
+        drawn = space._stencil_levels.combine(masks)
+        lanes = windows._PivotParities(space.echelon, space.site_count)
+        assert drawn == lanes.combine(masks)
+        # and each draw keeps the rule and carries its mask on the free columns
+        free = free_column_mask(space.constraint_matrix.rows, space.site_count)
+        for mask, bits in zip(masks, drawn):
+            assert bits & free == expand_bits(mask, free)
+            assert window_rule_holds(box, code, WindowConfig(box, bits))
 
 
 class TestShiftRestrict:

@@ -161,6 +161,39 @@ MUTANTS = [
         "            [column[j] for j in free]\n",
     ),
     (
+        # the pivots of every level after the first stay clear
+        "levels_only_the_first_applied", W,
+        "            for level in self.levels:\n",
+        "            for level in self.levels[:1]:\n",
+    ),
+    (
+        # a level's pivots leave out the bit at the word's second offset
+        "level_draw_skips_one_read", W,
+        "                for o in self.reads:\n                    s ^= x >> o\n",
+        "                for o in self.reads[1:]:\n                    s ^= x >> o\n",
+    ),
+    (
+        # an anchor is blocked by pivots already solved, so the first level
+        # takes every anchor and reads pivots not yet set
+        "levels_peeled_against_solved_pivots", W,
+        "                blocked |= unsolved >> o - lo\n",
+        "                blocked |= (plan.anchor_mask ^ unsolved) >> o - lo\n",
+    ),
+    (
+        # a level's pivots are set at their anchor bits, not lo above them;
+        # the d = 8 product space has lo = 0, so only smaller boxes see it
+        "level_pivots_at_the_anchor_bits", W,
+        "                x |= (s & level) << self.lo\n",
+        "                x |= s & level\n",
+    ),
+    (
+        # the spaces of several dual words draw by levels, and those of one
+        # by the pivot lanes
+        "one_word_selection_inverted", W,
+        "            if len(self.plan.taps) == 1:\n",
+        "            if len(self.plan.taps) != 1:\n",
+    ),
+    (
         # a pivot is set whenever its part meets the mask at all
         "few_row_draw_parity_without_its_low_bit", W,
         "                if (mask & part).bit_count() & 1:\n",
