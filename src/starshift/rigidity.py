@@ -586,6 +586,8 @@ def run_full_verification(
         ValueError: when ``d`` or ``samples`` is not an integer, or when
             ``box_size`` < 2 or is not an integer, before the code pair
             is built, or from ``verify_dynamics`` when ``samples`` < 1.
+        UnsupportedDimensionError: for d < 8, after the box check and
+            before the box is built.
         GuardExceededError: when the box exceeds ``max_sites``, before
             the code pair is built; when a window space of the box exceeds
             the constraint-row guard; or from ``verify_dynamics`` when the
@@ -598,8 +600,8 @@ def run_full_verification(
         raise ValueError(f"need box size >= 2, got {box_size}")
     # the widths are never collected, so -d 10**9 costs a few multiplications
     windows_mod.guarded_site_count(itertools.repeat(box_size, d), max_sites)
-    box = cube(d, box_size)
     system = construct_system(d)
+    box = cube(d, box_size)
     space_xy = windows_mod.build_window_space(box, system.code, max_sites=max_sites)
     space_z = windows_mod.build_window_space(box, system.product_code, max_sites=max_sites)
     report = VerificationReport(describe_system(system))

@@ -67,31 +67,26 @@ length-3 repetition code would take 47.0 MB and those of the planar
 2.02 MB (tracemalloc).  That every row lies inside the box is checked
 once on the plan, from its highest anchor bit and largest offset.
 ``solution_basis`` back-substitutes the echelon when first needed into
-reduced rows in free coordinates; draws back-substitute only a few-row
-echelon, and otherwise read the echelon itself, or the plan when it has
-one dual word.  Each keeps only what it derives.  Window rows are eliminated in plan order,
-unsorted: each anchor's rows meet few earlier pivots, and the sort that
-``code_from_generators`` needs for arbitrary generator rows only slows
-the planar elimination down.
+reduced rows in free coordinates; draws read the echelon itself, or the
+plan when it has one dual word.  Each keeps only what it derives.
+Window rows are eliminated in plan order, unsorted: each anchor's rows
+meet few earlier pivots, and the sort that ``code_from_generators``
+needs for arbitrary generator rows only slows the planar elimination
+down.
 
 Sampling draws one mask of free_dim = sites - rank random bits and
 forms the combination of the kernel basis rows it selects.  Kernel row j
 is e_f, f the j-th free column, plus every pivot column whose reduced
 row has bit f set, so the combination is the kernel element whose free
-columns hold the mask.  A space of few rows, by the cut membership uses,
-builds it in two parts: the mask spread onto the free columns, and at
-each pivot c the parity of mask & part_c, part_c being c's reduced row
-in free coordinates from ``gf2.back_substitute``.  On a 2-vCPU VM, 200
-draws on the box-2 code space (rank 4) take 0.35 ms at d = 8 and 0.71
-ms at d = 12, where the lanes below took 0.88 and 1.66 ms; on the d = 8
-box-3 product space (rank 256) the parts would take 10.5 ms for 100
-draws against the lanes' 2.1 ms.  Above the cut, a kernel element's
-bit at pivot c is the XOR of the other bits of c's echelon row, each on
-a free column or on a higher pivot, so the pivots are solved from the
-highest down.  A space of one dual word, of pattern p and lowest offset
-lo, solves them by stencil levels.  Each of its rows is p at an anchor
-bit b and is a pivot as it comes, at b + lo, so the pivots are
-``anchor_mask << lo`` and the kernel bit at b + lo is the XOR of the
+columns hold the mask.  Its bit at pivot c is the XOR of the other bits
+of c's echelon row, each on a free column or on a higher pivot, so the
+pivots are solved from the highest down.  A space of few rows, by the
+cut membership uses, solves them from the rows it tests: the mask
+spread onto the free columns, then each pivot, highest first, set when
+its row meets the draw an odd number of times.  A space of one dual
+word, of pattern p and lowest offset lo, solves them by stencil
+levels.  Each of its rows is p at an anchor bit b and is a pivot as
+it comes, at b + lo, so the pivots are ``anchor_mask << lo`` and the kernel bit at b + lo is the XOR of the
 bits at b + o over the other offsets o of p.  The anchors are peeled
 once into levels, each of the anchors none of whose reads is a pivot
 still unsolved, and a draw solves a level by |p| - 1 shifts of the
@@ -173,10 +168,10 @@ class Box:
     The bounds are stored as tuples of ints, each read through
     ``gf2.int_tuple``; a float or other non-integer bound raises
     ``ValueError``.  Equal boxes are those with equal ``lower`` and
-    ``upper``.  The box checks test identity first, since the
-    configurations of one space share its box and those gathered through
-    one plan share its domain; the hash, ``hash((lower, upper))``, is
-    computed once per box.
+    ``upper``, and the hash is the frozen dataclass's own,
+    ``hash((lower, upper))``.  The box checks test identity first, since
+    the configurations of one space share its box and those gathered
+    through one plan share its domain.
     """
 
     lower: IntVector
@@ -192,15 +187,6 @@ class Box:
             raise ValueError("lower and upper must be nonempty and of equal arity")
         if any(u <= l for l, u in zip(self.lower, self.upper)):
             raise ValueError("box must be nonempty on every axis")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # computed once per box; cached_property writes to the instance
-    # __dict__, outside the fields that equality, hashing and repr read
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.lower, self.upper))
 
     @property
     def dimension(self) -> int:
@@ -538,25 +524,22 @@ class _PivotParities:
 class _EchelonRows:
     """Membership and draws read straight off an echelon of few rows.
 
-    ``rows`` are the echelon rows widened to r << c.  They span the
-    constraint rows, so a configuration satisfies the rule when it meets
-    every one of them evenly.  ``parts`` pairs each pivot column c with
-    its reduced row in free coordinates, from :func:`gf2.back_substitute`:
-    a kernel element whose free columns hold a mask has at pivot c the
-    parity of mask & part_c.  A draw spreads the mask onto the free
-    columns by steps computed here and sets each pivot whose parity is
-    odd, so no kernel row is made.
+    ``rows`` pairs each echelon row, widened to r << c, with its pivot
+    bit 1 << c, highest pivot first.  The rows span the constraint rows,
+    so a configuration satisfies the rule when it meets every one of
+    them evenly.  A draw spreads the mask onto the free columns by steps
+    computed here, then sets each pivot, highest first, whose row the
+    draw meets an odd number of times: the row's other bits are free
+    columns or higher pivots already set, so no kernel row is made.
     """
 
     def __init__(self, echelon: dict[int, int], cols: int):
-        self.rows = [r << c for c, r in echelon.items()]
-        parts, pivot_cols = gf2.back_substitute(echelon)
-        self.parts = list(zip(pivot_cols, parts))
-        free_mask = ((1 << cols) - 1) ^ gf2.bits_at(pivot_cols)
+        self.rows = [(r << c, 1 << c) for c, r in sorted(echelon.items(), reverse=True)]
+        free_mask = ((1 << cols) - 1) ^ gf2.bits_at(echelon)
         self.free = free_mask, _expand_steps(free_mask, _moves(free_mask, cols))
 
     def holds(self, bits: int) -> bool:
-        for row in self.rows:
+        for row, _ in self.rows:
             if (bits & row).bit_count() & 1:
                 return False
         return True
@@ -565,9 +548,9 @@ class _EchelonRows:
         out = []
         for mask in masks:
             x = _spread(mask, *self.free)
-            for c, part in self.parts:
-                if (mask & part).bit_count() & 1:
-                    x |= 1 << c
+            for row, pivot in self.rows:
+                if (x & row).bit_count() & 1:
+                    x |= pivot
             out.append(x)
         return out
 
@@ -639,8 +622,9 @@ class WindowSpace:
     per space from what it holds.  A space whose rank is at most its
     plan's tap count, the offsets of all dual words together, has an
     echelon of few rows: it tests membership against those rows and draws
-    from their reduced parts (``_echelon_rows``), as the one-anchor spaces
-    on [0, 2)^d do (rank 4 and 1 at d = 8, against 16 and 8 taps).  Any
+    by solving their pivots from them (``_echelon_rows``), as the
+    one-anchor spaces on [0, 2)^d do (rank 4 and 1 at d = 8, against 16
+    and 8 taps).  Any
     other space tests membership by the plan scan of :func:`contains`.
     Of those, a space with rank < free_dim draws straight off its rows:
     one of a single dual word solves its pivots a dependency level at a
@@ -823,7 +807,7 @@ def sample_rounds(
     mask selects the ``solution_basis`` rows to combine, bit k for row k,
     and each space combines all of its masks of ``_DRAW_CHUNK`` rounds in
     one call, by the path its rank and dual words choose (see
-    :class:`WindowSpace`): from the parts of its few echelon rows, by
+    :class:`WindowSpace`): from its few echelon rows, by
     stencil levels, from pivot lanes, or from kernel rows, each giving
     the same bits.  Returns one tuple per round, in the order of
     ``spaces``.

@@ -491,6 +491,13 @@ class TestSiteGuard:
         assert proc.stderr.startswith("error: box has at least")
         assert "Traceback" not in proc.stderr
 
+    def test_verify_refuses_a_dimension_below_8(self, capsys):
+        # the box check passes on no axes at all, so the dimension is refused
+        # by the construction, not by an empty box
+        for d in (0, -1):
+            assert main(["verify", "-d", str(d)]) == 2
+            assert f"dimension 8 and above, got {d}" in capsys.readouterr().err
+
     def test_verify_usage_errors_still_exit_2(self, capsys):
         for argv in (["-d", "7"], ["-d", "40", "--box", "1"]):
             assert main(["verify", *argv]) == 2

@@ -1096,7 +1096,9 @@ class TestEchelonRows:
             assert contains(space, x)
             assert "_pivot_parities" not in vars(space)
             assert "solution_basis" not in vars(space)
-            assert space._echelon_rows.rows == [r << c for c, r in space.echelon.items()]
+            assert space._echelon_rows.rows == [
+                (r << c, 1 << c) for c, r in sorted(space.echelon.items(), reverse=True)
+            ]
         for code in (system.code, system.product_code):
             assert build_window_space(cube(8, 3), code)._echelon_rows is None
         planar = build_window_space(cube(2, 150), e2(), max_sites=22_500)
@@ -1197,11 +1199,40 @@ class TestEchelonRows:
                 free = free_column_mask(space.constraint_matrix.rows, space.site_count)
                 assert free.bit_count() == space.free_dim
                 masks = [rng.getrandbits(space.free_dim) for _ in range(5)]
-                for mask, bits in zip(masks, space._combine(masks)):
+                drawn_bits = space._combine(masks)
+                # the pivot lanes solve the same echelon by a path of their own
+                lanes = windows._PivotParities(space.echelon, space.site_count)
+                assert drawn_bits == lanes.combine(masks), (box, code)
+                for mask, bits in zip(masks, drawn_bits):
                     assert bits & free == expand_bits(mask, free)
                     assert window_rule_holds(box, code, WindowConfig(box, bits))
                     drawn += 1
         assert drawn > 300, drawn
+
+    def test_few_row_spaces_never_back_substitute(self, monkeypatch):
+        # building a code's dual back-substitutes, so the spaces are built
+        # before the patch; their draws and membership tests then solve the
+        # pivots from the echelon rows alone
+        systems = [rigidity.construct_system(d) for d in (8, 12)]
+        spaces = [
+            build_window_space(cube(s.code.length, 2), code)
+            for s in systems
+            for code in (s.code, s.product_code)
+        ]
+        spaces.append(build_window_space(cube(3, 2), codes.repetition_code(3)))
+
+        def unreachable(*args):
+            raise AssertionError("back_substitute called")
+
+        monkeypatch.setattr(gf2, "back_substitute", unreachable)
+        for space in spaces:
+            assert space._echelon_rows is not None
+            for seed in range(3):
+                x = sample(space, seed)
+                assert contains(space, x)
+                # a pivot bit lies on its own row, so flipping it breaks the rule
+                flipped = WindowConfig(space.box, x.bits ^ 1 << min(space.echelon))
+                assert not contains(space, flipped)
 
 
 @st.composite

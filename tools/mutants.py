@@ -194,15 +194,15 @@ MUTANTS = [
         "            if len(self.plan.taps) != 1:\n",
     ),
     (
-        # a pivot is set whenever its part meets the mask at all
+        # a pivot is set whenever its row meets the draw at all
         "few_row_draw_parity_without_its_low_bit", W,
-        "                if (mask & part).bit_count() & 1:\n",
-        "                if (mask & part).bit_count():\n",
+        "                if (x & row).bit_count() & 1:\n",
+        "                if (x & row).bit_count():\n",
     ),
     (
         # a draw keeps its mask on the free columns and leaves every pivot clear
         "few_row_draw_never_sets_a_pivot", W,
-        "                    x |= 1 << c\n",
+        "                    x |= pivot\n",
         "                    pass\n",
     ),
     (
@@ -213,8 +213,14 @@ MUTANTS = [
     ),
     (
         "few_row_membership_reads_only_the_first_row", W,
-        "        for row in self.rows:\n",
-        "        for row in self.rows[:1]:\n",
+        "        for row, _ in self.rows:\n",
+        "        for row, _ in self.rows[:1]:\n",
+    ),
+    (
+        # a pivot is solved before the higher pivots its row reads are set
+        "few_row_pivots_solved_lowest_first", W,
+        "        self.rows = [(r << c, 1 << c) for c, r in sorted(echelon.items(), reverse=True)]\n",
+        "        self.rows = [(r << c, 1 << c) for c, r in sorted(echelon.items())]\n",
     ),
     (
         # the box-2 spaces scan their plan and draw by lanes, while the
@@ -331,11 +337,6 @@ MUTANTS = [
         "entropy_profile_without_its_size_read", W,
         "    for n in int_tuple(sizes, \"box bounds\"):\n",
         "    for n in sizes:\n",
-    ),
-    (
-        "box_hash_of_lower_only", W,
-        "        return hash((self.lower, self.upper))\n",
-        "        return hash((self.lower,))\n",
     ),
     (
         "values_length_unchecked", W,
