@@ -339,6 +339,14 @@ MUTANTS = [
         "    for n in sizes:\n",
     ),
     (
+        # a hand-written hash over the lower bound alone overrides the
+        # frozen dataclass's hash((lower, upper))
+        "box_hash_of_lower_only", W,
+        "    upper: IntVector\n\n    def __post_init__(self):\n",
+        "    upper: IntVector\n\n    def __hash__(self):\n        return hash((self.lower,))\n\n"
+        "    def __post_init__(self):\n",
+    ),
+    (
         "values_length_unchecked", W,
         "    if len(chars) != box.site_count:\n",
         "    if False:\n",
