@@ -80,21 +80,25 @@ is e_f, f the j-th free column, plus every pivot column whose reduced
 row has bit f set, so the combination is the kernel element whose free
 columns hold the mask.  Its bit at pivot c is the XOR of the other bits
 of c's echelon row, each on a free column or on a higher pivot, so the
-pivots are solved from the highest down.  A space of few rows, by the
-cut membership uses, solves them from the rows it tests: the mask
-spread onto the free columns, then each pivot, highest first, set when
-its row meets the draw an odd number of times.  A space of one dual
-word, of pattern p and lowest offset lo, solves them by stencil
-levels.  Each of its rows is p at an anchor bit b and is a pivot as
-it comes, at b + lo, so the pivots are ``anchor_mask << lo`` and the kernel bit at b + lo is the XOR of the
-bits at b + o over the other offsets o of p.  The anchors are peeled
-once into levels, each of the anchors none of whose reads is a pivot
-still unsolved, and a draw solves a level by |p| - 1 shifts of the
-whole configuration (level scheduling: Anderson and Saad, "Solving
-sparse triangular linear systems on parallel computers", 1989).  At
-d = 8 on [0, 3)^8 the product code's 256 anchors fall into two levels,
-of 129 and 127; on a 2-vCPU VM its set-up and 100 draws take 1.1 ms
-where the lanes took 3.6 ms, and 6.3 ms against 20.9 ms at d = 10.
+pivots are solved from the highest down.  Three rules solve them, and
+none makes a kernel row.  A space of few rows, by the cut membership
+uses, solves them from the rows it tests: the mask spread onto the free
+columns, then each pivot, highest first, set when its row meets the
+draw an odd number of times.  Any other space of one dual word, of
+pattern p and lowest offset lo, solves them by stencil levels
+(``_StencilLevels``): its pivots are ``anchor_mask << lo``, each the XOR
+of the bits at its reads, the distances t = o - lo to the other offsets
+o of p.  They are peeled once into levels, each of the pivots that read
+no pivot still unsolved, and a draw solves a level by one
+whole-configuration shift per read (level scheduling: Anderson and
+Saad, "Solving sparse triangular linear systems on parallel computers",
+1989).  A word of two taps gives each pivot one read, which doubles
+after each level (pointer jumping, the recursive doubling of a
+first-order recurrence: Kogge and Stone, IEEE Trans. Computers, 1973;
+Hillis and Steele, "Data parallel algorithms", CACM, 1986), so the
+planar even-weight spaces on [0, 150)^2 and [0, 300)^2 take 8 and 9
+levels where one read at a time took 149 and 299.  Several reads never
+double: the d = 8 box-3 product space's pivots take levels of 129 and 127.
 The echelon rows of a space of several dual words are sparse: at
 d = 8 on [0, 3)^8 the code's 977 rows read 1,118 bits on 302 of the
 5,584 free columns and 4,031 higher pivots (5.3 reads a row, at most
@@ -110,11 +114,11 @@ On a 2-vCPU VM the 300 draws of 100 d = 8 box-3 samples, both set-ups
 included, take 10.1 ms, against 12.7 ms when both spaces drew by lanes
 and 27.3 ms when each space first back-substituted its echelon into
 reduced rows, and a single draw on the code space pays a batch's
-per-lane XORs alone, 1.0 ms.  The XOR of kernel rows costs about
-free_dim / 2 x sites bits, so a space above the cut draws by levels or
-lanes only when rank < free_dim, and otherwise combines rows one mask
-at a time.  All four give the same bits from the same random call, so
-seeded streams depend neither on the choice nor on the batch.
+per-lane XORs alone, 1.0 ms.  The lanes serve every space of several
+words above the cut, whatever its rank (see :class:`WindowSpace` for
+what that costs a space of rank >= free_dim).  All three give the same
+bits from the same random call, so seeded streams depend neither on the
+choice nor on the batch.
 """
 
 from __future__ import annotations
@@ -438,9 +442,6 @@ _DRAW_CHUNK = 256
 # The ASCII digit of a byte's lowest bit: 0x30 for an even byte, 0x31 for odd.
 _LOW_BIT_TO_ASCII = bytes(0x30 | b & 1 for b in range(256))
 
-# A byte's lowest bit, so that the ASCII digits '0' and '1' read as 0 and 1.
-_LOW_BIT = bytes(b & 1 for b in range(256))
-
 
 class _PivotParities:
     """Kernel combinations solved straight off the echelon of a window system.
@@ -560,46 +561,52 @@ class _StencilLevels:
 
     With one dual word, of pattern p and lowest offset lo, every
     constraint row is p shifted to its anchor bit b, and its lowest bit
-    b + lo is a pivot as it comes: the pivots are ``anchor_mask << lo``.
-    The kernel bit at b + lo is the XOR of the bits at b + o over the
-    ``reads``, the other set bits o of p, all higher.  Such a bit is
-    itself a pivot when b + o - lo is an anchor, so the anchors are
-    peeled into ``levels``: each holds the anchors none of whose reads
-    is a pivot still unsolved, found by |p| - 1 shifts of the unsolved
-    anchors.  A draw spreads its mask onto the free columns by steps
-    computed here, then for each level in turn XORs the draw shifted
-    down by every read and sets the pivots of the level's anchors from
-    it: one whole-configuration shift per read and level (level
-    scheduling of a triangular system, Anderson and Saad 1989).
+    q = b + lo is a pivot as it comes: the pivots are
+    ``anchor_mask << lo``.  The kernel bit at q is the XOR of the bits
+    q + t over the reads t, the distances from bit lo of p to its other
+    set bits.  Such a bit may itself be a pivot, so the pivots are peeled
+    into ``levels``, pairs (reads, pivot mask): each level holds the
+    pivots none of whose reads is a pivot still unsolved, found by one
+    shift of the unsolved pivots per read.  A lone read t doubles after
+    each level: a pivot still unsolved after k levels heads a chain of
+    2^k pivots, each copying the bit t above it, so it equals the bit
+    2^k t above it (pointer jumping).  A draw spreads its mask onto the
+    free columns by steps computed here, then for each level in turn
+    sets the level's pivots from the XOR of the draw shifted down by
+    each of its reads: one whole-configuration shift per read and level
+    (level scheduling of a triangular system, Anderson and Saad 1989).
     """
 
     def __init__(self, plan: StencilPlan, cols: int):
         (taps,) = plan.taps
         lo, r = _low_pattern(taps)
-        self.lo = lo
-        self.reads = sorted({o for o in taps if o > lo and r >> o - lo & 1})
-        free_mask = ((1 << cols) - 1) ^ plan.anchor_mask << lo
+        reads = [t for t in range(1, r.bit_length()) if r >> t & 1]
+        pivots = plan.anchor_mask << lo
+        free_mask = ((1 << cols) - 1) ^ pivots
         self.free = free_mask, _expand_steps(free_mask, _moves(free_mask, cols))
         self.levels = []
-        unsolved = plan.anchor_mask
+        unsolved = pivots
         while unsolved:
-            # an anchor is blocked when one of its reads is an unsolved pivot
+            # a pivot is blocked when one of its reads is an unsolved pivot
             blocked = 0
-            for o in self.reads:
-                blocked |= unsolved >> o - lo
+            for t in reads:
+                blocked |= unsolved >> t
             level = unsolved ^ unsolved & blocked
-            self.levels.append(level)
+            self.levels.append((reads, level))
             unsolved ^= level
+            if len(reads) == 1:
+                # an unsolved pivot equals the bit twice as far above it
+                reads = [2 * reads[0]]
 
     def combine(self, masks: Sequence[int]) -> list[int]:
         out = []
         for mask in masks:
             x = _spread(mask, *self.free)
-            for level in self.levels:
+            for reads, level in self.levels:
                 s = 0
-                for o in self.reads:
-                    s ^= x >> o
-                x |= (s & level) << self.lo
+                for t in reads:
+                    s ^= x >> t
+                x |= s & level
             out.append(x)
         return out
 
@@ -618,23 +625,27 @@ class WindowSpace:
     ``solution_basis`` back-substitutes the echelon on first use into
     reduced rows in free coordinates.
 
-    Draws take one of four paths, and membership one of two, chosen once
-    per space from what it holds.  A space whose rank is at most its
-    plan's tap count, the offsets of all dual words together, has an
-    echelon of few rows: it tests membership against those rows and draws
-    by solving their pivots from them (``_echelon_rows``), as the
-    one-anchor spaces on [0, 2)^d do (rank 4 and 1 at d = 8, against 16
-    and 8 taps).  Any
-    other space tests membership by the plan scan of :func:`contains`.
-    Of those, a space with rank < free_dim draws straight off its rows:
-    one of a single dual word solves its pivots a dependency level at a
-    time by whole-configuration shifts (``_stencil_levels``), as the d = 8
-    box-3 product space does, and one of several words from pivot lanes
-    solved off the echelon (``_pivot_parities``), set up at a cost
-    proportional to the echelon's set bits, as the d = 8 box-3 code space
-    does; no reduced row is made.  The rest, such as the planar spaces
-    (one word, rank >= free_dim), draw by combining ``solution_basis``
-    rows.  Each keeps only what it derives.
+    Draws take one of three paths, and membership one of two, chosen
+    once per space from what it holds; no path makes a kernel row.  A
+    space whose rank is at most its plan's tap count, the offsets of all
+    dual words together, has an echelon of few rows: it tests membership
+    against those rows and draws by solving their pivots from them
+    (``_echelon_rows``), as the one-anchor spaces on [0, 2)^d do (rank 4
+    and 1 at d = 8, against 16 and 8 taps).  Any other space tests
+    membership by the plan scan of :func:`contains`.  Of those, a space
+    of one dual word solves its pivots a dependency level at a time by
+    whole-configuration shifts (``_stencil_levels``), as the d = 8 box-3
+    product space and the planar spaces do, and a space of several words
+    from pivot lanes solved off the echelon (``_pivot_parities``), set up
+    at a cost proportional to the echelon's set bits, as the d = 8 box-3
+    code space does.  The lanes also serve spaces of several words with
+    rank >= free_dim, which neither ``verify`` nor the planar sampler
+    builds.  There a warm single draw pays every pivot's lane: on a
+    2-vCPU VM 10.4 ms for ``repetition_code(3)`` on [0, 20)^3 and 4.9 ms
+    for ``repetition_code(4)`` on [0, 8)^4, against 0.04 and 0.06 ms for
+    an XOR of back-substituted kernel rows; a build plus one draw, which
+    pays no back-substitution, takes 1.42x and 1.26x as long.
+    Each keeps only what it derives.
     """
 
     box: Box
@@ -685,20 +696,9 @@ class WindowSpace:
         few = self._echelon_rows
         if few is not None:
             return few.combine(masks)
-        if self.rank < self.free_dim:
-            if len(self.plan.taps) == 1:
-                return self._stencil_levels.combine(masks)
-            return self._pivot_parities.combine(masks)
-        rows, spec = self.solution_basis.rows, f"0{self.free_dim}b"
-        # the mask's digits, bit k at byte k, select the rows to XOR
-        return [
-            functools.reduce(
-                operator.xor,
-                itertools.compress(rows, format(mask, spec)[::-1].encode().translate(_LOW_BIT)),
-                0,
-            )
-            for mask in masks
-        ]
+        if len(self.plan.taps) == 1:
+            return self._stencil_levels.combine(masks)
+        return self._pivot_parities.combine(masks)
 
 
 def guarded_site_count(widths: Iterable[int], max_sites: int) -> int:
@@ -807,10 +807,9 @@ def sample_rounds(
     mask selects the ``solution_basis`` rows to combine, bit k for row k,
     and each space combines all of its masks of ``_DRAW_CHUNK`` rounds in
     one call, by the path its rank and dual words choose (see
-    :class:`WindowSpace`): from its few echelon rows, by
-    stencil levels, from pivot lanes, or from kernel rows, each giving
-    the same bits.  Returns one tuple per round, in the order of
-    ``spaces``.
+    :class:`WindowSpace`): from its few echelon rows, by stencil levels,
+    or from pivot lanes, each giving the same bits.  Returns one tuple
+    per round, in the order of ``spaces``.
 
     Raises:
         ValueError: when ``rounds`` is not an integer or is negative, or

@@ -785,7 +785,8 @@ class TestSampling:
     @example((Box((-1, -2, 0), (2, 1, 3)), lambda: _one_word_code(3, 0b011)), 0)
     @example((Box((2, -3), (5, 0)), lambda: _one_word_code(2, 0b01)), 0)  # levels, no reads
     @example((cube(4, 3), _two_word_code), 0)  # parities: rank 31, free 50
-    @example((cube(2, 4), e2), 0)  # kernel rows: rank 9, free 7
+    @example((cube(2, 4), e2), 0)  # levels by jumps: one read, rank 9, free 7
+    @example((cube(3, 4), lambda: codes.repetition_code(3)), 0)  # parities: rank 46, free 18
     @example((Box((0,), (4,)), lambda: codes.dual(codes.full_code(1))), 0)  # free_dim 0
     @example((cube(2, 3), lambda: codes.full_code(2)), 0)  # rank 0
     def test_draw_is_the_masked_kernel_combination(self, case, seed):
@@ -813,7 +814,7 @@ class TestSampling:
     )
     @example([(cube(3, 3), lambda: codes.even_weight_code(3))], 0, 7)  # levels
     @example([(cube(4, 3), _two_word_code)], 0, 7)  # parities
-    @example([(cube(2, 4), e2)], 0, 7)  # kernel rows
+    @example([(cube(2, 4), e2)], 0, 7)  # levels by jumps
     @example([(Box((0,), (4,)), lambda: codes.dual(codes.full_code(1)))], 0, 7)  # free_dim 0
     @example([(cube(2, 3), lambda: codes.full_code(2))], 0, 7)  # rank 0
     @example(
@@ -926,19 +927,23 @@ class TestOneElimination:
         [
             # one dual word, rank 8, free 19
             (cube(3, 3), functools.partial(codes.even_weight_code, 3), "_stencil_levels"),
+            # one dual word of one read, rank 9, free 7
+            (cube(2, 4), functools.partial(codes.even_weight_code, 2), "_stencil_levels"),
             # two dual words, rank 31, free 50
             (cube(4, 3), _two_word_code, "_pivot_parities"),
-            # rank 9, free 7
-            (cube(2, 4), functools.partial(codes.even_weight_code, 2), None),
+            # two dual words, rank 46, free 18
+            (cube(3, 4), functools.partial(codes.repetition_code, 3), "_pivot_parities"),
         ],
-        ids=["levels", "parities", "kernel_rows"],
+        ids=["levels", "jumps", "parities", "lanes_at_high_rank"],
     )
     def test_build_sample_and_kernel(self, eliminations, box, code, path):
         # the code is made here, not when the file is imported, as in
         # test_seeded_streams_are_pinned; a draw builds only its own path
         space = build_window_space(box, code())
         sample(space, 0)
-        assert {"_stencil_levels", "_pivot_parities"} & set(vars(space)) == {path} - {None}
+        assert {"_stencil_levels", "_pivot_parities"} & set(vars(space)) == {path}
+        # no draw rule makes kernel rows
+        assert "solution_basis" not in vars(space)
         basis = space.solution_basis
         rows = list(space.constraint_matrix.rows)
         assert eliminations.count(rows) == 1
@@ -1048,6 +1053,18 @@ class TestPivotParities:
         parities = _parities(m)
         assert parities.stride == 2
         assert parities.lanes == [[1], [2], [3]]
+
+    @pytest.mark.parametrize("d, n", [(3, 5), (4, 4)])
+    def test_high_rank_spaces_draw_the_masked_kernel_combination(self, d, n):
+        # several dual words and rank >= free_dim (101 >= 24, 179 >= 77):
+        # the lanes serve these spaces too
+        space = build_window_space(cube(d, n), codes.repetition_code(d))
+        assert len(space.plan.taps) > 1 and space.rank >= space.free_dim
+        drawn = windows.sample_rounds((space,), random.Random(n), 5)
+        assert "_pivot_parities" in vars(space)
+        ref = random.Random(n)
+        for (x,) in drawn:
+            assert x.bits == _basis_combination(space, ref.getrandbits(space.free_dim))
 
     def test_set_up_at_d10_box_3_holds_no_reduced_row(self):
         # reduced rows in free coordinates, as wide as the code space's
@@ -1249,6 +1266,33 @@ def _set_bits(x):
     return [k for k in range(x.bit_length()) if x >> k & 1]
 
 
+@st.composite
+def one_read_space_cases(draw):
+    """A box (negative lowers allowed) and a dual word of two taps, or the lone tap at d = 1.
+
+    Every side is at least 2, so every box has anchors; a word on two
+    axes before the last has its lowest offset lo above 0.
+    """
+    d = draw(st.integers(1, 4))
+    lower = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+    widest = {1: 16, 2: 12, 3: 5, 4: 3}[d]
+    widths = draw(st.lists(st.integers(2, widest), min_size=d, max_size=d))
+    box = Box(lower, tuple(l + w for l, w in zip(lower, widths)))
+    if d == 1:
+        return box, 0b1
+    a, b = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    return box, 1 << a | 1 << b
+
+
+def _basis_combination(space, mask):
+    """The XOR of the ``solution_basis`` rows that ``mask`` selects, bit k for row k."""
+    bits = 0
+    for k, row in enumerate(space.solution_basis.rows):
+        if mask >> k & 1:
+            bits ^= row
+    return bits
+
+
 class TestStencilLevels:
     """Spaces of one dual word draw a dependency level of pivots at a time."""
 
@@ -1261,31 +1305,53 @@ class TestStencilLevels:
             sample(space, 0)
         assert "_stencil_levels" in vars(z) and "_pivot_parities" not in vars(z)
         assert "_pivot_parities" in vars(xy) and "_stencil_levels" not in vars(xy)
-        # one dual word, but rank 1,521 >= free_dim 79: kernel rows
-        assert not {"_stencil_levels", "_pivot_parities"} & set(vars(planar))
+        # one dual word of one read, rank 1,521 >= free_dim 79: levels too,
+        # by jumps, and no kernel row is made
+        assert "_stencil_levels" in vars(planar) and "_pivot_parities" not in vars(planar)
+        assert "solution_basis" not in vars(planar)
         # the anchors whose reads are all free columns, then the rest
-        assert [level.bit_count() for level in z._stencil_levels.levels] == [129, 127]
+        assert [level.bit_count() for _, level in z._stencil_levels.levels] == [129, 127]
+        # the longest chain holds 39 pivots: ceil(log2 40) jump levels
+        assert len(planar._stencil_levels.levels) == 6
+
+    @pytest.mark.parametrize(
+        "which, count",
+        [("planar_150", 8), ("planar_300", 9), ("d8_box_3_product", 2)],
+    )
+    def test_level_counts_are_pinned(self, which, count):
+        # a lone read doubles after every level, so the planar spaces, whose
+        # longest pivot chains hold n - 1 pivots, take ceil(log2 n) levels
+        # where one read at a time took n - 1; the d = 8 product word has
+        # eight reads, which never double
+        if which == "d8_box_3_product":
+            space = build_window_space(cube(8, 3), rigidity.construct_system(8).product_code)
+        else:
+            n = int(which.removeprefix("planar_"))
+            space = build_window_space(cube(2, n), e2(), max_sites=n * n)
+        assert len(space._stencil_levels.levels) == count
 
     @given(small_space_cases(), st.integers(0, 2**32))
     @example((cube(3, 3), lambda: codes.even_weight_code(3)), 0)
     @example((cube(4, 3), _two_word_code), 0)
-    @example((cube(2, 5), e2), 0)
-    def test_levels_are_taken_by_one_word_spaces_above_the_cut_below_half_rank(self, case, seed):
+    @example((cube(2, 5), e2), 0)  # one read, rank 16 >= free_dim 9
+    @example((cube(3, 4), lambda: codes.repetition_code(3)), 0)  # two words, rank 46, free 18
+    def test_levels_are_taken_by_every_one_word_space_above_the_cut(self, case, seed):
+        # whatever its rank; every other space above the cut takes the lanes
         box, make = case
         space = build_window_space(box, make())
         sample(space, seed)
-        expected = (
-            len(space.plan.taps) == 1
-            and space._echelon_rows is None
-            and space.rank < space.free_dim
-        )
-        assert ("_stencil_levels" in vars(space)) == expected
+        drawn = space._echelon_rows is None and space.free_dim > 0
+        one_word = len(space.plan.taps) == 1
+        assert ("_stencil_levels" in vars(space)) == (drawn and one_word)
+        assert ("_pivot_parities" in vars(space)) == (drawn and not one_word)
+        assert "solution_basis" not in vars(space)
 
     @given(one_word_space_cases(), st.integers(0, 2**32))
     @example((cube(3, 3), 0b111), 0)
     @example((Box((-1, -2, 0), (2, 1, 3)), 0b011), 1)  # pivots 2 above their anchors
     @example((Box((0, 0, -1), (3, 1, 2)), 0b111), 2)  # a width-1 axis: no anchor, zero levels
     @example((Box((-2,), (3,)), 0b1), 3)  # every site a pivot
+    @example((cube(2, 6), 0b11), 4)  # one read, doubled after each level
     def test_levels_draw_what_the_pivot_lanes_draw(self, case, seed):
         box, word = case
         code = _one_word_code(box.dimension, word)
@@ -1295,20 +1361,25 @@ class TestStencilLevels:
         for o in taps:
             pattern ^= 1 << o
         lo = (pattern & -pattern).bit_length() - 1 if pattern else 0
-        anchors = _set_bits(space.plan.anchor_mask)
+        reads = _set_bits(pattern >> lo)[1:]
+        pivots = _set_bits(space.plan.anchor_mask << lo)
         # every row is a pivot as it comes, at its anchor bit plus lo
-        assert set(space.echelon) == set(_set_bits(space.plan.anchor_mask << lo))
-        # the levels split the anchors; none reads a pivot of its own level or a later one
+        assert sorted(space.echelon) == pivots
+        # the levels split the pivots; none reads a pivot of its own level or a later one
         levels = space._stencil_levels.levels
-        assert all(levels)
-        assert sorted(b for level in levels for b in _set_bits(level)) == anchors
+        assert all(level for _, level in levels)
+        assert sorted(q for _, level in levels for q in _set_bits(level)) == pivots
+        # a lone read doubles after every level; several stay the word's own
+        assert [level_reads for level_reads, _ in levels] == [
+            [reads[0] << k] if len(reads) == 1 else reads for k in range(len(levels))
+        ]
         later = 0
-        for level in reversed(levels):
+        for level_reads, level in reversed(levels):
             later |= level
-            for b in _set_bits(level):
-                for o in _set_bits(pattern >> lo + 1):
-                    assert not later >> b + o + 1 & 1, (b, o)
-        if not anchors:
+            for q in _set_bits(level):
+                for t in level_reads:
+                    assert not later >> q + t & 1, (q, t)
+        if not pivots:
             assert levels == []
         rng = random.Random(seed)
         masks = [rng.getrandbits(space.free_dim) for _ in range(5)]
@@ -1319,6 +1390,30 @@ class TestStencilLevels:
         free = free_column_mask(space.constraint_matrix.rows, space.site_count)
         for mask, bits in zip(masks, drawn):
             assert bits & free == expand_bits(mask, free)
+            assert window_rule_holds(box, code, WindowConfig(box, bits))
+
+    @given(one_read_space_cases(), st.integers(0, 2**32))
+    @example((Box((-3, 2), (9, 14)), 0b11), 0)  # 12 x 12: 11 pivots on the longest chain
+    @example((Box((-1, 0, 1), (4, 5, 6)), 0b011), 1)  # lo = 4
+    @example((Box((-5,), (11,)), 0b1), 2)  # d = 1: a lone tap and no read
+    def test_jumps_draw_the_masked_kernel_combination(self, case, seed):
+        # a pivot q with one read t copies the bit q + t, so the pivots
+        # form chains q, q + t, q + 2t, ... that end on a free column; a
+        # chain of L pivots is solved in ceil(log2(L + 1)) jump levels
+        box, word = case
+        code = _one_word_code(box.dimension, word)
+        space = build_window_space(box, code)
+        levels = space._stencil_levels.levels
+        assert len(levels[0][0]) == (box.dimension > 1)
+        run = {}
+        for q in sorted(space.echelon, reverse=True):
+            run[q] = 1 + (run.get(q + levels[0][0][0], 0) if levels[0][0] else 0)
+        assert len(levels) == max(run.values()).bit_length()
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(space.free_dim) if space.free_dim else 0 for _ in range(5)]
+        drawn = space._stencil_levels.combine(masks)
+        assert drawn == [_basis_combination(space, mask) for mask in masks]
+        for bits in drawn:
             assert window_rule_holds(box, code, WindowConfig(box, bits))
 
 

@@ -163,35 +163,65 @@ MUTANTS = [
     (
         # the pivots of every level after the first stay clear
         "levels_only_the_first_applied", W,
-        "            for level in self.levels:\n",
-        "            for level in self.levels[:1]:\n",
+        "            for reads, level in self.levels:\n",
+        "            for reads, level in self.levels[:1]:\n",
     ),
     (
         # a level's pivots leave out the bit at the word's second offset
         "level_draw_skips_one_read", W,
-        "                for o in self.reads:\n                    s ^= x >> o\n",
-        "                for o in self.reads[1:]:\n                    s ^= x >> o\n",
+        "                for t in reads:\n                    s ^= x >> t\n",
+        "                for t in reads[1:]:\n                    s ^= x >> t\n",
     ),
     (
-        # an anchor is blocked by pivots already solved, so the first level
-        # takes every anchor and reads pivots not yet set
+        # a pivot is blocked by pivots already solved, so the first level
+        # takes every pivot and reads pivots not yet set
         "levels_peeled_against_solved_pivots", W,
-        "                blocked |= unsolved >> o - lo\n",
-        "                blocked |= (plan.anchor_mask ^ unsolved) >> o - lo\n",
+        "                blocked |= unsolved >> t\n",
+        "                blocked |= (pivots ^ unsolved) >> t\n",
     ),
     (
         # a level's pivots are set at their anchor bits, not lo above them;
         # the d = 8 product space has lo = 0, so only smaller boxes see it
         "level_pivots_at_the_anchor_bits", W,
-        "                x |= (s & level) << self.lo\n",
-        "                x |= s & level\n",
+        "            self.levels.append((reads, level))\n",
+        "            self.levels.append((reads, level >> lo))\n",
     ),
     (
         # the spaces of several dual words draw by levels, and those of one
         # by the pivot lanes
         "one_word_selection_inverted", W,
-        "            if len(self.plan.taps) == 1:\n",
-        "            if len(self.plan.taps) != 1:\n",
+        "        if len(self.plan.taps) == 1:\n",
+        "        if len(self.plan.taps) != 1:\n",
+    ),
+    (
+        # a lone read is never doubled: the same draws, one level per pivot
+        # of the longest chain, 149 on the 150 x 150 planar space
+        "lone_read_never_doubled", W,
+        "            if len(reads) == 1:\n"
+        "                # an unsolved pivot equals the bit twice as far above it\n"
+        "                reads = [2 * reads[0]]\n",
+        "",
+    ),
+    (
+        # the read is doubled before the level it peels is stored, so each
+        # level copies the bit twice as far above as the peel checked
+        "lone_read_doubled_before_its_level", W,
+        "            self.levels.append((reads, level))\n"
+        "            unsolved ^= level\n"
+        "            if len(reads) == 1:\n"
+        "                # an unsolved pivot equals the bit twice as far above it\n"
+        "                reads = [2 * reads[0]]\n",
+        "            if len(reads) == 1:\n"
+        "                reads = [2 * reads[0]]\n"
+        "            self.levels.append((reads, level))\n"
+        "            unsolved ^= level\n",
+    ),
+    (
+        # the read quadruples, so each jump level after the first skips the
+        # one that would read twice as far
+        "one_jump_level_dropped", W,
+        "                reads = [2 * reads[0]]\n",
+        "                reads = [4 * reads[0]]\n",
     ),
     (
         # a pivot is set whenever its row meets the draw at all
@@ -293,12 +323,6 @@ MUTANTS = [
         "batch_chunk_one_round_short", W,
         "places = spaces * min(_DRAW_CHUNK, rounds - start)",
         "places = spaces * min(_DRAW_CHUNK - 1, rounds - start)",
-    ),
-    (
-        # row k is selected by the mask's bit free_dim - 1 - k
-        "kernel_row_draw_reads_the_mask_forwards", W,
-        "format(mask, spec)[::-1].encode()",
-        "format(mask, spec).encode()",
     ),
     (
         "contains_box_ignores_arity", W,
