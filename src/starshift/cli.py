@@ -7,9 +7,17 @@ With ``--json`` the output is the payload after a top-level
 ends in one newline and goes to stdout, or to the ``-o`` file.  Rendering
 runs inside the error table, so a file that cannot be written exits 2.
 
+Each subcommand is declared once, in ``COMMANDS``.  A call that names a
+command builds that command's parser alone.  Top-level help, an unknown
+command and leftover arguments go through the full ``build_parser()``
+tree, which is built from the same table.  So every usage line, help
+text and parse error reads as that tree's.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error, 3 resource guard exceeded.  Per-check timing fields are
-informational and not part of the deterministic surface.
+error, 3 resource guard exceeded or memory exhausted.  A ``MemoryError``
+that escapes a guard leaves as one ``error:`` line, not a traceback.
+Per-check timing fields are informational and not part of the
+deterministic surface.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import argparse
 import itertools
 import json
 import sys
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from . import codes as codes_mod
 from . import laurent as laurent_mod
@@ -200,75 +210,122 @@ def cmd_sample(args: argparse.Namespace) -> CommandResult:
     return 0, payload, [config.to_bit_string()]
 
 
+class Command(NamedTuple):
+    """One subcommand: its name, help line, function and own arguments.
+
+    ``arguments`` holds (flags, options) pairs for ``add_argument``, in
+    order; every command then takes ``--json`` and ``-o``, and those with
+    ``max_sites`` set take ``--max-sites`` after them.
+    """
+
+    name: str
+    help: str
+    func: Callable[[argparse.Namespace], CommandResult]
+    arguments: tuple[tuple[tuple[str, ...], dict], ...]
+    max_sites: bool = False
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_CODEFILE = _arg("codefile")
+_DIMENSION = _arg("-d", type=int, required=True, help="dimension, at least 8")
+_SEED = _arg("--seed", type=int, default=0, help="random seed (default 0)")
+
+COMMANDS = (
+    Command("inspect", "report the basic facts of a code file", cmd_inspect, (_CODEFILE,)),
+    Command("dual", "print the dual code", cmd_dual, (_CODEFILE,)),
+    Command(
+        "check",
+        "check a window configuration against a code",
+        cmd_check,
+        (_CODEFILE, _arg("configfile", help="JSON window configuration")),
+        max_sites=True,
+    ),
+    Command(
+        "construct", "print the standard code pair for a dimension", cmd_construct, (_DIMENSION,)
+    ),
+    Command(
+        "verify",
+        "run the full verification suite for a dimension",
+        cmd_verify,
+        (
+            _DIMENSION,
+            _arg("--box", type=int, default=2, help="box side length (default 2)"),
+            _arg("--samples", type=int, default=100, help="sampled triples (default 100)"),
+            _SEED,
+        ),
+        max_sites=True,
+    ),
+    Command(
+        "entropy",
+        "per-site log-count profile of a code",
+        cmd_entropy,
+        (_CODEFILE, _arg("--box", type=int, default=3, help="largest box side (default 3)")),
+        max_sites=True,
+    ),
+    Command(
+        "mixing-witness",
+        "separating codeword for an integer vector",
+        cmd_mixing_witness,
+        (
+            _CODEFILE,
+            _arg("--n", required=True, help="comma-separated integers, one per coordinate"),
+        ),
+    ),
+    Command(
+        "sample",
+        "draw a seeded uniform window solution",
+        cmd_sample,
+        (_CODEFILE, _arg("--box", type=int, default=2, help="box side length (default 2)"), _SEED),
+        max_sites=True,
+    ),
+)
+
+_BY_NAME = {c.name: c for c in COMMANDS}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: Command) -> None:
+    for flags, options in command.arguments:
+        p.add_argument(*flags, **options)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
+    p.add_argument("-o", dest="output", metavar="PATH", help="write the report to a file")
+    if command.max_sites:
+        p.add_argument(
+            "--max-sites", type=int, default=windows_mod.MAX_SITES, help="site-count guard"
+        )
+    p.set_defaults(func=command.func)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every subcommand under ``starshift``."""
     parser = argparse.ArgumentParser(
         prog="starshift",
         description="Binary-code group shifts: window engines and symmetry verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, guard: bool = False) -> None:
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("-o", dest="output", metavar="PATH", help="write the report to a file")
-        if guard:
-            p.add_argument(
-                "--max-sites", type=int, default=windows_mod.MAX_SITES, help="site-count guard"
-            )
-
-    p = sub.add_parser("inspect", help="report the basic facts of a code file")
-    p.add_argument("codefile")
-    common(p)
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("dual", help="print the dual code")
-    p.add_argument("codefile")
-    common(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("check", help="check a window configuration against a code")
-    p.add_argument("codefile")
-    p.add_argument("configfile", help="JSON window configuration")
-    common(p, guard=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("construct", help="print the standard code pair for a dimension")
-    p.add_argument("-d", type=int, required=True, help="dimension, at least 8")
-    common(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="run the full verification suite for a dimension")
-    p.add_argument("-d", type=int, required=True, help="dimension, at least 8")
-    p.add_argument("--box", type=int, default=2, help="box side length (default 2)")
-    p.add_argument("--samples", type=int, default=100, help="sampled triples (default 100)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common(p, guard=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("entropy", help="per-site log-count profile of a code")
-    p.add_argument("codefile")
-    p.add_argument("--box", type=int, default=3, help="largest box side (default 3)")
-    common(p, guard=True)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("mixing-witness", help="separating codeword for an integer vector")
-    p.add_argument("codefile")
-    p.add_argument("--n", required=True, help="comma-separated integers, one per coordinate")
-    common(p)
-    p.set_defaults(func=cmd_mixing_witness)
-
-    p = sub.add_parser("sample", help="draw a seeded uniform window solution")
-    p.add_argument("codefile")
-    p.add_argument("--box", type=int, default=2, help="box side length (default 2)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common(p, guard=True)
-    p.set_defaults(func=cmd_sample)
-
+    for command in COMMANDS:
+        _add_arguments(sub.add_parser(command.name, help=command.help), command)
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    # a subparser of the full tree gets this prog and no other setting, so
+    # a lone parser for the named command prints the same help and errors
+    command = _BY_NAME.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"starshift {command.name}")
+        _add_arguments(parser, command)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    # the full tree words the refusal of leftover arguments
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         rc, payload, lines = args.func(args)
         if args.json:
@@ -283,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         return rc
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # the last line of defence behind the guards, not a guard itself
+        print("error: out of memory", file=sys.stderr)
         return 3
     except RuntimeError as exc:
         # a constructed system that fails its own invariant checks

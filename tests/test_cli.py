@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from starshift import codes, rigidity, windows
+from starshift import cli, codes, rigidity, windows
 from starshift.cli import main
 
 
@@ -222,6 +222,34 @@ class TestConstruct:
     def test_unsupported_dimension(self, capsys):
         assert main(["construct", "-d", "7"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_giant_dimension_exits_3_without_allocating(self):
+        # the child caps its own address space, so a missing guard ends in
+        # a MemoryError rather than straining the machine
+        script = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20)); "
+            "from starshift.cli import main; raise SystemExit(main())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "construct", "-d", str(10**9)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: code pair of dimension {10**9} has {10**9 * (2 * 10**9 - 5)} generator bits, "
+            f"guard is {rigidity.MAX_PAIR_BITS}\n"
+        )
+
+    def test_memory_error_exits_3(self, capsys, monkeypatch):
+        def exhausted(d):
+            raise MemoryError
+
+        monkeypatch.setattr(rigidity, "construct_system", exhausted)
+        assert main(["construct", "-d", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     @pytest.mark.parametrize("argv", [["construct", "-d", "8"], ["verify", "-d", "8"]])
     def test_invariant_failure_is_a_verification_failure(self, capsys, monkeypatch, argv):
@@ -578,3 +606,100 @@ class TestModuleEntry:
             text=True,
         )
         assert proc.returncode == 2
+
+
+# a valid argument list for each command, and its int options
+_VALID = {
+    "inspect": (["c.code"], []),
+    "dual": (["c.code"], []),
+    "check": (["c.code", "w.json"], ["--max-sites"]),
+    "construct": (["-d", "8"], ["-d"]),
+    "verify": (["-d", "8"], ["-d", "--box", "--samples", "--seed", "--max-sites"]),
+    "entropy": (["c.code"], ["--box", "--max-sites"]),
+    "mixing-witness": (["c.code", "--n", "1"], []),
+    "sample": (["c.code"], ["--box", "--seed", "--max-sites"]),
+}
+_TAKES_MAX_SITES = {"check", "verify", "entropy", "sample"}
+
+
+def _refusals():
+    """Argument lists the parser refuses or answers with help, each (id, argv)."""
+    yield "help", ["--help"]
+    yield "none", []
+    yield "unknown-command", ["frobnicate"]
+    yield "option-before-command", ["--json", "construct", "-d", "8"]
+    for name, (valid, ints) in _VALID.items():
+        yield f"{name}-help", [name, "--help"]
+        yield f"{name}-h-after-arguments", [name, *valid, "-h"]
+        yield f"{name}-missing-required", [name]
+        for opt in ints:
+            yield f"{name}-{opt.lstrip('-')}-not-an-int", [name, *valid, opt, "x"]
+        yield f"{name}-unknown-option", [name, *valid, "--bogus"]
+        yield f"{name}-leftover-positional", [name, *valid, "extra"]
+        yield f"{name}-leftover-after-a-bad-int", [name, *valid, "extra", *ints[-1:], "x"]
+        # an abbreviated flag with a value it refuses
+        yield f"{name}-abbreviated-json", [name, *valid, "--js=1"]
+        yield f"{name}-missing-output-path", [name, *valid, "-o"]
+        yield f"{name}-max-sites", [name, *valid, "--max-sites", "x"]
+    yield "mixing-witness-missing-n", ["mixing-witness", "c.code"]
+    yield "verify-abbreviated-samples", ["verify", "-d", "8", "--sam", "x"]
+    yield "verify-ambiguous-abbreviation", ["verify", "-d", "8", "--s", "5"]
+    yield "sample-abbreviated-seed", ["sample", "c.code", "--se", "x"]
+
+
+_REFUSALS = list(_refusals())
+
+
+class TestParserParity:
+    """``main`` parses as the full ``build_parser()`` tree does, to the byte."""
+
+    @staticmethod
+    def _outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [a for _, a in _REFUSALS], ids=[i for i, _ in _REFUSALS])
+    def test_refusals_and_help_match_the_full_parser(self, capsys, argv):
+        expected = self._outcome(capsys, cli.build_parser().parse_args, argv)
+        assert self._outcome(capsys, main, argv) == expected
+        assert expected[0] in (0, 2)
+        assert expected[1] or expected[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-d", "8", "--sam", "5", "--se", "2", "--js"],
+            ["verify", "-d9", "--box=3", "--max", "7", "-o", "r.json"],
+            ["sample", "c.code", "--bo", "3", "--seed", "-4"],
+            ["check", "c.code", "w.json", "--max-s", "10"],
+            ["mixing-witness", "c.code", "--n=-1,2"],
+            ["entropy", "--box", "4", "c.code"],
+        ],
+    )
+    def test_accepted_arguments_match_the_full_parser(self, argv):
+        expected = vars(cli.build_parser().parse_args(argv))
+        assert expected.pop("command") == argv[0]
+        assert vars(cli._parse_args(argv)) == expected
+
+    @pytest.mark.parametrize("name", sorted(_VALID))
+    def test_max_sites_belongs_to_the_commands_that_build_spaces(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, *_VALID[name][0], "--max-sites", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        if name in _TAKES_MAX_SITES:
+            assert f"usage: starshift {name} " in err
+            assert "argument --max-sites: invalid int value: 'x'" in err
+        else:
+            assert err.startswith("usage: starshift [-h]")
+            assert err.endswith("error: unrecognized arguments: --max-sites x\n")
+
+    def test_a_call_builds_only_its_command_parser(self, capsys, monkeypatch):
+        def no_full_parser():
+            raise AssertionError("built the full parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_full_parser)
+        assert main(["verify", "-d", "8", "--samples", "5"]) == 0
+        assert capsys.readouterr().out.endswith("RESULT: PASS (20 checks, d=8)\n")

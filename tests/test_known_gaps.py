@@ -52,7 +52,6 @@ sys.exit(main(["construct", "-d", "100000"]))
 """
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: construct has no guard on d")
 def test_construct_refuses_a_huge_dimension_at_once():
     start = time.perf_counter()
     proc = subprocess.run(

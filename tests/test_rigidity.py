@@ -70,6 +70,26 @@ class TestConstruction:
             report = rigidity.verify_premises(construct_system(d), seed=1)
             assert report.passed, [c.name for c in report.checks if not c.passed]
 
+    def test_pair_guard_refuses_before_any_code_is_built(self, monkeypatch):
+        # d = 1,025 has 2,096,125 generator bits and d = 1,026 has 2,100,222
+        assert rigidity.MAX_PAIR_BITS == 1 << 21
+        system = construct_system(1025)
+        bits = system.code.dim * 1025 + system.product_code.dim * 1025
+        assert bits == 2_096_125 <= rigidity.MAX_PAIR_BITS
+
+        def no_code(*args):
+            raise AssertionError("built a code")
+
+        monkeypatch.setattr(rigidity.codes_mod, "hamming8_code", no_code)
+        monkeypatch.setattr(rigidity.codes_mod, "full_code", no_code)
+        for d in (1026, 10**9):
+            with pytest.raises(GuardExceededError) as exc:
+                construct_system(d)
+            assert str(exc.value) == (
+                f"code pair of dimension {d} has {d * (2 * d - 5)} generator bits, "
+                f"guard is {1 << 21}"
+            )
+
     def test_invariants_checked_on_construction(self):
         system = construct_system(9)
         assert codes.is_subcode(system.code, system.product_code)

@@ -724,6 +724,40 @@ MUTANTS = [
         "        if args.json:\n            text = json.dumps(",
         "        if not args.json:\n            text = json.dumps(",
     ),
+    (
+        # a command's lone parser runs the command with arguments it left over
+        "leftover_arguments_kept_by_the_lone_parser", C,
+        "        if not rest:\n            return args\n",
+        "        return args\n",
+    ),
+    (
+        "lone_parser_without_its_prog", C,
+        '        parser = argparse.ArgumentParser(prog=f"starshift {command.name}")\n',
+        "        parser = argparse.ArgumentParser()\n",
+    ),
+    (
+        "construct_takes_max_sites", C,
+        '"construct", "print the standard code pair for a dimension", cmd_construct, (_DIMENSION,)\n',
+        '"construct", "print the standard code pair for a dimension", cmd_construct, (_DIMENSION,),'
+        " max_sites=True\n",
+    ),
+    (
+        "sample_drops_max_sites", C,
+        '        (_CODEFILE, _arg("--box", type=int, default=2, help="box side length (default 2)"),'
+        " _SEED),\n        max_sites=True,\n",
+        '        (_CODEFILE, _arg("--box", type=int, default=2, help="box side length (default 2)"),'
+        " _SEED),\n",
+    ),
+    (
+        "memory_error_escapes", C,
+        "    except MemoryError:\n",
+        "    except ZeroDivisionError:\n",
+    ),
+    (
+        "construct_pair_guard_dropped", R,
+        "    if bits > MAX_PAIR_BITS:\n",
+        "    if False:\n",
+    ),
 ]
 
 
