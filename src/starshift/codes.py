@@ -33,6 +33,7 @@ from .gf2 import F2Matrix, F2Vector, IntVector
 
 __all__ = [
     "ENUMERATION_GUARD_DIM",
+    "MAX_CODE_BITS",
     "HAMMING8_GENERATORS",
     "BinaryCode",
     "NondegeneracyCertificate",
@@ -63,6 +64,11 @@ __all__ = [
 # Exhaustive codeword sweeps cover 2^dim words; refuse anything larger.
 ENUMERATION_GUARD_DIM = 24
 
+# Generator bits a code file's rows, rows x length, and a dual's kernel
+# rows, (length - dim) x length, may hold, each checked before any
+# elimination.  Every code of length at most 8,192 = 2^13 passes both.
+MAX_CODE_BITS = 1 << 26
+
 # Generator rows of the self-dual doubly even [8, 4] code (the extended
 # Hamming code), kept verbatim as the reference presentation.
 HAMMING8_GENERATORS = ("11110000", "00111100", "00001111", "10101010")
@@ -78,8 +84,8 @@ class BinaryCode:
     set bit) and shifted down to it, which equality, hashing and repr
     ignore.  The dual code is derived on first use and held, so
     :func:`dual` reduces a code's kernel rows once.  The hash,
-    ``hash((basis,))``, is computed once per code, as for ``Box``, so
-    the caches keyed on codes do not rehash the basis rows per lookup.
+    ``hash((basis,))``, is computed once per code and held, so the
+    caches keyed on codes do not rehash the basis rows per lookup.
     """
 
     basis: F2Matrix
@@ -119,6 +125,10 @@ class BinaryCode:
 
     @functools.cached_property
     def _dual(self) -> BinaryCode:
+        _guard_code_bits(
+            (self.length - self.dim) * self.length,
+            f"dual of a code of length {self.length} and dimension {self.dim}",
+        )
         kernel = gf2.kernel_rows(*gf2.back_substitute(self.echelon), self.length)
         return code_from_generators(F2Matrix(kernel, self.length))
 
@@ -145,6 +155,12 @@ class NondegeneracyCertificate:
         return self.kernel_witness is None
 
 
+def _guard_code_bits(bits: int, what: str) -> None:
+    """Refuse ``bits`` generator bits past ``MAX_CODE_BITS``, naming ``what`` holds them."""
+    if bits > MAX_CODE_BITS:
+        raise GuardExceededError(f"{what} has {bits} generator bits, guard is {MAX_CODE_BITS}")
+
+
 def code_from_generators(rows: F2Matrix | Iterable[str]) -> BinaryCode:
     """Canonicalize arbitrary generator rows into a code.
 
@@ -164,6 +180,11 @@ def dual(c: BinaryCode) -> BinaryCode:
     The kernel rows are read straight off the canonical basis, which is
     already reduced, and then canonicalized, once per code: later calls
     return the dual held on ``c``.
+
+    Raises:
+        GuardExceededError: when the dual's generator bits,
+            (length - dim) x length, exceed ``MAX_CODE_BITS``, before any
+            kernel row is made.
     """
     return c._dual
 
@@ -472,6 +493,11 @@ def parse_generator_file(text: str) -> BinaryCode:
 
     Blank lines and lines starting with '#' are ignored.  All rows must
     have the same length; parse errors name the offending line.
+
+    Raises:
+        CodeFileError: on a malformed line or a file with no rows.
+        GuardExceededError: when rows x length exceeds ``MAX_CODE_BITS``,
+            before any elimination.
     """
     rows: list[str] = []
     width: int | None = None
@@ -490,6 +516,7 @@ def parse_generator_file(text: str) -> BinaryCode:
         rows.append(line)
     if not rows:
         raise CodeFileError("no generator rows found")
+    _guard_code_bits(len(rows) * width, "code file")
     return code_from_generators(rows)
 
 

@@ -283,17 +283,17 @@ def reduced_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     column; zero rows are dropped.  Pivot choice is the lowest column
     index with a nonzero entry, which makes the output the canonical
     reduced basis of the row space.  One :func:`echelon_pivots` pass over
-    the rows' :func:`pivot_pairs`, then :func:`back_substitute`, whose
-    parts are spread back onto the free columns.
+    the rows' :func:`pivot_pairs`, then the echelon is walked from the
+    highest pivot down: each row's tail, its bits above the pivot, is
+    reduced by :func:`reduce_bits` against the higher rows, which are
+    already reduced and so carry no other pivot's bit.
     """
     pivots = echelon_pivots(pivot_pairs(rows))
-    parts, cols = back_substitute(pivots)
-    width = max((c + r.bit_length() for c, r in pivots.items()), default=0)
-    free = _free_columns(cols, width)
-    # character j of the reversed binary string is bit j of the part
-    bits = (zip(free, reversed(format(part, "b"))) for part in parts)
-    spread = (sum(1 << f for f, bit in pairs if bit == "1") for pairs in bits)
-    return [1 << c | s for c, s in zip(cols, spread)], cols
+    reduced: dict[int, int] = {}
+    for c in sorted(pivots, reverse=True):
+        reduced[c] = reduce_bits((pivots[c] ^ 1) << c, reduced) >> c | 1
+    cols = sorted(reduced)
+    return [reduced[c] << c for c in cols], cols
 
 
 def kernel_rows(parts: Sequence[int], pivot_cols: Sequence[int], cols: int) -> tuple[int, ...]:

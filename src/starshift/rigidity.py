@@ -366,11 +366,8 @@ def verify_dynamics(
     the window constraints, and commutes with shifts on overlap domains.
     Round k of one :func:`windows.sample_rounds` call, seeded with
     ``seed``, draws triple k, so each space combines its masks in one
-    call, solved straight off its rows with no reduced row made: at
-    d = 8 box 3 the code space by pivot lanes and the product space, of
-    one dual word, by stencil levels, 10.1 ms for the 300 draws and both
-    set-ups, against 12.7 ms when both drew by lanes and 27.3 ms through
-    reduced rows.  No check's ``millis`` includes the draws.
+    call, by the draw rule of :class:`windows.WindowSpace`.  No check's
+    ``millis`` includes the draws.
     Equivariance tests 25 triples against the d unit shifts and (1, ..., 1).
     A shift whose overlap with the box is empty is skipped and counted;
     an error raised by the map fails the check, its message the witness.

@@ -14,13 +14,9 @@ with offset o_j = s_j - 1.  Every space carries one stencil plan, built
 once with the space: the anchor mask, with bit idx(i) + 1 set for every
 anchor i, and for each dual word the offsets o_j over its support.
 The constraint rows are the word patterns shifted to every anchor bit.
-Membership takes one of two rules, chosen once per space.  A space
-whose rank is at most the plan's tap count (the offsets of all its dual
-words together) tests a configuration against each echelon row r << c,
-``(x.bits & (r << c)).bit_count() & 1``: on [0, 2)^d, with one anchor,
-that is 4 rows for the d = 8 code space against 16 taps.  Any other
-space shifts the whole configuration once per offset and masks the XOR
-with the anchor mask.  Solution counting is exact rank arithmetic.
+Each space takes one membership rule and one draw rule, each chosen once,
+by the table in :class:`WindowSpace`.  Solution counting is exact rank
+arithmetic.
 
 Bits move by one primitive (Warren, *Hacker's Delight*, 7-4 and 7-5):
 ``_moves`` turns a mask into at most ceil(log2(sites)) (bits, shift)
@@ -67,12 +63,12 @@ length-3 repetition code would take 47.0 MB and those of the planar
 2.02 MB (tracemalloc).  That every row lies inside the box is checked
 once on the plan, from its highest anchor bit and largest offset.
 ``solution_basis`` back-substitutes the echelon when first needed into
-reduced rows in free coordinates; draws read the echelon itself, or the
-plan when it has one dual word.  Each keeps only what it derives.
-Window rows are eliminated in plan order, unsorted: each anchor's rows
-meet few earlier pivots, and the sort that ``code_from_generators``
-needs for arbitrary generator rows only slows the planar elimination
-down.
+reduced rows in free coordinates; membership and draws read the echelon
+or the plan, by the rules of :class:`WindowSpace`.  Each keeps only what
+it derives.  Window rows are eliminated in plan order, unsorted: each
+anchor's rows meet few earlier pivots, and the sort that
+``code_from_generators`` needs for arbitrary generator rows only slows
+the planar elimination down.
 
 Sampling draws one mask of free_dim = sites - rank random bits and
 forms the combination of the kernel basis rows it selects.  Kernel row j
@@ -80,45 +76,12 @@ is e_f, f the j-th free column, plus every pivot column whose reduced
 row has bit f set, so the combination is the kernel element whose free
 columns hold the mask.  Its bit at pivot c is the XOR of the other bits
 of c's echelon row, each on a free column or on a higher pivot, so the
-pivots are solved from the highest down.  Three rules solve them, and
-none makes a kernel row.  A space of few rows, by the cut membership
-uses, solves them from the rows it tests: the mask spread onto the free
-columns, then each pivot, highest first, set when its row meets the
-draw an odd number of times.  Any other space of one dual word, of
-pattern p and lowest offset lo, solves them by stencil levels
-(``_StencilLevels``): its pivots are ``anchor_mask << lo``, each the XOR
-of the bits at its reads, the distances t = o - lo to the other offsets
-o of p.  They are peeled once into levels, each of the pivots that read
-no pivot still unsolved, and a draw solves a level by one
-whole-configuration shift per read (level scheduling: Anderson and
-Saad, "Solving sparse triangular linear systems on parallel computers",
-1989).  A word of two taps gives each pivot one read, which doubles
-after each level (pointer jumping, the recursive doubling of a
-first-order recurrence: Kogge and Stone, IEEE Trans. Computers, 1973;
-Hillis and Steele, "Data parallel algorithms", CACM, 1986), so the
-planar even-weight spaces on [0, 150)^2 and [0, 300)^2 take 8 and 9
-levels where one read at a time took 149 and 299.  Several reads never
-double: the d = 8 box-3 product space's pivots take levels of 129 and 127.
-The echelon rows of a space of several dual words are sparse: at
-d = 8 on [0, 3)^8 the code's 977 rows read 1,118 bits on 302 of the
-5,584 free columns and 4,031 higher pivots (5.3 reads a row, at most
-15).  So its draws are bit-sliced (Biham, FSE 1997):
-``sample_rounds`` takes the masks of up to ``_DRAW_CHUNK`` = 256 rounds
-from the stream, in the order single draws take them, and each space
-combines all of its masks at once, each draw a byte lane, so that one
-XOR of N-byte ints gives a pivot's bit in all N draws.  No reduced row
-is made, so the set-up costs the echelon's set bits, not its width: at
-d = 10 on [0, 3)^10 the code space's set-up peaks at 2.7 MB
-(tracemalloc), where its reduced rows in free coordinates took 22.7 MB.
-On a 2-vCPU VM the 300 draws of 100 d = 8 box-3 samples, both set-ups
-included, take 10.1 ms, against 12.7 ms when both spaces drew by lanes
-and 27.3 ms when each space first back-substituted its echelon into
-reduced rows, and a single draw on the code space pays a batch's
-per-lane XORs alone, 1.0 ms.  The lanes serve every space of several
-words above the cut, whatever its rank (see :class:`WindowSpace` for
-what that costs a space of rank >= free_dim).  All three give the same
-bits from the same random call, so seeded streams depend neither on the
-choice nor on the batch.
+pivots are solved from the highest down, by the space's draw rule; no
+rule makes a kernel row.  ``sample_rounds`` takes the masks of up to
+``_DRAW_CHUNK`` = 256 rounds from the stream, in the order single draws
+take them, and each space combines all of its masks in one call.  Every
+rule gives the same bits from the same random call, so seeded streams
+depend neither on the choice nor on the batch.
 """
 
 from __future__ import annotations
@@ -339,6 +302,22 @@ class StencilPlan:
         bits = format(self.anchor_mask, "b")[::-1]
         return ((base + lo, r) for base, ch in enumerate(bits) if ch == "1" for lo, r in shifted)
 
+    def holds(self, bits: int) -> bool:
+        """Whether the configuration ``bits`` meets every constraint row evenly.
+
+        For each dual word, ``bits`` shifted right by each of the word's
+        offsets is XOR-ed together, bit idx(i) + 1 of the result being
+        the rule's sum at anchor i; the rule fails when that XOR meets
+        ``anchor_mask``.
+        """
+        for taps in self.taps:
+            acc = 0
+            for o in taps:
+                acc ^= bits >> o
+            if acc & self.anchor_mask:
+                return False
+        return True
+
 
 def _low_pattern(taps: Sequence[int]) -> tuple[int, int]:
     """(lo, r): a word's pattern, the XOR of ``1 << o`` over its offsets, is r << lo, r odd."""
@@ -435,6 +414,12 @@ def _spread(x: int, mask: int, steps: Sequence[tuple[int, int, int]]) -> int:
     return x & mask
 
 
+def _free_spread(pivots: int, cols: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The mask of the columns below ``cols`` outside ``pivots``, with the steps spreading onto it."""
+    free_mask = ((1 << cols) - 1) ^ pivots
+    return free_mask, _expand_steps(free_mask, _moves(free_mask, cols))
+
+
 # Rounds drawn at a time, so that a batch's masks, byte matrix and parity
 # rows hold at most this many entries per place of its space in a round.
 _DRAW_CHUNK = 256
@@ -459,8 +444,10 @@ class _PivotParities:
     values it XORs, a held column i at i and the lane of the k-th pivot
     (highest first) at ``stride + k``.
 
-    ``combine`` bit-slices its N masks.  Formatted, joined and encoded,
-    they are an N x (|U| + 1) byte matrix whose bytes carry their bit as
+    ``combine`` bit-slices its N masks (Biham, FSE 1997), since the
+    rows of a window space are sparse: at d = 8 on [0, 3)^8 the code's
+    977 rows read 5.3 bits a row.  Formatted, joined and encoded, they
+    are an N x (|U| + 1) byte matrix whose bytes carry their bit as
     the low bit ('0' is 0x30, '1' is 0x31).  Column i, read little-endian,
     holds that bit of every draw, so the XOR of a pivot's columns and of
     the lanes of the pivots it reads is its bit in all N draws: its lane.
@@ -536,8 +523,7 @@ class _EchelonRows:
 
     def __init__(self, echelon: dict[int, int], cols: int):
         self.rows = [(r << c, 1 << c) for c, r in sorted(echelon.items(), reverse=True)]
-        free_mask = ((1 << cols) - 1) ^ gf2.bits_at(echelon)
-        self.free = free_mask, _expand_steps(free_mask, _moves(free_mask, cols))
+        self.free = _free_spread(gf2.bits_at(echelon), cols)
 
     def holds(self, bits: int) -> bool:
         for row, _ in self.rows:
@@ -570,11 +556,13 @@ class _StencilLevels:
     shift of the unsolved pivots per read.  A lone read t doubles after
     each level: a pivot still unsolved after k levels heads a chain of
     2^k pivots, each copying the bit t above it, so it equals the bit
-    2^k t above it (pointer jumping).  A draw spreads its mask onto the
-    free columns by steps computed here, then for each level in turn
-    sets the level's pivots from the XOR of the draw shifted down by
-    each of its reads: one whole-configuration shift per read and level
-    (level scheduling of a triangular system, Anderson and Saad 1989).
+    2^k t above it (pointer jumping, the recursive doubling of a
+    first-order recurrence: Kogge and Stone, IEEE Trans. Computers,
+    1973).  A draw spreads its mask onto the free columns, then for each
+    level in turn sets the level's pivots from the XOR of the draw
+    shifted down by each of its reads: one whole-configuration shift per
+    read and level (level scheduling of a triangular system, Anderson
+    and Saad 1989).
     """
 
     def __init__(self, plan: StencilPlan, cols: int):
@@ -582,8 +570,7 @@ class _StencilLevels:
         lo, r = _low_pattern(taps)
         reads = [t for t in range(1, r.bit_length()) if r >> t & 1]
         pivots = plan.anchor_mask << lo
-        free_mask = ((1 << cols) - 1) ^ pivots
-        self.free = free_mask, _expand_steps(free_mask, _moves(free_mask, cols))
+        self.free = _free_spread(pivots, cols)
         self.levels = []
         unsolved = pivots
         while unsolved:
@@ -625,27 +612,31 @@ class WindowSpace:
     ``solution_basis`` back-substitutes the echelon on first use into
     reduced rows in free coordinates.
 
-    Draws take one of three paths, and membership one of two, chosen
-    once per space from what it holds; no path makes a kernel row.  A
-    space whose rank is at most its plan's tap count, the offsets of all
-    dual words together, has an echelon of few rows: it tests membership
-    against those rows and draws by solving their pivots from them
-    (``_echelon_rows``), as the one-anchor spaces on [0, 2)^d do (rank 4
-    and 1 at d = 8, against 16 and 8 taps).  Any other space tests
-    membership by the plan scan of :func:`contains`.  Of those, a space
-    of one dual word solves its pivots a dependency level at a time by
-    whole-configuration shifts (``_stencil_levels``), as the d = 8 box-3
-    product space and the planar spaces do, and a space of several words
-    from pivot lanes solved off the echelon (``_pivot_parities``), set up
-    at a cost proportional to the echelon's set bits, as the d = 8 box-3
-    code space does.  The lanes also serve spaces of several words with
-    rank >= free_dim, which neither ``verify`` nor the planar sampler
-    builds.  There a warm single draw pays every pivot's lane: on a
-    2-vCPU VM 10.4 ms for ``repetition_code(3)`` on [0, 20)^3 and 4.9 ms
+    Each space takes one membership rule, ``_membership``, read by
+    :func:`contains`, and one draw rule, ``_draws``, read by
+    :func:`sample_rounds`.  Both are chosen here and nowhere else, each
+    set up on first use, and no rule makes a kernel row.  The cut is the
+    plan's tap count, the offsets of all its dual words together:
+
+    ===============================  ================  ==================
+    space                            ``_membership``   ``_draws``
+    ===============================  ================  ==================
+    rank <= taps                     ``_EchelonRows``  the same object
+    rank > taps, one dual word       the plan          ``_StencilLevels``
+    rank > taps, several dual words  the plan          ``_PivotParities``
+    ===============================  ================  ==================
+
+    The one-anchor spaces on [0, 2)^d take the first row (rank 4 and 1
+    at d = 8, against 16 and 8 taps).  The d = 8 box-3 product space and
+    the planar even-weight spaces take the second, and the d = 8 box-3
+    code space the third.  A membership test on a space above the cut
+    sets up no draw rule.  The lanes also serve spaces of several words
+    with rank >= free_dim, which neither ``verify`` nor the planar
+    sampler builds.  There a warm single draw pays every pivot's lane: on
+    a 2-vCPU VM 10.4 ms for ``repetition_code(3)`` on [0, 20)^3 and 4.9 ms
     for ``repetition_code(4)`` on [0, 8)^4, against 0.04 and 0.06 ms for
     an XOR of back-substituted kernel rows; a build plus one draw, which
     pays no back-substitution, takes 1.42x and 1.26x as long.
-    Each keeps only what it derives.
     """
 
     box: Box
@@ -668,19 +659,18 @@ class WindowSpace:
         return F2Matrix(gf2.kernel_rows(*gf2.back_substitute(self.echelon), cols), cols)
 
     @functools.cached_property
-    def _pivot_parities(self) -> _PivotParities:
-        return _PivotParities(self.echelon, self.site_count)
-
-    @functools.cached_property
-    def _echelon_rows(self) -> _EchelonRows | None:
-        """The few-row path, or None when the echelon has more rows than the plan has taps."""
+    def _membership(self) -> _EchelonRows | StencilPlan:
         if self.rank > sum(map(len, self.plan.taps)):
-            return None
+            return self.plan
         return _EchelonRows(self.echelon, self.site_count)
 
     @functools.cached_property
-    def _stencil_levels(self) -> _StencilLevels:
-        return _StencilLevels(self.plan, self.site_count)
+    def _draws(self) -> _EchelonRows | _StencilLevels | _PivotParities:
+        if isinstance(self._membership, _EchelonRows):
+            return self._membership
+        if len(self.plan.taps) == 1:
+            return _StencilLevels(self.plan, self.site_count)
+        return _PivotParities(self.echelon, self.site_count)
 
     @property
     def site_count(self) -> int:
@@ -690,15 +680,6 @@ class WindowSpace:
     def free_dim(self) -> int:
         """Dimension of the solution space: sites minus constraint rank."""
         return self.box.site_count - self.rank
-
-    def _combine(self, masks: Sequence[int]) -> list[int]:
-        """The combinations of ``solution_basis`` rows selected by each mask."""
-        few = self._echelon_rows
-        if few is not None:
-            return few.combine(masks)
-        if len(self.plan.taps) == 1:
-            return self._stencil_levels.combine(masks)
-        return self._pivot_parities.combine(masks)
 
 
 def guarded_site_count(widths: Iterable[int], max_sites: int) -> int:
@@ -771,29 +752,12 @@ def log2_count(space: WindowSpace) -> int:
 def contains(space: WindowSpace, x: WindowConfig) -> bool:
     """Whether a configuration satisfies every window constraint.
 
-    A space whose rank is at most its plan's tap count tests the
-    configuration against each of its few echelon rows r << c: the
-    configuration is rejected when it shares an odd number of set bits
-    with one of them.  Any other space scans the plan: for each dual word, the
-    configuration shifted right by each of the word's offsets is XOR-ed
-    together, bit idx(i) + 1 of the result being the rule's sum at
-    anchor i, and the configuration is rejected when that XOR meets the
-    plan's anchor mask.
+    The space's membership rule decides (see :class:`WindowSpace`):
+    its few echelon rows, or its plan's scan.
     """
     if x.box is not space.box and x.box != space.box:
         raise ValueError("box mismatch")
-    few = space._echelon_rows
-    if few is not None:
-        return few.holds(x.bits)
-    plan = space.plan
-    bits = x.bits
-    for taps in plan.taps:
-        acc = 0
-        for o in taps:
-            acc ^= bits >> o
-        if acc & plan.anchor_mask:
-            return False
-    return True
+    return space._membership.holds(x.bits)
 
 
 def sample_rounds(
@@ -806,10 +770,9 @@ def sample_rounds(
     with free_dim 0 draws nothing and gives the zero configuration.  Each
     mask selects the ``solution_basis`` rows to combine, bit k for row k,
     and each space combines all of its masks of ``_DRAW_CHUNK`` rounds in
-    one call, by the path its rank and dual words choose (see
-    :class:`WindowSpace`): from its few echelon rows, by stencil levels,
-    or from pivot lanes, each giving the same bits.  Returns one tuple
-    per round, in the order of ``spaces``.
+    one call, by its draw rule (see :class:`WindowSpace`); every rule
+    gives the same bits.  Returns one tuple per round, in the order of
+    ``spaces``.
 
     Raises:
         ValueError: when ``rounds`` is not an integer or is negative, or
@@ -827,7 +790,7 @@ def sample_rounds(
         # each space's masks, in stream order, become its draws in one call
         for space in dict.fromkeys(s for s in spaces if s.free_dim):
             at = [i for i, s in enumerate(places) if s is space]
-            for i, bits in zip(at, space._combine([draws[i] for i in at])):
+            for i, bits in zip(at, space._draws.combine([draws[i] for i in at])):
                 draws[i] = bits
         configs = [WindowConfig(s.box, bits) for s, bits in zip(places, draws)]
         out += [tuple(configs[i : i + len(spaces)]) for i in range(0, len(configs), len(spaces))]

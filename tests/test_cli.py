@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -121,6 +122,34 @@ class TestDual:
         assert rc == 0
         assert data["dim"] == 1
         assert data["generators"] == ["11"]
+
+
+# the child caps its own address space, so a missing guard ends in a
+# MemoryError, whose one line names no guard, rather than straining the machine
+_CAPPED_MAIN = (
+    "import resource; resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20)); "
+    "from starshift.cli import main; raise SystemExit(main())"
+)
+
+
+@pytest.mark.parametrize("command", ["dual", "inspect"])
+def test_a_long_code_file_is_refused_at_once(tmp_path, command):
+    # one row of length 100,000: its dual has 99,999 rows of 100,000 bits
+    path = tmp_path / "long.code"
+    path.write_text("1" + "0" * 99_999 + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, command, str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: dual of a code of length 100000 and dimension 1 has {99_999 * 100_000} "
+        f"generator bits, guard is {codes.MAX_CODE_BITS}\n"
+    )
+    assert elapsed < 2, elapsed
 
 
 class TestCheckPipeline:

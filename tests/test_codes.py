@@ -252,6 +252,27 @@ class TestDuality:
         assert codes.dual(c) is first
         assert len(eliminations) == 1
 
+    def test_dual_size_guard_refuses_before_any_elimination(self, monkeypatch, eliminations):
+        # a one-row code of length L has a dual of (L - 1) x L generator bits
+        c = codes.repetition_code(8193)
+        eliminations.clear()
+        with pytest.raises(
+            GuardExceededError,
+            match=f"^dual of a code of length 8193 and dimension 1 has {8192 * 8193} generator bits, "
+            f"guard is {codes.MAX_CODE_BITS}$",
+        ):
+            codes.dual(c)
+        assert eliminations == []
+        monkeypatch.setattr(codes, "MAX_CODE_BITS", 12)
+        assert codes.dual(code_from_generators(["1001"])).dim == 3
+        c = code_from_generators(["10001"])
+        eliminations.clear()
+        with pytest.raises(
+            GuardExceededError, match="^dual of a code of length 5 and dimension 1 has 20 generator bits, guard is 12$"
+        ):
+            codes.dual(c)
+        assert eliminations == []
+
     def test_dual_of_full_is_zero(self):
         z = codes.dual(codes.full_code(4))
         assert z.dim == 0
@@ -764,6 +785,15 @@ class TestGeneratorFiles:
     def test_invalid_characters_name_the_line(self):
         with pytest.raises(CodeFileError, match="line 2"):
             codes.parse_generator_file("101\n1x1\n")
+
+    def test_file_guard_refuses_before_any_elimination(self, monkeypatch, eliminations):
+        # rows x length, counted as parsed: 3 x 4 passes a guard of 12, 3 x 5 does not
+        monkeypatch.setattr(codes, "MAX_CODE_BITS", 12)
+        assert codes.parse_generator_file("1100\n0110\n0011\n").dim == 3
+        eliminations.clear()
+        with pytest.raises(GuardExceededError, match="^code file has 15 generator bits, guard is 12$"):
+            codes.parse_generator_file("11000\n01100\n00110\n")
+        assert eliminations == []
 
     def test_empty_file_rejected(self):
         with pytest.raises(CodeFileError):

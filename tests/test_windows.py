@@ -613,6 +613,21 @@ def small_space_cases(draw):
     return box, lambda: code_from_generators(F2Matrix(tuple(rows), d))
 
 
+def _drawn_by(space):
+    """The class of the draw rule the space has set up; ``type(None)`` before its first draw."""
+    return type(vars(space).get("_draws"))
+
+
+def _few_rows(space):
+    """Whether the space tests membership against its few echelon rows."""
+    return isinstance(space._membership, windows._EchelonRows)
+
+
+def _levels(space):
+    """The stencil levels of a one-word space, whatever rules it takes."""
+    return windows._StencilLevels(space.plan, space.site_count)
+
+
 def _one_word_code(d, word):
     """The code of length d whose dual is spanned by one word."""
     return codes.dual(code_from_generators(F2Matrix((word,), d)))
@@ -901,7 +916,7 @@ class TestSampling:
             cube(6, 3), code_from_generators(F2Matrix((0b000011, 0b110000), 6))
         )
         sample(space, 0)
-        assert "_pivot_parities" in vars(space)
+        assert _drawn_by(space) is windows._PivotParities
         one = self._transient(space, windows._DRAW_CHUNK)
         four = self._transient(space, 4 * windows._DRAW_CHUNK)
         # holding all four chunks at once took 4.0 times one
@@ -926,13 +941,13 @@ class TestOneElimination:
         "box, code, path",
         [
             # one dual word, rank 8, free 19
-            (cube(3, 3), functools.partial(codes.even_weight_code, 3), "_stencil_levels"),
+            (cube(3, 3), functools.partial(codes.even_weight_code, 3), windows._StencilLevels),
             # one dual word of one read, rank 9, free 7
-            (cube(2, 4), functools.partial(codes.even_weight_code, 2), "_stencil_levels"),
+            (cube(2, 4), functools.partial(codes.even_weight_code, 2), windows._StencilLevels),
             # two dual words, rank 31, free 50
-            (cube(4, 3), _two_word_code, "_pivot_parities"),
+            (cube(4, 3), _two_word_code, windows._PivotParities),
             # two dual words, rank 46, free 18
-            (cube(3, 4), functools.partial(codes.repetition_code, 3), "_pivot_parities"),
+            (cube(3, 4), functools.partial(codes.repetition_code, 3), windows._PivotParities),
         ],
         ids=["levels", "jumps", "parities", "lanes_at_high_rank"],
     )
@@ -941,7 +956,7 @@ class TestOneElimination:
         # test_seeded_streams_are_pinned; a draw builds only its own path
         space = build_window_space(box, code())
         sample(space, 0)
-        assert {"_stencil_levels", "_pivot_parities"} & set(vars(space)) == {path}
+        assert _drawn_by(space) is path
         # no draw rule makes kernel rows
         assert "solution_basis" not in vars(space)
         basis = space.solution_basis
@@ -1061,7 +1076,7 @@ class TestPivotParities:
         space = build_window_space(cube(d, n), codes.repetition_code(d))
         assert len(space.plan.taps) > 1 and space.rank >= space.free_dim
         drawn = windows.sample_rounds((space,), random.Random(n), 5)
-        assert "_pivot_parities" in vars(space)
+        assert _drawn_by(space) is windows._PivotParities
         ref = random.Random(n)
         for (x,) in drawn:
             assert x.bits == _basis_combination(space, ref.getrandbits(space.free_dim))
@@ -1076,7 +1091,7 @@ class TestPivotParities:
         gc.collect()
         tracemalloc.start()
         try:
-            space._pivot_parities
+            space._draws
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1099,6 +1114,32 @@ def _digest(x):
     return hashlib.sha256(x.to_bit_string().encode()).hexdigest()
 
 
+class TestRuleSetUp:
+    """Each rule is set up on first use, and membership sets up no draw rule."""
+
+    def test_contains_above_the_cut_sets_up_no_draw_rule(self):
+        # the d = 8 box-3 code space draws by lanes, and the d = 8 box-3
+        # product space and the 40 x 40 planar space by levels
+        system = rigidity.construct_system(8)
+        spaces = [
+            build_window_space(cube(8, 3), system.code),
+            build_window_space(cube(8, 3), system.product_code),
+            build_window_space(cube(2, 40), e2(), max_sites=1_600),
+        ]
+        for space in spaces:
+            assert contains(space, WindowConfig.zero(space.box))
+            assert space._membership is space.plan
+            assert "_draws" not in vars(space)
+
+    def test_a_box_2_draw_reuses_the_membership_rows(self):
+        space = build_window_space(cube(8, 2), rigidity.construct_system(8).code)
+        assert contains(space, WindowConfig.zero(space.box))
+        assert "_draws" not in vars(space)
+        x = sample(space, 0)
+        assert space._draws is space._membership
+        assert contains(space, x)
+
+
 class TestEchelonRows:
     """Spaces of few echelon rows test membership and draw straight from those rows."""
 
@@ -1108,20 +1149,20 @@ class TestEchelonRows:
         system = rigidity.construct_system(8)
         for code in (system.code, system.product_code):
             space = build_window_space(cube(8, 2), code)
-            assert space._echelon_rows is not None
+            assert _few_rows(space)
             x = sample(space, 0)
             assert contains(space, x)
-            assert "_pivot_parities" not in vars(space)
+            assert _drawn_by(space) is not windows._PivotParities
             assert "solution_basis" not in vars(space)
-            assert space._echelon_rows.rows == [
+            assert space._membership.rows == [
                 (r << c, 1 << c) for c, r in sorted(space.echelon.items(), reverse=True)
             ]
         for code in (system.code, system.product_code):
-            assert build_window_space(cube(8, 3), code)._echelon_rows is None
+            assert not _few_rows(build_window_space(cube(8, 3), code))
         planar = build_window_space(cube(2, 150), e2(), max_sites=22_500)
-        assert planar._echelon_rows is None
+        assert not _few_rows(planar)
         # the toy's space, rank 2 against 4 taps, reads its rows too
-        assert build_window_space(cube(3, 2), codes.repetition_code(3))._echelon_rows is not None
+        assert _few_rows(build_window_space(cube(3, 2), codes.repetition_code(3)))
 
     @pytest.mark.parametrize(
         "d, which, expected",
@@ -1186,7 +1227,7 @@ class TestEchelonRows:
         ]
         for box, code in cases:
             space = build_window_space(box, code)
-            few = space._echelon_rows is not None
+            few = _few_rows(space)
             n = box.site_count
             configs = []
             for _ in range(2):
@@ -1211,12 +1252,12 @@ class TestEchelonRows:
             for _ in range(20):
                 box, code = _side_2_case(rng, d)
                 space = build_window_space(box, code)
-                if space._echelon_rows is None or not space.free_dim:
+                if not _few_rows(space) or not space.free_dim:
                     continue
                 free = free_column_mask(space.constraint_matrix.rows, space.site_count)
                 assert free.bit_count() == space.free_dim
                 masks = [rng.getrandbits(space.free_dim) for _ in range(5)]
-                drawn_bits = space._combine(masks)
+                drawn_bits = space._draws.combine(masks)
                 # the pivot lanes solve the same echelon by a path of their own
                 lanes = windows._PivotParities(space.echelon, space.site_count)
                 assert drawn_bits == lanes.combine(masks), (box, code)
@@ -1243,7 +1284,7 @@ class TestEchelonRows:
 
         monkeypatch.setattr(gf2, "back_substitute", unreachable)
         for space in spaces:
-            assert space._echelon_rows is not None
+            assert _few_rows(space)
             for seed in range(3):
                 x = sample(space, seed)
                 assert contains(space, x)
@@ -1303,16 +1344,16 @@ class TestStencilLevels:
         planar = build_window_space(cube(2, 40), e2(), max_sites=1_600)
         for space in (z, xy, planar):
             sample(space, 0)
-        assert "_stencil_levels" in vars(z) and "_pivot_parities" not in vars(z)
-        assert "_pivot_parities" in vars(xy) and "_stencil_levels" not in vars(xy)
+        assert _drawn_by(z) is windows._StencilLevels
+        assert _drawn_by(xy) is windows._PivotParities
         # one dual word of one read, rank 1,521 >= free_dim 79: levels too,
         # by jumps, and no kernel row is made
-        assert "_stencil_levels" in vars(planar) and "_pivot_parities" not in vars(planar)
+        assert _drawn_by(planar) is windows._StencilLevels
         assert "solution_basis" not in vars(planar)
         # the anchors whose reads are all free columns, then the rest
-        assert [level.bit_count() for _, level in z._stencil_levels.levels] == [129, 127]
+        assert [level.bit_count() for _, level in z._draws.levels] == [129, 127]
         # the longest chain holds 39 pivots: ceil(log2 40) jump levels
-        assert len(planar._stencil_levels.levels) == 6
+        assert len(planar._draws.levels) == 6
 
     @pytest.mark.parametrize(
         "which, count",
@@ -1328,7 +1369,7 @@ class TestStencilLevels:
         else:
             n = int(which.removeprefix("planar_"))
             space = build_window_space(cube(2, n), e2(), max_sites=n * n)
-        assert len(space._stencil_levels.levels) == count
+        assert len(space._draws.levels) == count
 
     @given(small_space_cases(), st.integers(0, 2**32))
     @example((cube(3, 3), lambda: codes.even_weight_code(3)), 0)
@@ -1340,10 +1381,10 @@ class TestStencilLevels:
         box, make = case
         space = build_window_space(box, make())
         sample(space, seed)
-        drawn = space._echelon_rows is None and space.free_dim > 0
+        drawn = not _few_rows(space) and space.free_dim > 0
         one_word = len(space.plan.taps) == 1
-        assert ("_stencil_levels" in vars(space)) == (drawn and one_word)
-        assert ("_pivot_parities" in vars(space)) == (drawn and not one_word)
+        assert (_drawn_by(space) is windows._StencilLevels) == (drawn and one_word)
+        assert (_drawn_by(space) is windows._PivotParities) == (drawn and not one_word)
         assert "solution_basis" not in vars(space)
 
     @given(one_word_space_cases(), st.integers(0, 2**32))
@@ -1366,7 +1407,7 @@ class TestStencilLevels:
         # every row is a pivot as it comes, at its anchor bit plus lo
         assert sorted(space.echelon) == pivots
         # the levels split the pivots; none reads a pivot of its own level or a later one
-        levels = space._stencil_levels.levels
+        levels = _levels(space).levels
         assert all(level for _, level in levels)
         assert sorted(q for _, level in levels for q in _set_bits(level)) == pivots
         # a lone read doubles after every level; several stay the word's own
@@ -1383,7 +1424,7 @@ class TestStencilLevels:
             assert levels == []
         rng = random.Random(seed)
         masks = [rng.getrandbits(space.free_dim) for _ in range(5)]
-        drawn = space._stencil_levels.combine(masks)
+        drawn = _levels(space).combine(masks)
         lanes = windows._PivotParities(space.echelon, space.site_count)
         assert drawn == lanes.combine(masks)
         # and each draw keeps the rule and carries its mask on the free columns
@@ -1403,7 +1444,7 @@ class TestStencilLevels:
         box, word = case
         code = _one_word_code(box.dimension, word)
         space = build_window_space(box, code)
-        levels = space._stencil_levels.levels
+        levels = _levels(space).levels
         assert len(levels[0][0]) == (box.dimension > 1)
         run = {}
         for q in sorted(space.echelon, reverse=True):
@@ -1411,7 +1452,7 @@ class TestStencilLevels:
         assert len(levels) == max(run.values()).bit_length()
         rng = random.Random(seed)
         masks = [rng.getrandbits(space.free_dim) if space.free_dim else 0 for _ in range(5)]
-        drawn = space._stencil_levels.combine(masks)
+        drawn = _levels(space).combine(masks)
         assert drawn == [_basis_combination(space, mask) for mask in masks]
         for bits in drawn:
             assert window_rule_holds(box, code, WindowConfig(box, bits))

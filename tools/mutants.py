@@ -138,6 +138,13 @@ MUTANTS = [
         "part ^= 1 << (col - bisect.bisect_left(cols, col) + 1)",
     ),
     (
+        # the echelon rows come back as eliminated, their tails still
+        # holding the bits of higher pivots
+        "reduced_rows_tails_unreduced", G,
+        "        reduced[c] = reduce_bits((pivots[c] ^ 1) << c, reduced) >> c | 1\n",
+        "        reduced[c] = pivots[c]\n",
+    ),
+    (
         # the lanes solved from a second elimination of the rows, not from
         # the space's echelon
         "parities_eliminate_the_rows_again", W,
@@ -253,22 +260,37 @@ MUTANTS = [
         "        self.rows = [(r << c, 1 << c) for c, r in sorted(echelon.items())]\n",
     ),
     (
-        # the box-2 spaces scan their plan and draw by lanes, while the
-        # planar and box-3 spaces widen every echelon row; outputs agree
+        # the box-2 spaces scan their plan and draw by lanes or levels,
+        # while the planar and box-3 spaces widen every echelon row;
+        # outputs agree
         "few_row_cut_inverted", W,
         "        if self.rank > sum(map(len, self.plan.taps)):\n",
         "        if self.rank <= sum(map(len, self.plan.taps)):\n",
     ),
     (
+        # the spaces of several dual words above the cut take stencil
+        # levels, which read only one word
+        "several_words_draw_by_levels", W,
+        "        if len(self.plan.taps) == 1:\n",
+        "        if self.plan.taps:\n",
+    ),
+    (
+        # a membership test sets up the draw rule too: the same answers,
+        # and a lane or level set-up on every space it tests
+        "contains_sets_up_the_draw_rule", W,
+        "    return space._membership.holds(x.bits)\n",
+        "    return space._draws is not None and space._membership.holds(x.bits)\n",
+    ),
+    (
         "plan_scan_reads_only_the_first_dual_word", W,
-        "    for taps in plan.taps:\n",
-        "    for taps in plan.taps[:1]:\n",
+        "        for taps in self.taps:\n",
+        "        for taps in self.taps[:1]:\n",
     ),
     (
         # the one-dimensional anchor one step below the box is never judged
         "plan_scan_drops_anchor_bit_0", W,
-        "        if acc & plan.anchor_mask:\n",
-        "        if acc & plan.anchor_mask & ~1:\n",
+        "            if acc & self.anchor_mask:\n",
+        "            if acc & self.anchor_mask & ~1:\n",
     ),
     (
         # a one-dimensional box loses the anchor one step below it
@@ -599,6 +621,21 @@ MUTANTS = [
         "dual_derived_on_every_call", K,
         "    return c._dual\n",
         "    return BinaryCode._dual.func(c)\n",
+    ),
+    (
+        # a dual of any size is reduced, however many kernel rows it makes
+        "dual_size_guard_dropped", K,
+        "        _guard_code_bits(\n"
+        "            (self.length - self.dim) * self.length,\n"
+        "            f\"dual of a code of length {self.length} and dimension {self.dim}\",\n"
+        "        )\n",
+        "",
+    ),
+    (
+        # a code file of any size is eliminated as parsed
+        "code_file_guard_dropped", K,
+        "    _guard_code_bits(len(rows) * width, \"code file\")\n",
+        "",
     ),
     (
         "generators_reduced_unsorted", K,
