@@ -18,15 +18,15 @@ Each space takes one membership rule and one draw rule, each chosen once,
 by the table in :class:`WindowSpace`.  Solution counting is exact rank
 arithmetic.
 
-Bits move by one primitive (Warren, *Hacker's Delight*, 7-4 and 7-5):
-``_moves`` turns a mask into at most ceil(log2(sites)) (bits, shift)
-moves, ``_compress`` packs the bits under the mask into the low bits in
-order, and ``_spread`` undoes it by the steps of ``_expand_steps``, the
-moves reversed, each ANDing with the positive complement of its bits in
-the mask's width rather than with a negative int, which CPython handles
-slowly.  Gathers compress
-through a plan from one private ``lru_cache(maxsize=64)``: a domain,
-``start``, the source bit of the domain's first site, and the mask of
+Bits move under a mask by one primitive (Warren, *Hacker's Delight*,
+7-4 and 7-5): ``_moves`` turns a mask into at most ceil(log2(sites))
+(bits, shift) moves, ``_compress`` packs the bits under the mask into
+the low bits in order, and ``_spread`` undoes it by the steps of
+``_expand_steps``, the moves reversed, each ANDing with the positive
+complement of its bits in the mask's width rather than with a negative
+int, which CPython handles slowly.  Gathers compress through a plan
+from one private ``lru_cache(maxsize=64)``: a domain, ``start``, the
+source bit of the domain's first site, and the mask of
 the source sub-box shifted down by ``start`` with its moves, so a gather
 compresses ``x.bits >> start``.  A sub-box that is one run of bits needs
 no move: the diagonal shift on [0, 2)^d keeps one site, and the unit
@@ -79,9 +79,15 @@ of c's echelon row, each on a free column or on a higher pivot, so the
 pivots are solved from the highest down, by the space's draw rule; no
 rule makes a kernel row.  ``sample_rounds`` takes the masks of up to
 ``_DRAW_CHUNK`` = 256 rounds from the stream, in the order single draws
-take them, and each space combines all of its masks in one call.  Every
-rule gives the same bits from the same random call, so seeded streams
-depend neither on the choice nor on the batch.
+take them, and each space combines all of its masks in one call.  The
+pivot lanes of a space of several dual words solve a batch bit-sliced,
+one byte per draw, and move its bits between layouts as bytes alone:
+the masks' ``to_bytes`` join into a draw-major matrix whose strided
+byte slices, read as ints, are the masks' columns, and each pivot's
+lane, shifted to its bit, ORs into a strided slice of a draw-major
+matrix of pivot bits whose rows, read as ints, join the spread masks.
+Every rule gives the same bits from the same random call, so seeded
+streams depend neither on the choice nor on the batch.
 """
 
 from __future__ import annotations
@@ -421,11 +427,8 @@ def _free_spread(pivots: int, cols: int) -> tuple[int, tuple[tuple[int, int, int
 
 
 # Rounds drawn at a time, so that a batch's masks, byte matrix and parity
-# rows hold at most this many entries per place of its space in a round.
+# rows hold at most this many rows per place of its space in a round.
 _DRAW_CHUNK = 256
-
-# The ASCII digit of a byte's lowest bit: 0x30 for an even byte, 0x31 for odd.
-_LOW_BIT_TO_ASCII = bytes(0x30 | b & 1 for b in range(256))
 
 
 class _PivotParities:
@@ -436,77 +439,85 @@ class _PivotParities:
     bit at pivot c is the XOR of its row's other bits, each on a free
     column or on a higher pivot, so the pivots are solved from the
     highest down.  The set-up walks each row's set bits once, from the
-    highest pivot down.  ``held`` is the mask U, in free coordinates, of
-    the free columns that some row holds, with its moves; column i is
-    the character i of ``format(mask compressed onto U, spec)``:
-    character 0 is a padding '0', then the held bits, highest first.
-    ``lanes`` has one entry per pivot, highest first: the indices of the
-    values it XORs, a held column i at i and the lane of the k-th pivot
-    (highest first) at ``stride + k``.
+    highest pivot down.  ``lanes`` has one entry (s, pivots) per site
+    byte s that holds a pivot, highest first, and ``pivots`` the pairs
+    (c, reads) of its pivots, highest first, ``reads`` the columns of c's
+    row other than c.  ``held`` has one entry (b, columns) per byte b of
+    a mask that holds a free column some row reads, and ``columns`` the
+    pairs (j, f & 7) of those columns, j the column and f its free index,
+    j less the pivots below it, counted in one walk up the sorted pivots.
 
     ``combine`` bit-slices its N masks (Biham, FSE 1997), since the
     rows of a window space are sparse: at d = 8 on [0, 3)^8 the code's
-    977 rows read 5.3 bits a row.  Formatted, joined and encoded, they
-    are an N x (|U| + 1) byte matrix whose bytes carry their bit as
-    the low bit ('0' is 0x30, '1' is 0x31).  Column i, read little-endian,
-    holds that bit of every draw, so the XOR of a pivot's columns and of
-    the lanes of the pivots it reads is its bit in all N draws: its lane.
-    Draw t's pivot bits are the stride-N slice from byte t of the joined
-    lanes, after a zero lane that keeps the digits nonempty at rank 0,
-    each digit a byte's low bit.  No reduced row is made.  The mask
-    expands onto the free columns and the pivot bits onto the pivot
-    columns, each by steps computed here.
+    977 rows read 5.3 bits a row.  Bits change layout as bytes, never as
+    strings.  The masks' ``to_bytes`` join into a draw-major matrix, and
+    the stride-``width`` slice from byte b, read little-endian, holds
+    byte b of every mask, byte t that of mask t.  For each held column j
+    of byte b, shifted down by f & 7 and ANDed with one 0x01 byte per
+    draw, it is j's lane: bit 8t is j's bit in draw t.  The XOR of the lanes of a pivot's
+    reads is its bit in all N draws: its lane.  The lanes of a site
+    byte's pivots, each shifted up by c & 7, OR into the N bytes of that
+    site byte in every draw, the stride-``size`` slice of a draw-major
+    matrix of pivot bits.  Draw t is its mask spread onto the free
+    columns by steps computed here, ORed with row t of that matrix read
+    little-endian.  No reduced row is made.
     """
 
     def __init__(self, echelon: dict[int, int], cols: int):
         pivot_cols = sorted(echelon, reverse=True)
-        pivot_mask = gf2.bits_at(pivot_cols)
-        free_mask = ((1 << cols) - 1) ^ pivot_mask
-        free_moves = _moves(free_mask, cols)
-        self.pivots = pivot_mask, _expand_steps(pivot_mask, _moves(pivot_mask, cols))
-        self.free = free_mask, _expand_steps(free_mask, free_moves)
-        lane = {c: k for k, c in enumerate(pivot_cols)}
-        reads = []
+        self.free = _free_spread(gf2.bits_at(pivot_cols), cols)
+        self.cols = cols
+        self.width = (cols - len(pivot_cols) + 7) >> 3
+        self.size = (cols + 7) >> 3
+        self.lanes = []
+        site, read = -1, set()
         for c in pivot_cols:
-            free, read = [], []
+            reads = []
             # the row's other bits, highest first, one step per set bit
             row = echelon[c] ^ 1
             while row:
                 j = row.bit_length() - 1
                 row ^= 1 << j
-                k = lane.get(c + j)
-                if k is None:
-                    free.append(c + j)
-                else:
-                    read.append(k)
-            reads.append((free, read))
-        held = sorted({j for free, _ in reads for j in free}, reverse=True)
-        held_mask = _compress(gf2.bits_at(held), free_mask, free_moves)
-        self.held = held_mask, _moves(held_mask, cols - len(pivot_cols))
-        column = {j: i for i, j in enumerate(held, 1)}
-        self.stride = len(held) + 1
-        self.spec = f"0{self.stride}b"
-        self.lanes = [
-            [column[j] for j in free] + [self.stride + k for k in read]
-            for free, read in reads
-        ]
+                reads.append(c + j)
+            read.update(reads)
+            if c >> 3 != site:
+                site, pivots = c >> 3, []
+                self.lanes.append((site, pivots))
+            pivots.append((c, reads))
+        ascending = pivot_cols[::-1]
+        self.held = []
+        b, below = -1, 0
+        for j in sorted(read.difference(echelon)):
+            while below < len(ascending) and ascending[below] < j:
+                below += 1
+            f = j - below
+            if f >> 3 != b:
+                b, columns = f >> 3, []
+                self.held.append((b, columns))
+            columns.append((j, f & 7))
 
     def combine(self, masks: Sequence[int]) -> list[int]:
-        n, stride = len(masks), self.stride
-        held, moves = self.held
-        matrix = "".join([format(_compress(m, held, moves), self.spec) for m in masks]).encode()
-        values = [int.from_bytes(matrix[i::stride], "little") for i in range(stride)]
-        # one buffer, not a bytes object per lane, keeps the heap from fragmenting
-        rows = bytearray(n * (len(self.lanes) + 1))
-        for k, reads in enumerate(self.lanes, 1):
-            lane = functools.reduce(operator.xor, map(values.__getitem__, reads), 0)
-            values.append(lane)
-            rows[k * n : (k + 1) * n] = lane.to_bytes(n, "little")
-        out = []
-        for t, mask in enumerate(masks):
-            parities = int(rows[t::n].translate(_LOW_BIT_TO_ASCII), 2)
-            out.append(_spread(mask, *self.free) | _spread(parities, *self.pivots))
-        return out
+        n, width, size = len(masks), self.width, self.size
+        matrix = b"".join([m.to_bytes(width, "little") for m in masks])
+        ones = int.from_bytes(b"\x01" * n, "little")
+        values = [0] * self.cols
+        for b, columns in self.held:
+            byte = int.from_bytes(matrix[b::width], "little")
+            for j, s in columns:
+                values[j] = byte >> s & ones
+        # one buffer, not a bytes object per site byte, keeps the heap from fragmenting
+        rows = bytearray(n * size)
+        for site, pivots in self.lanes:
+            bits = 0
+            for c, reads in pivots:
+                lane = values[c] = functools.reduce(operator.xor, map(values.__getitem__, reads), 0)
+                bits |= lane << (c & 7)
+            rows[site::size] = bits.to_bytes(n, "little")
+        free_mask, steps = self.free
+        return [
+            _spread(mask, free_mask, steps) | int.from_bytes(rows[t * size : (t + 1) * size], "little")
+            for t, mask in enumerate(masks)
+        ]
 
 
 class _EchelonRows:
@@ -633,10 +644,10 @@ class WindowSpace:
     sets up no draw rule.  The lanes also serve spaces of several words
     with rank >= free_dim, which neither ``verify`` nor the planar
     sampler builds.  There a warm single draw pays every pivot's lane: on
-    a 2-vCPU VM 10.4 ms for ``repetition_code(3)`` on [0, 20)^3 and 4.9 ms
-    for ``repetition_code(4)`` on [0, 8)^4, against 0.04 and 0.06 ms for
+    a 2-vCPU VM 6.2 ms for ``repetition_code(3)`` on [0, 20)^3 and 3.0 ms
+    for ``repetition_code(4)`` on [0, 8)^4, against 0.04 and 0.11 ms for
     an XOR of back-substituted kernel rows; a build plus one draw, which
-    pays no back-substitution, takes 1.42x and 1.26x as long.
+    pays no back-substitution, takes 1.17x and 1.08x as long.
     """
 
     box: Box

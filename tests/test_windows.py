@@ -1047,6 +1047,17 @@ class TestPivotParities:
     @example(F2Matrix((_row(*range(100)), _row(1, 150)), 160), 2, 5)  # a part of 99 free bits
     @example(F2Matrix((_row(0, 3, 5), _row(1, 5, 6), _row(2, 3)), 8), 1, 300)  # a wide batch
     @example(F2Matrix((_row(0, 1), _row(1, 2), _row(2, 3)), 5), 0, 8)  # each pivot reads the next
+    # the byte edges of the two transposes: free_dim 16, 9, 15 and 7, so
+    # 0, 1, 7 and 7 mod 8, held columns at the top of a whole last mask
+    # byte, alone in a partial one and at the top of one
+    @example(F2Matrix((_row(0, 5, 17), _row(1, 17)), 18), 0, 8)
+    @example(F2Matrix((_row(0, 3, 9),), 10), 1, 8)
+    @example(F2Matrix((_row(0, 2, 15),), 16), 2, 1)
+    @example(F2Matrix((_row(0, 7),), 8), 3, 1)
+    # pivots at bit 7 of site byte 0 and bit 0 of site byte 1, the lower
+    # reading the higher, in batches of 8 and of one chunk and one more
+    @example(F2Matrix((_row(7, 8, 12), _row(8, 20)), 24), 4, 8)
+    @example(F2Matrix((_row(7, 8, 12), _row(8, 20), _row(0, 3, 9)), 24), 5, windows._DRAW_CHUNK + 1)
     def test_combine_is_the_kernel_element_of_its_free_bits(self, m, seed, draws):
         self._assert_kernel_elements(m, seed, draws)
 
@@ -1056,8 +1067,13 @@ class TestPivotParities:
         # batch; lanes run from the highest pivot down, and neither row
         # meets the other's pivot
         m = F2Matrix((_row(0, *range(2, 66)), _row(1, *range(70, 135))), 200)
-        # held columns 1..65 are sites 134..70, and 66..129 are 65..2
-        assert _parities(m).lanes == [list(range(1, 66)), list(range(66, 130))]
+        parities = _parities(m)
+        # both pivots sit in site byte 0, each reading its row's columns
+        assert parities.lanes == [(0, [(1, list(range(134, 69, -1))), (0, list(range(65, 1, -1)))])]
+        # sites 2..65 are free columns 0..63, mask bytes 0..7 whole, and
+        # sites 70..134 are free columns 68..132
+        held = [(j, 8 * b + s) for b, columns in parities.held for j, s in columns]
+        assert held == [(j, j - 2) for j in [*range(2, 66), *range(70, 135)]]
         for seed in range(4):
             self._assert_kernel_elements(m, seed, 20)
 
@@ -1066,8 +1082,9 @@ class TestPivotParities:
         # lane of pivot 1, which reads that of pivot 2, which reads column 3
         m = F2Matrix((_row(0, 1), _row(1, 2), _row(2, 3)), 5)
         parities = _parities(m)
-        assert parities.stride == 2
-        assert parities.lanes == [[1], [2], [3]]
+        assert parities.lanes == [(0, [(2, [3]), (1, [2]), (0, [1])])]
+        # column 3, the one held column, is free column 0: bit 0 of mask byte 0
+        assert parities.held == [(0, [(3, 0)])]
 
     @pytest.mark.parametrize("d, n", [(3, 5), (4, 4)])
     def test_high_rank_spaces_draw_the_masked_kernel_combination(self, d, n):
@@ -1084,7 +1101,7 @@ class TestPivotParities:
     def test_set_up_at_d10_box_3_holds_no_reduced_row(self):
         # reduced rows in free coordinates, as wide as the code space's
         # 55,141 free columns, peaked at 22.7 MB; the walk over the echelon's
-        # set bits holds the lanes' reads and the masks' moves, 2.7 MB
+        # set bits holds the lanes' reads and the free columns' moves, 2.1 MB
         space = build_window_space(
             cube(10, 3), rigidity.construct_system(10).code, max_sites=60_000
         )

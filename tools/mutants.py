@@ -164,8 +164,9 @@ MUTANTS = [
         # a pivot's bit is the XOR of its free columns alone, the higher
         # pivots its row meets left out
         "lane_drops_its_pivot_reads", W,
-        "            [column[j] for j in free] + [self.stride + k for k in read]\n",
-        "            [column[j] for j in free]\n",
+        "                reads.append(c + j)\n",
+        "                if c + j not in echelon:\n"
+        "                    reads.append(c + j)\n",
     ),
     (
         # the pivots of every level after the first stay clear
@@ -323,22 +324,41 @@ MUTANTS = [
         "for base, ch in enumerate(bits[:-1]) if ch",
     ),
     (
-        # column i reads character i + 1 of every formatted mask
+        # the columns of mask byte b read byte b + 1 of every mask
         "batch_column_slice_one_character_off", W,
-        "int.from_bytes(matrix[i::stride], \"little\")",
-        "int.from_bytes(matrix[i + 1::stride], \"little\")",
+        "int.from_bytes(matrix[b::width], \"little\")",
+        "int.from_bytes(matrix[b + 1::width], \"little\")",
     ),
     (
-        # the XOR of an even number of ASCII digits clears bits 4 and 5,
-        # so only bit 0 carries the parity
+        # each column's lane keeps the bit above the column's own, one
+        # place up in every draw's byte, and the parities carry it on
         "batch_parity_read_from_bit_one", W,
-        "_LOW_BIT_TO_ASCII = bytes(0x30 | b & 1 for b in range(256))",
-        "_LOW_BIT_TO_ASCII = bytes(0x30 | b >> 1 & 1 for b in range(256))",
+        "ones = int.from_bytes(b\"\\x01\" * n, \"little\")",
+        "ones = int.from_bytes(b\"\\x02\" * n, \"little\")",
+    ),
+    (
+        # a held column reads the bit above its own in its mask byte
+        "held_column_read_from_the_wrong_bit", W,
+        "            columns.append((j, f & 7))\n",
+        "            columns.append((j, f + 1 & 7))\n",
+    ),
+    (
+        # a column's lane keeps the other bits of its mask byte, which
+        # the pivot lanes carry onto their neighbours in the site byte
+        "held_lane_without_its_ones", W,
+        "                values[j] = byte >> s & ones\n",
+        "                values[j] = byte >> s\n",
+    ),
+    (
+        # pivot c's parity lands on bit c + 1 of its site byte
+        "parity_placed_one_bit_off", W,
+        "                bits |= lane << (c & 7)\n",
+        "                bits |= lane << (c + 1 & 7)\n",
     ),
     (
         "batch_draw_rows_read_in_reverse", W,
-        "parities = int(rows[t::n]",
-        "parities = int(rows[n - 1 - t::n]",
+        "int.from_bytes(rows[t * size : (t + 1) * size], \"little\")",
+        "int.from_bytes(rows[(n - 1 - t) * size : (n - t) * size], \"little\")",
     ),
     (
         # the last round of every full chunk is never drawn
